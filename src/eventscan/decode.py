@@ -118,11 +118,10 @@ class CorrespondenceSet:
 
     @staticmethod
     def load_text(path) -> "CorrespondenceSet":
-        _, cols = formats.read_table(path, ["x_C", "y_C", "x_P", "y_P", "support", "quality"])
-        n = len(cols[0])
-        cam = np.stack([cols[0].astype(float), cols[1].astype(float)], axis=1).astype(np.int32) if n else np.zeros((0, 2), np.int32)
-        proj = np.stack([cols[2].astype(float), cols[3].astype(float)], axis=1) if n else np.zeros((0, 2))
-        return CorrespondenceSet(cam, proj, cols[4].astype(np.int32), cols[5].astype(np.float64))
+        _, cols = formats.read_table(
+            path, ["x_C", "y_C", "x_P", "y_P", "support", "quality"], [np.int32, np.int32, float, float, np.int32, float]
+        )
+        return CorrespondenceSet(np.stack(cols[0:2], axis=1), np.stack(cols[2:4], axis=1), cols[4], cols[5])
 
 
 def _empty_correspondences() -> CorrespondenceSet:

@@ -54,13 +54,8 @@ class EventStream:
 
     @staticmethod
     def load_text(path) -> "EventStream":
-        _, cols = formats.read_table(path, ["t_us", "x", "y", "polarity"])
-        return EventStream(
-            cols[0].astype(np.int64),
-            cols[1].astype(np.int32),
-            cols[2].astype(np.int32),
-            cols[3].astype(np.int8),
-        )
+        _, cols = formats.read_table(path, ["t_us", "x", "y", "polarity"], [np.int64, np.int32, np.int32, np.int8])
+        return EventStream(*cols)
 
     def save_binary(self, path) -> None:
         formats.write_event_binary(path, self.t, self.x, self.y, self.polarity)
@@ -164,18 +159,17 @@ class GroundTruth:
         _, cols = formats.read_table(
             path,
             ["event", "bounce", "sx", "sy", "sz", "label", "px", "py", "on_epipolar", "sweep", "step", "step_time_us"],
+            [np.int64, np.int16, float, float, float, np.int32, float, float, ("false", "true"),
+             np.int8, np.int32, np.int64],
         )
-        n = len(cols[0])
-        sp = np.stack([cols[2].astype(float), cols[3].astype(float), cols[4].astype(float)], axis=1) if n else np.zeros((0, 3))
-        pp = np.stack([cols[6].astype(float), cols[7].astype(float)], axis=1) if n else np.zeros((0, 2))
         return GroundTruth(
-            cols[1].astype(np.int16),
-            sp,
-            cols[5].astype(np.int32),
-            pp,
-            cols[8] == "true",
-            cols[9].astype(np.int8),
-            cols[10].astype(np.int32),
-            cols[11].astype(np.int64),
+            cols[1],
+            np.stack(cols[2:5], axis=1),
+            cols[5],
+            np.stack(cols[6:8], axis=1),
+            cols[8],
+            cols[9],
+            cols[10],
+            cols[11],
             labels,
         )

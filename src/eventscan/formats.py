@@ -1,13 +1,21 @@
-"""Plain-text interchange formats: key-value documents, tables, PLY, PFM.
+"""Interchange formats: key-value documents, tables, PLY, PFM, binary events.
 
-Every writer formats floats with ``repr`` (shortest round-trip form), so a
+Key-value documents format floats with ``repr`` (shortest round-trip form);
+table and PLY bodies use ``%.17g``. Both round-trip float64 exactly, so a
 given value always serializes to the same bytes and pipeline runs are
 byte-reproducible.
+
+``read_table`` returns string columns unless the caller declares a type per
+column. Typed columns are parsed in one ``np.loadtxt`` pass: integers as
+integers (never through float), floats as float64, and a column of names
+(true/false, class names) as int8 indices into the declared names.
+``read_ply`` parses its body the same way as float64. Every reader raises
+``FormatError`` naming the file on a missing header, a wrong field count, an
+unparsable or unknown token, or a body that does not match its header.
 """
 
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -163,27 +171,70 @@ def write_table(path, columns: list[str], arrays: list, header: str | None = Non
     Path(path).write_text("\n".join(head) + "\n" + body + "\n")
 
 
-def read_table(path, expected_columns: list[str] | None = None):
-    """Read back a write_table file; returns (columns, list of string-columns)."""
-    columns: list[str] | None = None
-    rows: list[list[str]] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            fields = line[1:].split()
+def read_table(path, expected_columns: list[str] | None = None, types: list | None = None):
+    """Read back a write_table file; returns (columns, list of column arrays).
+
+    The header is the first ``#`` line before the body whose fields equal
+    ``expected_columns`` (any non-empty ``#`` line when None). Without
+    ``types`` every column is an array of strings. Otherwise ``types`` has one
+    entry per column: a numpy dtype, or a tuple of names whose tokens are
+    returned as int8 indices into the tuple.
+    """
+    with open(path) as f:
+        columns: list[str] | None = None
+        has_body = False
+        head_lines = 0
+        while line := f.readline():
+            text = line.strip()
+            if text and not text.startswith("#"):
+                has_body = True
+                break
+            head_lines += 1
+            fields = text[1:].split()
             if columns is None and fields and (expected_columns is None or fields == expected_columns):
                 columns = fields
-            continue
-        rows.append(line.split())
-    if columns is None:
-        raise FormatError(f"{path}: missing column header line")
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != len(columns):
-            raise FormatError(f"{path}: row {lineno} has {len(row)} fields, expected {len(columns)}")
-    cols = [np.array([row[i] for row in rows]) for i in range(len(columns))]
+        if columns is None:
+            raise FormatError(f"{path}: missing column header line")
+        if types is not None and len(types) != len(columns):
+            raise ValueError(f"{len(types)} column types for {len(columns)} columns")
+        if types is None:
+            dtype = np.dtype(str)
+        else:
+            # one character wider than the longest name, so a longer token
+            # cannot be truncated into a valid one
+            dtype = np.dtype([
+                (f"f{i}", f"U{max(map(len, t)) + 1}" if isinstance(t, tuple) else t) for i, t in enumerate(types)
+            ])
+        if not has_body:
+            data = np.zeros((0, len(columns)) if types is None else 0, dtype)
+        else:
+            f.seek(0)
+            try:
+                data = np.loadtxt(f, dtype=dtype, comments="#", skiprows=head_lines, ndmin=2 if types is None else 1)
+            except ValueError as exc:
+                raise FormatError(f"{path}: {exc}") from None
+    if types is None:
+        if data.shape[1] != len(columns):
+            raise FormatError(f"{path}: rows have {data.shape[1]} fields, expected {len(columns)}")
+        return columns, list(data.T)
+    cols = []
+    for i, (name, t) in enumerate(zip(columns, types)):
+        col = data[f"f{i}"]
+        cols.append(_name_codes(path, name, col, t) if isinstance(t, tuple) else np.ascontiguousarray(col))
     return columns, cols
+
+
+def _name_codes(path, column: str, tokens: np.ndarray, names: tuple) -> np.ndarray:
+    """Index of each token in ``names``; FormatError on any other token."""
+    codes = np.full(len(tokens), -1, dtype=np.int8)
+    for i, name in enumerate(names):
+        codes[tokens == name] = i
+    bad = np.flatnonzero(codes < 0)
+    if bad.size:
+        raise FormatError(
+            f"{path}: column '{column}' row {bad[0] + 1}: {tokens[bad[0]]!r} is not one of {', '.join(names)}"
+        )
+    return codes
 
 
 def write_ply(path, vertices: np.ndarray, extra: dict[str, np.ndarray] | None = None, comment: str | None = None) -> None:
@@ -208,23 +259,29 @@ def write_ply(path, vertices: np.ndarray, extra: dict[str, np.ndarray] | None = 
 
 def read_ply(path):
     """Read an ASCII PLY written by write_ply; returns (vertices, extras dict)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "ply":
-        raise FormatError(f"{path}: not a PLY file")
-    props: list[str] = []
-    count = None
-    body_at = None
-    for i, line in enumerate(lines[1:], start=1):
-        if line.startswith("element vertex"):
-            count = int(line.split()[-1])
-        elif line.startswith("property"):
-            props.append(line.split()[-1])
-        elif line == "end_header":
-            body_at = i + 1
-            break
-    if count is None or body_at is None:
-        raise FormatError(f"{path}: malformed PLY header")
-    data = np.array([[float(v) for v in ln.split()] for ln in lines[body_at : body_at + count]])
+    with open(path) as f:
+        if f.readline().rstrip("\r\n") != "ply":
+            raise FormatError(f"{path}: not a PLY file")
+        props: list[str] = []
+        count = None
+        while line := f.readline():
+            line = line.rstrip("\r\n")
+            if line.startswith("element vertex"):
+                count = int(line.split()[-1])
+            elif line.startswith("property"):
+                props.append(line.split()[-1])
+            elif line == "end_header":
+                break
+        else:
+            count = None  # no end_header line
+        if count is None:
+            raise FormatError(f"{path}: malformed PLY header")
+        data = np.zeros((0, len(props)))
+        if count:
+            try:
+                data = np.loadtxt(f, dtype=np.float64, comments=None, ndmin=2, max_rows=count)
+            except ValueError as exc:
+                raise FormatError(f"{path}: {exc}") from None
     if data.shape != (count, len(props)):
         raise FormatError(f"{path}: PLY body does not match header")
     vertices = data[:, :3] if count else np.zeros((0, 3))
@@ -267,24 +324,36 @@ def read_pfm(path) -> np.ndarray:
     return data.reshape(shape)[::-1].astype(np.float32)
 
 
+# u64 t, u16 x, u16 y, i8 polarity, 3 pad bytes: 16 bytes, little-endian
+_EVENT_RECORD = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("polarity", "i1"), ("pad", "V3")])
+
+
 def write_event_binary(path, t: np.ndarray, x: np.ndarray, y: np.ndarray, polarity: np.ndarray) -> None:
-    """Fixed 16-byte little-endian records: u64 t, u16 x, u16 y, i8 polarity, 3 pad."""
-    rec = struct.Struct("<QHHb3x")
-    with open(path, "wb") as f:
-        for ti, xi, yi, pi in zip(t.tolist(), x.tolist(), y.tolist(), polarity.tolist()):
-            f.write(rec.pack(ti, xi, yi, pi))
+    """Fixed 16-byte little-endian records: u64 t, u16 x, u16 y, i8 polarity, 3 pad.
+
+    A value that does not fit its field raises ValueError instead of wrapping.
+    """
+    records = np.zeros(len(t), dtype=_EVENT_RECORD)
+    for name, values in (("t", t), ("x", x), ("y", y), ("polarity", polarity)):
+        values = np.asarray(values)
+        if values.size:
+            limits = np.iinfo(_EVENT_RECORD[name])
+            if values.dtype.kind not in "biu" or not limits.min <= int(values.min()) <= int(values.max()) <= limits.max:
+                raise ValueError(f"{path}: event {name} must be integers in [{limits.min}, {limits.max}]")
+        records[name] = values
+    Path(path).write_bytes(records.tobytes())
 
 
 def read_event_binary(path):
     raw = Path(path).read_bytes()
-    rec = struct.Struct("<QHHb3x")
-    if len(raw) % rec.size:
+    if len(raw) % _EVENT_RECORD.itemsize:
         raise FormatError(f"{path}: truncated event record")
-    n = len(raw) // rec.size
-    t = np.empty(n, dtype=np.int64)
-    x = np.empty(n, dtype=np.int32)
-    y = np.empty(n, dtype=np.int32)
-    p = np.empty(n, dtype=np.int8)
-    for i, (ti, xi, yi, pi) in enumerate(rec.iter_unpack(raw)):
-        t[i], x[i], y[i], p[i] = ti, xi, yi, pi
-    return t, x, y, p
+    records = np.frombuffer(raw, dtype=_EVENT_RECORD)
+    if records.size and int(records["t"].max()) > np.iinfo(np.int64).max:
+        raise FormatError(f"{path}: event time does not fit int64")
+    return (
+        records["t"].astype(np.int64),
+        records["x"].astype(np.int32),
+        records["y"].astype(np.int32),
+        records["polarity"].astype(np.int8),
+    )

@@ -50,20 +50,20 @@ class ClassifiedSet:
                 b.projector_pixel[:, 1],
                 b.support,
                 b.quality,
-                np.array([CLASS_NAMES[c] for c in self.label]),
+                np.array(CLASS_NAMES)[self.label],
                 self.epipolar_distance,
             ],
         )
 
     @staticmethod
     def load_text(path) -> "ClassifiedSet":
-        _, cols = formats.read_table(path, ["x_C", "y_C", "x_P", "y_P", "support", "quality", "class", "epi_dist"])
-        n = len(cols[0])
-        cam = np.stack([cols[0].astype(float), cols[1].astype(float)], axis=1).astype(np.int32) if n else np.zeros((0, 2), np.int32)
-        proj = np.stack([cols[2].astype(float), cols[3].astype(float)], axis=1) if n else np.zeros((0, 2))
-        base = CorrespondenceSet(cam, proj, cols[4].astype(np.int32), cols[5].astype(np.float64))
-        label = np.array([CLASS_NAMES.index(c) for c in cols[6]], dtype=np.int8)
-        return ClassifiedSet(base, label, cols[7].astype(np.float64))
+        _, cols = formats.read_table(
+            path,
+            ["x_C", "y_C", "x_P", "y_P", "support", "quality", "class", "epi_dist"],
+            [np.int32, np.int32, float, float, np.int32, float, CLASS_NAMES, float],
+        )
+        base = CorrespondenceSet(np.stack(cols[0:2], axis=1), np.stack(cols[2:4], axis=1), cols[4], cols[5])
+        return ClassifiedSet(base, cols[6], cols[7])
 
 
 def epipolar_classify(correspondences: CorrespondenceSet, F: np.ndarray, tau: float = 2.0) -> ClassifiedSet:

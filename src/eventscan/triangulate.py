@@ -52,8 +52,8 @@ class DiffuseCloud:
     @staticmethod
     def load_ply(path) -> "DiffuseCloud":
         vertices, extras = formats.read_ply(path)
-        cam = np.stack([extras["x_C"], extras["y_C"]], axis=1).astype(np.int32) if len(vertices) else np.zeros((0, 2), np.int32)
-        proj = np.stack([extras["x_P"], extras["y_P"]], axis=1) if len(vertices) else np.zeros((0, 2))
+        cam = np.stack([extras["x_C"], extras["y_C"]], axis=1).astype(np.int32)
+        proj = np.stack([extras["x_P"], extras["y_P"]], axis=1)
         return DiffuseCloud(vertices, cam, proj, extras.get("gap", np.zeros(len(vertices))), extras.get("quality", np.ones(len(vertices))))
 
 

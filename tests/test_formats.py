@@ -1,3 +1,7 @@
+import re
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
@@ -113,12 +117,135 @@ def test_ground_truth_round_trip(tmp_path):
     assert np.array_equal(back.step_time_us, gt.step_time_us)
 
 
+def test_ground_truth_rejects_unknown_on_epipolar(tmp_path):
+    gt = GroundTruth(
+        bounce=np.array([1, 2]),
+        surface_point=np.ones((2, 3)),
+        object_label=np.array([0, 0]),
+        projector_pixel=np.ones((2, 2)),
+        on_epipolar=np.array([False, True]),
+        sweep=np.array([0, 1]),
+        step=np.array([1, 2]),
+        step_time_us=np.array([10, 20]),
+        labels=("wall",),
+    )
+    path = tmp_path / "gt.txt"
+    gt.save_text(path)
+    path.write_text(path.read_text().replace(" true ", " yes "))
+    with pytest.raises(formats.FormatError, match=re.escape(path.name) + ".*on_epipolar"):
+        GroundTruth.load_text(path)
+
+
 def test_ply_round_trip(tmp_path):
     pts = np.array([[0.5, 1.5, 600.0], [-3.25, 0.0, 598.125]])
     formats.write_ply(tmp_path / "c.ply", pts, extra={"quality": np.array([0.9, 1.0])})
     back, extras = formats.read_ply(tmp_path / "c.ply")
     assert np.array_equal(back, pts)
     assert np.array_equal(extras["quality"], [0.9, 1.0])
+
+
+def test_table_zero_rows_typed_without_warning(tmp_path):
+    path = tmp_path / "t.txt"
+    formats.write_table(path, ["a", "b", "c"], [np.zeros(0, np.int64), np.zeros(0), np.zeros(0, bool)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cols, data = formats.read_table(path, ["a", "b", "c"], [np.int64, float, ("false", "true")])
+    assert cols == ["a", "b", "c"]
+    assert [(d.dtype, d.shape) for d in data] == [(np.int64, (0,)), (np.float64, (0,)), (np.int8, (0,))]
+
+
+def test_table_one_row_typed(tmp_path):
+    path = tmp_path / "t.txt"
+    formats.write_table(path, ["a", "b", "flag"], [np.array([7]), np.array([2.5]), np.array([True])], header="one")
+    _, (a, b, flag) = formats.read_table(path, ["a", "b", "flag"], [np.int32, float, ("false", "true")])
+    assert a.dtype == np.int32 and a.tolist() == [7]
+    assert b.tolist() == [2.5]
+    assert flag.tolist() == [1]
+
+
+def test_table_exact_float_round_trip(tmp_path):
+    path = tmp_path / "t.txt"
+    values = np.array([-0.0, np.nan, 1e-17, 5e-324, 1.7976931348623157e308])
+    formats.write_table(path, ["v"], [values])
+    _, (back,) = formats.read_table(path, ["v"], [float])
+    assert back.dtype == np.float64
+    assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+
+def test_event_times_parse_as_integers(tmp_path):
+    t = np.array([2**53 + 1, 2**62 + 3], dtype=np.int64)  # float64 would round both
+    ev = EventStream(t, np.array([0, 1]), np.array([2, 3]), np.array([1, -1]))
+    ev.save_text(tmp_path / "e.txt")
+    back = EventStream.load_text(tmp_path / "e.txt")
+    assert back.t.dtype == np.int64
+    assert back.t.tolist() == t.tolist()
+
+
+def test_table_untyped_returns_strings(tmp_path):
+    path = tmp_path / "m.tsv"
+    formats.write_table(path, ["name", "value"], [np.array(["rmse", "count"]), np.array(["0.5", "3"])])
+    _, (names, values) = formats.read_table(path, ["name", "value"])
+    assert names.dtype.kind == "U" and values.dtype.kind == "U"
+    assert names.tolist() == ["rmse", "count"] and values.tolist() == ["0.5", "3"]
+    assert formats.parse_scalar(values[1]) == 3
+
+
+def test_table_malformed_raises_format_error(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# a b\n1 2\n3\n")
+    for types in (None, [np.int64, np.int64]):
+        with pytest.raises(formats.FormatError, match=re.escape(path.name)):
+            formats.read_table(path, ["a", "b"], types)
+    path.write_text("# a b\n1 2\n")
+    with pytest.raises(formats.FormatError, match="missing column header"):
+        formats.read_table(path, ["a", "c"], [np.int64, np.int64])
+    path.write_text("# a b\n1 x\n")
+    with pytest.raises(formats.FormatError, match=re.escape(path.name)):
+        formats.read_table(path, ["a", "b"], [np.int64, float])
+
+
+def test_table_unknown_name_raises_format_error(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("# a flag\n1 true\n2 falsey\n")  # too long for the name field: must not truncate to 'false'
+    with pytest.raises(formats.FormatError, match=re.escape(path.name) + ".*row 2"):
+        formats.read_table(path, ["a", "flag"], [np.int64, ("false", "true")])
+
+
+def test_ply_zero_vertices_and_short_body(tmp_path):
+    path = tmp_path / "c.ply"
+    formats.write_ply(path, np.zeros((0, 3)), extra={"quality": np.zeros(0)})
+    vertices, extras = formats.read_ply(path)
+    assert vertices.shape == (0, 3) and extras["quality"].shape == (0,)
+    pts = np.array([[0.5, 1.5, 600.0], [-3.25, 0.0, 598.125]])
+    formats.write_ply(path, pts)
+    path.write_text(path.read_text().replace("element vertex 2", "element vertex 3"))
+    with pytest.raises(formats.FormatError, match=re.escape(path.name)):
+        formats.read_ply(path)
+    path.write_text(path.read_text().replace("element vertex 3", "element vertex 2").replace("598.125", "598.125 1"))
+    with pytest.raises(formats.FormatError, match=re.escape(path.name)):
+        formats.read_ply(path)
+
+
+def test_event_binary_matches_struct_records(tmp_path):
+    t = np.array([0, 5, 2**40], dtype=np.int64)
+    x = np.array([0, 65535, 7], dtype=np.int32)
+    y = np.array([3, 0, 65535], dtype=np.int32)
+    p = np.array([1, -1, 127], dtype=np.int8)
+    path = tmp_path / "e.bin"
+    formats.write_event_binary(path, t, x, y, p)
+    rec = struct.Struct("<QHHb3x")
+    assert path.read_bytes() == b"".join(rec.pack(*row) for row in zip(t.tolist(), x.tolist(), y.tolist(), p.tolist()))
+    back = formats.read_event_binary(path)
+    assert [b.dtype for b in back] == [np.int64, np.int32, np.int32, np.int8]
+    assert all(np.array_equal(b, a) for b, a in zip(back, (t, x, y, p)))
+    for bad in ({"x": np.array([0, 65536, 7])}, {"y": np.array([-1, 0, 0])}, {"t": np.array([-1, 0, 0])},
+                {"polarity": np.array([1, -129, 1])}):
+        args = {"t": t, "x": x, "y": y, "polarity": p, **bad}
+        with pytest.raises(ValueError):
+            formats.write_event_binary(tmp_path / "bad.bin", **args)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(formats.FormatError, match="truncated"):
+        formats.read_event_binary(path)
 
 
 def test_pfm_round_trip(tmp_path):

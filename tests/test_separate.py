@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from eventscan import decode
 from eventscan.decode import CorrespondenceSet
+from eventscan.formats import FormatError
 from eventscan.geometry import fundamental_from_models
 from eventscan.metrics import classification_score, truth_class_of
 from eventscan.separate import DIRECT, INDIRECT, REJECTED, ClassifiedSet, epipolar_classify, resolve_mixed_pixels
@@ -120,6 +123,16 @@ def test_classified_table_round_trip(tmp_path, mirror_classified):
     assert np.array_equal(back.label, cl.label)
     assert np.allclose(back.epipolar_distance, cl.epipolar_distance)
     assert np.allclose(back.base.projector_pixel, cl.base.projector_pixel)
+
+
+def test_classified_table_rejects_unknown_class(tmp_path):
+    cl = ClassifiedSet(corr_of([[1, 2], [3, 4]], [[5.0, 6.0], [7.0, 8.0]]), np.array([DIRECT, REJECTED], np.int8), np.zeros(2))
+    path = tmp_path / "c.txt"
+    cl.save_text(path)
+    assert path.read_text().splitlines()[1:] == ["1 2 5 6 2 1 direct 0", "3 4 7 8 2 1 rejected 0"]
+    path.write_text(path.read_text().replace(" rejected ", " reflected "))
+    with pytest.raises(FormatError, match=re.escape(path.name) + ".*class"):
+        ClassifiedSet.load_text(path)
 
 
 def test_classification_score_trivial_and_errors(mirror_scan, mirror_classified):
