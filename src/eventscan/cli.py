@@ -38,7 +38,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--mode", choices=["mixed", "diffuse-only"], default=None, help="override the config mode")
-    p.add_argument("--workers", type=int, default=None, help="override the worker count")
     p.add_argument("--input", default=None, help="directory holding upstream artifacts (defaults to --out)")
 
 
@@ -49,8 +48,6 @@ def _load(args) -> PipelineConfig:
         updates["seed"] = args.seed
     if args.mode is not None:
         updates["mode"] = args.mode
-    if args.workers is not None:
-        updates["workers"] = args.workers
     if updates:
         values = cfg.effective()
         values.update(updates)

@@ -137,6 +137,32 @@ def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(offsets, lens) + np.repeat(starts, lens)
 
 
+def _runs(sorted_keys: np.ndarray):
+    """(start, stop, key) of each run of equal values in a sorted key array."""
+    first = np.ones(len(sorted_keys), dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(first)
+    stops = np.append(starts[1:], len(sorted_keys))
+    return starts, stops, sorted_keys[starts]
+
+
+def _sort_by_key(key: np.ndarray, *ties: np.ndarray) -> np.ndarray:
+    """The order of ``np.lexsort(ties + (key,))``, for an int ``key``.
+
+    A stable sort on ``key`` alone orders every row, in linear time when
+    ``key`` is already sorted; only the rows whose key is shared are then
+    lexsorted by ``ties`` (the last one most significant, as in lexsort).
+    """
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    shared = np.zeros(len(order), dtype=bool)
+    shared[1:] = sorted_key[1:] == sorted_key[:-1]
+    shared[:-1] |= shared[1:]
+    sub = order[shared]
+    order[shared] = sub[np.lexsort(tuple(t[sub] for t in ties) + (key[sub],))]
+    return order
+
+
 def _select_timing_events(a: SweepAssignments, policy: str):
     """Event selection per polarity policy, with -1 positions shifted back one step."""
     if policy == "positive":
@@ -202,7 +228,7 @@ def _build_set(cam_keys, proj, support, quality, seg_starts, seg_stops, sorted_e
     """
     cam_keys = np.asarray(cam_keys, dtype=np.int64)
     proj = np.asarray(proj, dtype=np.float64).reshape(-1, 2)
-    order = np.lexsort((proj[:, 1], proj[:, 0], cam_keys))
+    order = _sort_by_key(cam_keys, proj[:, 1], proj[:, 0])
     cam_keys = cam_keys[order]
     proj = proj[order]
     support = np.asarray(support, dtype=np.int32)[order]
@@ -228,7 +254,8 @@ def intersect_sweeps(
     correspondence per vertical x horizontal cluster pair; downstream
     separation resolves which survive. Per cluster the median position is
     used; quality is 1 - spread / steps, taken from the worse cluster of the
-    pair.
+    pair. Clusters arrive sorted by pixel key, so the pixels seen in both
+    sweeps are found by ``searchsorted`` on each sweep's runs of equal keys.
     """
     steps = assignments.steps_per_sweep
     if cluster_gap is None:
@@ -240,56 +267,35 @@ def intersect_sweeps(
     h_idx = np.where(cl.sweep == SWEEP_HORIZONTAL)[0]
     if len(v_idx) == 0 or len(h_idx) == 0:
         return _empty_correspondences()
-    # clusters are already grouped by pixel key within each sweep
-    vkeys = cl.pixel_key[v_idx]
-    hkeys = cl.pixel_key[h_idx]
-    common = np.intersect1d(vkeys, hkeys)
-    if len(common) == 0:
+    # clusters are already grouped by pixel key within each sweep, so vkeys
+    # and hkeys are sorted; their first-of-run entries are the unique keys
+    v_lo, v_hi, vkeys = _runs(cl.pixel_key[v_idx])
+    h_lo, h_hi, hkeys = _runs(cl.pixel_key[h_idx])
+    at = np.minimum(np.searchsorted(hkeys, vkeys), len(hkeys) - 1)
+    in_both = hkeys[at] == vkeys
+    if not np.any(in_both):
         return _empty_correspondences()
-    v_lo = np.searchsorted(vkeys, common, side="left")
-    v_hi = np.searchsorted(vkeys, common, side="right")
-    h_lo = np.searchsorted(hkeys, common, side="left")
-    h_hi = np.searchsorted(hkeys, common, side="right")
+    common = vkeys[in_both]
+    v_lo, v_hi = v_lo[in_both], v_hi[in_both]
+    h_lo, h_hi = h_lo[at[in_both]], h_hi[at[in_both]]
     nv = v_hi - v_lo
     nh = h_hi - h_lo
 
-    keys_out = []
-    proj_out = []
-    support_out = []
-    quality_out = []
-    segs_start = []
-    segs_stop = []
-
-    simple = (nv == 1) & (nh == 1)
-    if np.any(simple):
-        vi = v_idx[v_lo[simple]]
-        hi = h_idx[h_lo[simple]]
-        keys_out.append(common[simple])
-        proj_out.append(np.stack([cl.median[vi], cl.median[hi]], axis=1))
-        support_out.append(cl.size[vi] + cl.size[hi])
-        spread = np.maximum(cl.spread[vi], cl.spread[hi])
-        quality_out.append(np.maximum(0.0, 1.0 - spread / steps))
-        segs_start.append(np.stack([cl.seg_start[vi], cl.seg_start[hi]], axis=1))
-        segs_stop.append(np.stack([cl.seg_stop[vi], cl.seg_stop[hi]], axis=1))
-
-    for k in np.where(~simple)[0]:
-        for vi in v_idx[v_lo[k] : v_hi[k]]:
-            for hi in h_idx[h_lo[k] : h_hi[k]]:
-                keys_out.append(np.array([common[k]]))
-                proj_out.append(np.array([[cl.median[vi], cl.median[hi]]]))
-                support_out.append(np.array([cl.size[vi] + cl.size[hi]]))
-                spread = max(cl.spread[vi], cl.spread[hi])
-                quality_out.append(np.array([max(0.0, 1.0 - spread / steps)]))
-                segs_start.append(np.array([[cl.seg_start[vi], cl.seg_start[hi]]]))
-                segs_stop.append(np.array([[cl.seg_stop[vi], cl.seg_stop[hi]]]))
-
+    # every vertical x horizontal cluster pair of a pixel, ordered by pixel,
+    # then vertical cluster, then horizontal cluster
+    pairs = nv * nh
+    pixel = np.repeat(np.arange(len(common)), pairs)
+    j = _concat_ranges(np.zeros_like(pairs), pairs)  # pair index within its pixel
+    vi = v_idx[v_lo[pixel] + j // nh[pixel]]
+    hi = h_idx[h_lo[pixel] + j % nh[pixel]]
+    spread = np.maximum(cl.spread[vi], cl.spread[hi])
     return _build_set(
-        np.concatenate(keys_out),
-        np.concatenate(proj_out),
-        np.concatenate(support_out),
-        np.concatenate(quality_out),
-        np.concatenate(segs_start),
-        np.concatenate(segs_stop),
+        common[pixel],
+        np.stack([cl.median[vi], cl.median[hi]], axis=1),
+        cl.size[vi] + cl.size[hi],
+        np.maximum(0.0, 1.0 - spread / steps),
+        np.stack([cl.seg_start[vi], cl.seg_start[hi]], axis=1),
+        np.stack([cl.seg_stop[vi], cl.seg_stop[hi]], axis=1),
         cl.sorted_event_index,
     )
 

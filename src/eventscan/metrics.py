@@ -125,31 +125,27 @@ class ClassificationReport:
     confusion: dict = field(default_factory=dict)  # (truth, predicted) -> count
     misses_indirect: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
-    def summary_lines(self) -> list[str]:
-        return [
-            f"direct: precision {self.precision_direct:.6f} recall {self.recall_direct:.6f}",
-            f"indirect: precision {self.precision_indirect:.6f} recall {self.recall_indirect:.6f}",
-            "confusion " + " ".join(f"{k[0]}->{k[1]}:{v}" for k, v in sorted(self.confusion.items())),
-        ]
-
 
 def truth_class_of(correspondences: CorrespondenceSet, truth: GroundTruth) -> np.ndarray:
     """Majority bounce class per correspondence: DIRECT, INDIRECT or -1.
 
-    Spurious events (no annotation) are excluded; a correspondence whose
-    supporting events are all spurious gets -1. Ties go to INDIRECT.
+    Spurious events (no annotation) are excluded; a correspondence with no
+    annotated supporting event (none at all, or only spurious ones) gets -1.
+    Ties go to INDIRECT. Event ids past the last CSR offset belong to no row.
     """
-    if len(correspondences.event_ids) and int(correspondences.event_ids.max()) >= len(truth):
+    ids, offsets, n = correspondences.event_ids, correspondences.event_offsets, len(correspondences)
+    if len(ids) and int(ids.max()) >= len(truth):
         raise ValueError("correspondences reference events beyond the ground-truth stream")
-    out = np.full(len(correspondences), -1, dtype=np.int8)
-    for i in range(len(correspondences)):
-        ev = correspondences.events_of(i)
-        b = truth.bounce[ev]
-        b = b[b > 0]
-        if len(b) == 0:
-            continue
-        n1 = int((b == 1).sum())
-        out[i] = DIRECT if n1 > len(b) - n1 else INDIRECT
+    if len(offsets) < n + 1:
+        raise ValueError("event_offsets must hold one more entry than there are correspondences")
+    # per-row counts are differences of running sums read at the CSR offsets
+    bounce = truth.bounce[ids]
+    running = np.zeros((2, len(ids) + 1), dtype=np.int64)
+    np.cumsum(bounce == 1, out=running[0, 1:])
+    np.cumsum(bounce > 0, out=running[1, 1:])
+    n1, annotated = running[:, offsets[1 : n + 1]] - running[:, offsets[:n]]
+    out = np.where(n1 > annotated - n1, DIRECT, INDIRECT).astype(np.int8)
+    out[annotated == 0] = -1
     return out
 
 

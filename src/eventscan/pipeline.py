@@ -69,7 +69,6 @@ _DEFAULTS = {
     "polarity_policy": "positive",
     "fit_diffuse": "none",  # none | plane | sphere
     "fit_specular": "none",
-    "workers": 1,
     "binary_events": False,
     "higher_bounces": False,
     # optional scene overrides; None = keep the scene file's values
@@ -96,7 +95,6 @@ class PipelineConfig:
     polarity_policy: str = "positive"
     fit_diffuse: str = "none"
     fit_specular: str = "none"
-    workers: int = 1
     binary_events: bool = False
     higher_bounces: bool = False
     steps: int | None = None
@@ -113,8 +111,6 @@ class PipelineConfig:
             raise ConfigError("fit_diffuse / fit_specular must be none, plane or sphere")
         if self.polarity_policy not in ("positive", "negative", "both"):
             raise ConfigError(f"unknown polarity_policy {self.polarity_policy!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.tau_px <= 0 or self.gap_max_mm <= 0:
             raise ConfigError("tau_px and gap_max_mm must be positive")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
-from .decode import CorrespondenceSet, _KEY_SHIFT
+from .decode import CorrespondenceSet, _KEY_SHIFT, _sort_by_key
 from .geometry import epipolar_distances
 
 DIRECT = 0
@@ -88,7 +88,10 @@ def resolve_mixed_pixels(classified: ClassifiedSet) -> ClassifiedSet:
     Where a pixel has both direct and indirect entries the direct one is kept
     and the indirect ones are rejected; among several direct entries the
     highest quality wins (tie: smaller epipolar distance). Pixels with only
-    indirect entries pass through unchanged.
+    indirect entries pass through unchanged. One sort by pixel key (then
+    quality, then distance) orders everything; the direct entries' keys come
+    out of it sorted, which is what the membership test for "this pixel has a
+    direct entry" searches.
     """
     b = classified.base
     n = len(classified)
@@ -99,7 +102,7 @@ def resolve_mixed_pixels(classified: ClassifiedSet) -> ClassifiedSet:
     is_direct = label == DIRECT
     # order directs best-first within each pixel; everything after the first
     # is demoted
-    order = np.lexsort((classified.epipolar_distance, -b.quality, key))
+    order = _sort_by_key(key, classified.epipolar_distance, -b.quality)
     ordered_key = key[order]
     ordered_direct = is_direct[order]
     direct_rows = order[ordered_direct]
@@ -107,8 +110,9 @@ def resolve_mixed_pixels(classified: ClassifiedSet) -> ClassifiedSet:
     first = np.ones(len(direct_rows), dtype=bool)
     first[1:] = direct_keys[1:] != direct_keys[:-1]
     label[direct_rows[~first]] = REJECTED
-    # indirect entries on pixels that have a direct entry are rejected
+    # indirect entries on pixels that have a direct entry are rejected;
+    # direct_keys is sorted by key, so membership is a searchsorted
     if len(direct_keys):
-        has_direct = np.isin(key, direct_keys)
-        label[(label == INDIRECT) & has_direct] = REJECTED
+        at = np.minimum(np.searchsorted(direct_keys, key), len(direct_keys) - 1)
+        label[(label == INDIRECT) & (direct_keys[at] == key)] = REJECTED
     return ClassifiedSet(b, label, classified.epipolar_distance)

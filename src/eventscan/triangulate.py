@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formats
+from .decode import _runs
 from .geometry import PinholeModel, pixel_directions, triangulate_ray_arrays
 from .separate import DIRECT, ClassifiedSet
 
@@ -95,28 +96,52 @@ def triangulate_direct(
     )
 
 
+# Screen keys pack an integer projector pixel (x, y) as x * 2**32 + (y + 2**31),
+# so sorted keys run in (x, y) order and a neighbour is a fixed key offset.
+_SCREEN_SHIFT = 32
+_SCREEN_BIAS = 1 << 31
+_SCREEN_LIMIT = 1 << 30  # |x|, |y| bound that keeps every neighbour key unambiguous
+# 3x3 neighbourhood key offsets, dx outer, dy inner
+_NEIGHBOURS = np.array([(dx << _SCREEN_SHIFT) + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.int64)
+
+
+def _screen_pixels(projector_pixels: np.ndarray) -> np.ndarray:
+    """Nearest integer projector pixel (half-up rounding), int64 (N, 2)."""
+    return np.floor(projector_pixels + 0.5).astype(np.int64)
+
+
+def _screen_keys(pixels: np.ndarray) -> np.ndarray:
+    return (pixels[:, 0] << _SCREEN_SHIFT) + (pixels[:, 1] + _SCREEN_BIAS)
+
+
 @dataclass
 class VirtualScreen:
     """Best diffuse point per integer projector pixel.
 
-    Lookup by the projector pixel that lit a point; collisions are resolved
-    by quality, then by smaller gap. Entries keep their continuous sweep
-    position so queries can interpolate between grid samples.
+    ``keys`` holds one packed integer projector pixel per entry, sorted, and
+    ``rows`` the cloud row that won that pixel. Collisions are resolved by
+    quality, then by smaller gap; a full tie keeps the earlier cloud row.
+    Entries keep their continuous sweep position so queries can interpolate
+    between grid samples.
     """
 
-    entries: dict = field(default_factory=dict)  # (x_P, y_P) int -> row into cloud arrays
+    keys: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     position: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     proj_pixel: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
     quality: np.ndarray = field(default_factory=lambda: np.zeros(0))
     gap: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
 
-    def lookup(self, projector_pixel) -> np.ndarray | None:
-        key = (int(np.floor(projector_pixel[0] + 0.5)), int(np.floor(projector_pixel[1] + 0.5)))
-        row = self.entries.get(key)
-        return None if row is None else self.position[row]
+    def _find(self, keys: np.ndarray):
+        """(hit, row) per key; ``row`` is -1 where there is no entry."""
+        if len(self.keys) == 0:
+            return np.zeros(keys.shape, dtype=bool), np.full(keys.shape, -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        hit = self.keys[at] == keys
+        return hit, np.where(hit, self.rows[at], -1)
 
     def lookup_many(self, projector_pixels: np.ndarray, interpolate: bool = False):
         """Vectorized lookup; returns (points (N, 3), found (N,)).
@@ -129,23 +154,17 @@ class VirtualScreen:
         unchanged.
         """
         qp = np.atleast_2d(np.asarray(projector_pixels, dtype=np.float64))
-        pp = np.floor(qp + 0.5).astype(np.int64)
+        # a query beyond the key range can match no entry, nor can its neighbours
+        pp = np.clip(_screen_pixels(qp), -_SCREEN_LIMIT - 2, _SCREEN_LIMIT + 1)
+        found, row = self._find(_screen_keys(pp))
         points = np.zeros((len(pp), 3))
-        found = np.zeros(len(pp), dtype=bool)
-        for i, (xk, yk) in enumerate(pp):
-            row = self.entries.get((int(xk), int(yk)))
-            if row is None:
-                continue
-            found[i] = True
-            points[i] = self.position[row]
-            if not interpolate:
-                continue
-            rows = [
-                r
-                for dx in (-1, 0, 1)
-                for dy in (-1, 0, 1)
-                if (r := self.entries.get((int(xk) + dx, int(yk) + dy))) is not None
-            ]
+        points[found] = self.position[row[found]]
+        if not interpolate:
+            return points, found
+        queries = np.flatnonzero(found)
+        near, near_row = self._find(_screen_keys(pp[queries])[:, None] + _NEIGHBOURS)
+        for i, ok, rows in zip(queries, near, near_row):
+            rows = rows[ok]
             if len(rows) < 4:
                 continue
             rel = self.proj_pixel[rows] - qp[i]
@@ -155,19 +174,19 @@ class VirtualScreen:
         return points, found
 
     def save_text(self, path) -> None:
-        keys = sorted(self.entries)
-        rows = [self.entries[k] for k in keys]
+        rows = self.rows
+        pixels = _screen_pixels(self.proj_pixel[rows])
         formats.write_table(
             path,
             ["x_P", "y_P", "x", "y", "z", "quality", "gap"],
             [
-                np.array([k[0] for k in keys]),
-                np.array([k[1] for k in keys]),
-                self.position[rows, 0] if rows else np.zeros(0),
-                self.position[rows, 1] if rows else np.zeros(0),
-                self.position[rows, 2] if rows else np.zeros(0),
-                self.quality[rows] if rows else np.zeros(0),
-                self.gap[rows] if rows else np.zeros(0),
+                pixels[:, 0],
+                pixels[:, 1],
+                self.position[rows, 0],
+                self.position[rows, 1],
+                self.position[rows, 2],
+                self.quality[rows],
+                self.gap[rows],
             ],
         )
 
@@ -178,18 +197,11 @@ def build_virtual_screen(cloud: DiffuseCloud) -> VirtualScreen:
     )
     if len(cloud) == 0:
         return screen
-    keys = np.floor(cloud.projector_pixel + 0.5).astype(np.int64)
-    entries: dict = {}
-    for row in range(len(cloud)):
-        key = (int(keys[row, 0]), int(keys[row, 1]))
-        old = entries.get(key)
-        if old is None:
-            entries[key] = row
-            continue
-        better = cloud.quality[row] > cloud.quality[old] or (
-            cloud.quality[row] == cloud.quality[old] and cloud.gap[row] < cloud.gap[old]
-        )
-        if better:
-            entries[key] = row
-    screen.entries = entries
+    if not np.all(np.abs(cloud.projector_pixel) < _SCREEN_LIMIT - 1):
+        raise ValueError(f"projector pixels must be finite and within +-{_SCREEN_LIMIT - 1} to key the screen")
+    keys = _screen_keys(_screen_pixels(cloud.projector_pixel))
+    # best-first within each key; the stable sort keeps cloud order on full ties
+    order = np.lexsort((cloud.gap, -cloud.quality, keys))
+    first, _, screen.keys = _runs(keys[order])
+    screen.rows = order[first]
     return screen

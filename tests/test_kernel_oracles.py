@@ -1,0 +1,404 @@
+"""Array kernels against the code they replaced.
+
+Each oracle below is the implementation a kernel replaced: a per-row loop,
+a hash-based set operation or a full lexsort, kept verbatim in behaviour.
+The kernels must return the same arrays, dtype included, on random inputs
+and on the edge cases named in each test.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eventscan import decode
+from eventscan.decode import CorrespondenceSet
+from eventscan.events import SWEEP_HORIZONTAL, SWEEP_VERTICAL, EventStream, GroundTruth
+from eventscan.metrics import truth_class_of
+from eventscan.scene import ScanSchedule
+from eventscan.separate import DIRECT, INDIRECT, REJECTED, ClassifiedSet, resolve_mixed_pixels
+from eventscan.triangulate import DiffuseCloud, build_virtual_screen
+
+ORACLE = settings(max_examples=60, deadline=None)
+
+
+def assert_same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+# --- truth_class_of -------------------------------------------------------
+
+
+def truth_class_loop(correspondences, truth):
+    out = np.full(len(correspondences), -1, dtype=np.int8)
+    for i in range(len(correspondences)):
+        b = truth.bounce[correspondences.events_of(i)]
+        b = b[b > 0]
+        if len(b) == 0:
+            continue
+        n1 = int((b == 1).sum())
+        out[i] = DIRECT if n1 > len(b) - n1 else INDIRECT
+    return out
+
+
+def ground_truth(bounce):
+    n = len(bounce)
+    return GroundTruth(
+        bounce=bounce,
+        surface_point=np.zeros((n, 3)),
+        object_label=np.zeros(n),
+        projector_pixel=np.zeros((n, 2)),
+        on_epipolar=np.zeros(n, bool),
+        sweep=np.zeros(n),
+        step=np.zeros(n),
+        step_time_us=np.zeros(n),
+    )
+
+
+def csr(rows, tail=()):
+    """Correspondence set whose row i is supported by the event ids rows[i]."""
+    n = len(rows)
+    offsets = np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int64)
+    ids = np.array([e for r in rows for e in r] + list(tail), dtype=np.int64)
+    return CorrespondenceSet(np.zeros((n, 2), np.int32), np.zeros((n, 2)), np.ones(n, np.int32), np.ones(n), ids, offsets)
+
+
+def test_truth_class_edge_cases():
+    truth = ground_truth([0, 1, 2, 1, 0, 3])
+    rows = [
+        [],  # no events at all
+        [0, 4],  # all spurious
+        [1, 2],  # 1-vs-1 tie -> INDIRECT
+        [1, 3, 2],  # direct majority
+        [2, 5, 0],  # indirect majority among the annotated
+    ]
+    # event_ids continue past the last offset: those ids belong to no row
+    corr = csr(rows, tail=[1, 1, 1])
+    got = truth_class_of(corr, truth)
+    assert_same(got, truth_class_loop(corr, truth))
+    assert got.tolist() == [-1, -1, INDIRECT, DIRECT, INDIRECT]
+
+
+@ORACLE
+@given(
+    bounce=st.lists(st.integers(0, 3), min_size=1, max_size=30),
+    shape=st.lists(st.lists(st.integers(0, 10**6), max_size=6), max_size=25),
+    tail=st.lists(st.integers(0, 10**6), max_size=4),
+)
+def test_truth_class_matches_loop(bounce, shape, tail):
+    m = len(bounce)
+    rows = [[e % m for e in r] for r in shape]
+    corr = csr(rows, tail=[e % m for e in tail])
+    truth = ground_truth(bounce)
+    assert_same(truth_class_of(corr, truth), truth_class_loop(corr, truth))
+
+
+# --- build_virtual_screen / lookup_many -----------------------------------
+
+
+def screen_entries_loop(cloud):
+    keys = np.floor(cloud.projector_pixel + 0.5).astype(np.int64)
+    entries = {}
+    for row in range(len(cloud)):
+        key = (int(keys[row, 0]), int(keys[row, 1]))
+        old = entries.get(key)
+        if old is None:
+            entries[key] = row
+            continue
+        better = cloud.quality[row] > cloud.quality[old] or (
+            cloud.quality[row] == cloud.quality[old] and cloud.gap[row] < cloud.gap[old]
+        )
+        if better:
+            entries[key] = row
+    return entries
+
+
+def lookup_many_loop(entries, position, proj_pixel, projector_pixels, interpolate):
+    qp = np.atleast_2d(np.asarray(projector_pixels, dtype=np.float64))
+    pp = np.floor(qp + 0.5).astype(np.int64)
+    points = np.zeros((len(pp), 3))
+    found = np.zeros(len(pp), dtype=bool)
+    for i, (xk, yk) in enumerate(pp):
+        row = entries.get((int(xk), int(yk)))
+        if row is None:
+            continue
+        found[i] = True
+        points[i] = position[row]
+        if not interpolate:
+            continue
+        rows = [
+            r
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+            if (r := entries.get((int(xk) + dx, int(yk) + dy))) is not None
+        ]
+        if len(rows) < 4:
+            continue
+        rel = proj_pixel[rows] - qp[i]
+        A = np.concatenate([rel, np.ones((len(rows), 1))], axis=1)
+        sol, *_ = np.linalg.lstsq(A, position[rows], rcond=None)
+        points[i] = sol[2]
+    return points, found
+
+
+def make_cloud(projector_pixel, quality, gap, seed=0):
+    n = len(quality)
+    rng = np.random.default_rng(seed)
+    return DiffuseCloud(
+        position=rng.normal(size=(n, 3)),
+        camera_pixel=np.zeros((n, 2), np.int32),
+        projector_pixel=np.asarray(projector_pixel, dtype=np.float64).reshape(n, 2),
+        gap=np.asarray(gap, dtype=np.float64),
+        quality=np.asarray(quality, dtype=np.float64),
+    )
+
+
+def assert_screen_matches_loop(cloud):
+    screen = build_virtual_screen(cloud)
+    entries = screen_entries_loop(cloud)
+    assert len(screen) == len(entries)
+    assert_same(screen.rows, np.array([entries[k] for k in sorted(entries)], dtype=np.int64))
+    return screen, entries
+
+
+def test_screen_ties_and_rounding():
+    cloud = make_cloud(
+        [
+            [0.5, -0.5],  # rounds to (1, 0)
+            [1.4, 0.4],  # (1, 0): higher quality wins
+            [0.6, -0.2],  # (1, 0): same quality, smaller gap wins
+            [-0.5, -1.5],  # (0, -1)
+            [0.49, -0.51],  # (0, -1): full tie, the earlier row stays
+            [-2.5, 3.5],  # (-2, 4)
+            [-1.51, 3.6],  # (-2, 4): lower quality loses
+        ],
+        quality=[0.5, 0.9, 0.9, 0.7, 0.7, 0.8, 0.3],
+        gap=[0.1, 0.2, 0.1, 0.05, 0.05, 0.0, 0.0],
+    )
+    screen, _ = assert_screen_matches_loop(cloud)
+    assert screen.rows.tolist() == [5, 3, 2]
+
+
+@ORACLE
+@given(
+    cells=st.lists(
+        st.tuples(
+            st.integers(-4, 4),
+            st.integers(-4, 4),
+            st.sampled_from([-0.5, -0.49, 0.0, 0.2, 0.49999, 0.5]),
+            st.sampled_from([-0.5, -0.3, 0.0, 0.3, 0.5]),
+            st.sampled_from([0.5, 0.9, 1.0]),
+            st.sampled_from([0.0, 0.1, 0.2]),
+        ),
+        max_size=40,
+    ),
+    interpolate=st.booleans(),
+)
+def test_screen_and_lookup_match_loop(cells, interpolate):
+    n = len(cells)
+    pix = np.array([[x + fx, y + fy] for x, y, fx, fy, _, _ in cells]).reshape(n, 2)
+    cloud = make_cloud(pix, [c[4] for c in cells], [c[5] for c in cells], seed=n)
+    screen, entries = assert_screen_matches_loop(cloud)
+    queries = np.array([[x + 0.3, y - 0.2] for x in range(-6, 7) for y in range(-6, 7)])
+    got = screen.lookup_many(queries, interpolate=interpolate)
+    want = lookup_many_loop(entries, cloud.position, cloud.projector_pixel, queries, interpolate)
+    for g, w in zip(got, want):
+        assert_same(g, w)
+
+
+def test_lookup_with_zero_to_nine_neighbours():
+    # column x keeps each grid cell with probability (x + 1) / 12, so the
+    # queries see every neighbour count from 0 to 9
+    rng = np.random.default_rng(4)
+    grid = np.array([[x, y] for x in range(12) for y in range(12) if rng.random() < (x + 1) / 12])
+    jitter = rng.uniform(-0.45, 0.45, grid.shape)
+    cloud = make_cloud(grid + jitter, np.ones(len(grid)), np.zeros(len(grid)), seed=5)
+    screen, entries = assert_screen_matches_loop(cloud)
+    queries = np.array([[x, y] for x in range(-1, 13) for y in range(-1, 13)]) + rng.uniform(-0.4, 0.4, (196, 2))
+    counts = {
+        sum((int(x) + dx, int(y) + dy) in entries for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+        for x, y in np.floor(queries + 0.5)
+        if (int(x), int(y)) in entries
+    } | {0}
+    assert counts == set(range(10))
+    for interpolate in (False, True):
+        got = screen.lookup_many(queries, interpolate=interpolate)
+        want = lookup_many_loop(entries, cloud.position, cloud.projector_pixel, queries, interpolate)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+
+
+def test_lookup_on_empty_screen_and_far_queries():
+    screen = build_virtual_screen(make_cloud(np.zeros((0, 2)), [], []))
+    points, found = screen.lookup_many([[3.0, 4.0]], interpolate=True)
+    assert not found.any() and not points.any()
+    screen = build_virtual_screen(make_cloud([[0.0, 0.0]], [1.0], [0.0]))
+    points, found = screen.lookup_many([[1e12, 0.0], [-1e12, -1e12], [0.2, 0.1]])
+    assert found.tolist() == [False, False, True]
+
+
+# --- intersect_sweeps ------------------------------------------------------
+
+
+def intersect_sweeps_loop(assignments, polarity_policy="positive", cluster_gap=None):
+    steps = assignments.steps_per_sweep
+    if cluster_gap is None:
+        cluster_gap = max(2.0, 0.005 * steps)
+    keep, position = decode._select_timing_events(assignments, polarity_policy)
+    cl = decode._cluster(assignments, keep, position, gap=cluster_gap)
+    v_idx = np.where(cl.sweep == SWEEP_VERTICAL)[0]
+    h_idx = np.where(cl.sweep == SWEEP_HORIZONTAL)[0]
+    if len(v_idx) == 0 or len(h_idx) == 0:
+        return decode._empty_correspondences()
+    vkeys = cl.pixel_key[v_idx]
+    hkeys = cl.pixel_key[h_idx]
+    common = np.intersect1d(vkeys, hkeys)
+    if len(common) == 0:
+        return decode._empty_correspondences()
+    v_lo = np.searchsorted(vkeys, common, side="left")
+    v_hi = np.searchsorted(vkeys, common, side="right")
+    h_lo = np.searchsorted(hkeys, common, side="left")
+    h_hi = np.searchsorted(hkeys, common, side="right")
+    nv = v_hi - v_lo
+    nh = h_hi - h_lo
+    keys_out, proj_out, support_out, quality_out, segs_start, segs_stop = [], [], [], [], [], []
+    simple = (nv == 1) & (nh == 1)
+    if np.any(simple):
+        vi = v_idx[v_lo[simple]]
+        hi = h_idx[h_lo[simple]]
+        keys_out.append(common[simple])
+        proj_out.append(np.stack([cl.median[vi], cl.median[hi]], axis=1))
+        support_out.append(cl.size[vi] + cl.size[hi])
+        spread = np.maximum(cl.spread[vi], cl.spread[hi])
+        quality_out.append(np.maximum(0.0, 1.0 - spread / steps))
+        segs_start.append(np.stack([cl.seg_start[vi], cl.seg_start[hi]], axis=1))
+        segs_stop.append(np.stack([cl.seg_stop[vi], cl.seg_stop[hi]], axis=1))
+    for k in np.where(~simple)[0]:
+        for vi in v_idx[v_lo[k] : v_hi[k]]:
+            for hi in h_idx[h_lo[k] : h_hi[k]]:
+                keys_out.append(np.array([common[k]]))
+                proj_out.append(np.array([[cl.median[vi], cl.median[hi]]]))
+                support_out.append(np.array([cl.size[vi] + cl.size[hi]]))
+                spread = max(cl.spread[vi], cl.spread[hi])
+                quality_out.append(np.array([max(0.0, 1.0 - spread / steps)]))
+                segs_start.append(np.array([[cl.seg_start[vi], cl.seg_start[hi]]]))
+                segs_stop.append(np.array([[cl.seg_stop[vi], cl.seg_stop[hi]]]))
+    return decode._build_set(
+        np.concatenate(keys_out),
+        np.concatenate(proj_out),
+        np.concatenate(support_out),
+        np.concatenate(quality_out),
+        np.concatenate(segs_start),
+        np.concatenate(segs_stop),
+        cl.sorted_event_index,
+    )
+
+
+SCHED = ScanSchedule(801, 80100, 5000)  # 100 us per step
+H0 = SCHED.sweep_start(1)
+
+
+def assert_correspondences_match_loop(events, **kw):
+    a = decode.assign_sweeps(events, SCHED, 0, 2)
+    got = decode.intersect_sweeps(a, **kw)
+    want = intersect_sweeps_loop(a, **kw)
+    for name in ("camera_pixel", "projector_pixel", "support", "quality", "event_ids", "event_offsets"):
+        assert_same(getattr(got, name), getattr(want, name))
+    return got
+
+
+def stream(rows):
+    """EventStream from (t, x, y, polarity) rows."""
+    t, x, y, p = zip(*rows) if rows else ((), (), (), ())
+    return EventStream(np.array(t), np.array(x), np.array(y), np.array(p))
+
+
+def test_intersect_two_by_three_clusters():
+    rows = [(10000, 5, 7, 1), (10100, 5, 7, 1), (50000, 5, 7, 1)]  # vertical clusters at 100, 500
+    rows += [(H0 + t, 5, 7, 1) for t in (20000, 45000, 45100, 70000)]  # horizontal at 200, 450, 700
+    rows += [(30000, 1, 2, 1), (H0 + 30000, 1, 2, 1)]  # a simple pixel before it
+    rows += [(30000, 9, 9, 1), (H0 + 40000, 9, 9, -1)]  # and one after, off-policy in h
+    corr = assert_correspondences_match_loop(stream(rows))
+    assert len(corr) == 7
+    assert (corr.camera_pixel == [5, 7]).all(axis=1).sum() == 6
+
+
+def test_intersect_disjoint_sweeps_is_empty():
+    rows = [(10000, x, 0, 1) for x in range(4)] + [(H0 + 10000, x, 1, 1) for x in range(4)]
+    corr = assert_correspondences_match_loop(stream(rows))
+    assert len(corr) == 0
+
+
+@ORACLE
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from([0, H0]),
+            st.integers(0, 80099),
+            st.integers(0, 2),
+            st.integers(0, 2),
+            st.sampled_from([1, 1, -1]),
+        ),
+        max_size=60,
+    ),
+    policy=st.sampled_from(["positive", "both"]),
+)
+def test_intersect_matches_loop(rows, policy):
+    assert_correspondences_match_loop(stream([(s + t, x, y, p) for s, t, x, y, p in rows]), polarity_policy=policy)
+
+
+# --- resolve_mixed_pixels ---------------------------------------------------
+
+
+@ORACLE
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 6), st.sampled_from([0.5, 0.9, np.nan]), st.integers(0, 2)),
+        max_size=40,
+    ),
+    presorted=st.booleans(),
+)
+def test_sort_by_key_is_lexsort(rows, presorted):
+    if presorted:
+        rows = sorted(rows, key=lambda r: r[0])
+    key = np.array([r[0] for r in rows], dtype=np.int64)
+    a = np.array([r[1] for r in rows])
+    b = np.array([r[2] for r in rows], dtype=np.float64)
+    assert_same(decode._sort_by_key(key, a, b), np.lexsort((a, b, key)))
+
+
+def resolve_mixed_loop(classified):
+    b = classified.base
+    key = (b.camera_pixel[:, 1].astype(np.int64) << decode._KEY_SHIFT) | b.camera_pixel[:, 0].astype(np.int64)
+    label = classified.label.copy()
+    order = np.lexsort((classified.epipolar_distance, -b.quality, key))
+    direct_rows = order[label[order] == DIRECT]
+    direct_keys = key[direct_rows]
+    first = np.ones(len(direct_rows), dtype=bool)
+    first[1:] = direct_keys[1:] != direct_keys[:-1]
+    label[direct_rows[~first]] = REJECTED
+    if len(direct_keys):
+        label[(label == INDIRECT) & np.isin(key, direct_keys)] = REJECTED
+    return label
+
+
+@ORACLE
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([0.5, 0.9]), st.booleans()),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_resolve_mixed_matches_loop(rows):
+    n = len(rows)
+    corr = CorrespondenceSet(
+        np.array([[x, y] for x, y, _, _ in rows], np.int32),
+        np.zeros((n, 2)),
+        np.ones(n, np.int32),
+        np.array([q for _, _, q, _ in rows]),
+    )
+    label = np.array([DIRECT if d else INDIRECT for *_, d in rows], np.int8)
+    classified = ClassifiedSet(corr, label, np.arange(n, dtype=np.float64) % 3)
+    assert_same(resolve_mixed_pixels(classified).label, resolve_mixed_loop(classified))

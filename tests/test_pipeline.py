@@ -26,6 +26,19 @@ def test_unknown_config_key_rejected(tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_workers_key_is_unknown(tmp_path):
+    # the worker count was never used and is no longer a config key or flag
+    p = write_cfg(tmp_path, f"scene = {REPO/'scenes'/'plane.scene'}\nworkers = 2\n")
+    with pytest.raises(ConfigError, match="unknown config key 'workers'"):
+        load_config(p)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(p), "--out", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--config", str(p), "--out", str(out), "--workers", "2"])
+    assert exc.value.code == 2
+
+
 def test_config_defaults_echoed(tmp_path):
     p = write_cfg(tmp_path, f"scene = {REPO/'scenes'/'plane.scene'}\n")
     cfg = load_config(p)

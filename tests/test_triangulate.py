@@ -98,7 +98,9 @@ def test_screen_collision_keeps_best_quality():
     )
     screen = build_virtual_screen(cloud)
     assert len(screen) == 1
-    assert np.allclose(screen.lookup((400, 400)), [0.0, 0, 600])
+    points, found = screen.lookup_many([(400, 400)])
+    assert found[0]
+    assert np.allclose(points[0], [0.0, 0, 600])
 
 
 def test_screen_collision_tie_breaks_on_gap():
@@ -110,7 +112,9 @@ def test_screen_collision_tie_breaks_on_gap():
         quality=np.array([0.9, 0.9]),
     )
     screen = build_virtual_screen(cloud)
-    assert np.allclose(screen.lookup((400, 400)), [1.0, 0, 600])
+    points, found = screen.lookup_many([(400, 400)])
+    assert found[0]
+    assert np.allclose(points[0], [1.0, 0, 600])
 
 
 def test_screen_covers_ground_truth_bounce2(mirror_scan):
