@@ -26,17 +26,6 @@ class DegenerateGeometryError(ValueError):
     """Rig configuration does not define the requested entity (e.g. zero baseline)."""
 
 
-class UnstableTriangulationError(ValueError):
-    """Rays too close to parallel for a stable intersection.
-
-    ``condition`` carries the norm of the direction cross product.
-    """
-
-    def __init__(self, message: str, condition: float):
-        super().__init__(message)
-        self.condition = condition
-
-
 def unit(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """Normalize vectors along ``axis``; raises on zero-length input."""
     v = np.asarray(v, dtype=np.float64)
@@ -280,23 +269,6 @@ def triangulate_ray_arrays(o1, d1, o2, d2):
     points = 0.5 * (p1 + p2)
     gaps = np.linalg.norm(p1 - p2, axis=1)
     return points, gaps, cross_norm
-
-
-def triangulate_rays(a: Ray, b: Ray):
-    """Midpoint of the mutually closest segment between two rays.
-
-    Returns (point, gap) where gap is the skew residual in mm. Raises
-    UnstableTriangulationError for near-parallel rays; the exception carries
-    |d1 x d2| as the condition measure.
-    """
-    points, gaps, cross_norm = triangulate_ray_arrays(
-        a.origin[None], a.direction[None], b.origin[None], b.direction[None]
-    )
-    if cross_norm[0] <= 1e-9:
-        raise UnstableTriangulationError(
-            f"rays are near-parallel (|d1 x d2| = {cross_norm[0]:.3e})", float(cross_norm[0])
-        )
-    return points[0], float(gaps[0])
 
 
 def reflect_direction(directions: np.ndarray, normals: np.ndarray) -> np.ndarray:

@@ -109,11 +109,6 @@ def precision(points: np.ndarray, fit: FitReport) -> float:
     return float(np.std(fit.residuals(points)))
 
 
-def rmse_to(points: np.ndarray, fit: FitReport) -> float:
-    res = fit.residuals(np.atleast_2d(points))
-    return float(np.sqrt(np.mean(res * res))) if len(res) else 0.0
-
-
 @dataclass
 class ClassificationReport:
     """Correspondence-level confusion against simulator bounce counts."""
@@ -152,9 +147,11 @@ def truth_class_of(correspondences: CorrespondenceSet, truth: GroundTruth) -> np
 def classification_score(classified: ClassifiedSet, truth: GroundTruth) -> ClassificationReport:
     """Precision/recall of the epipolar separation against ground truth.
 
-    Rejected correspondences count with their pre-rejection class is not
-    wanted here: rejection is a mixed-pixel resolution, so rejected entries
-    are scored as indirect predictions only when their truth is indirect.
+    Every REJECTED entry is scored as an INDIRECT prediction, whatever its
+    truth, so a rejected entry whose truth is direct counts as a
+    direct -> indirect miss (``confusion[(0, 1)]``): it lowers
+    ``recall_direct`` and ``precision_indirect``. Entries that no annotated
+    event supports (truth -1) are left out.
     """
     if len(classified) == 0:
         raise ValueError("no correspondences to score")

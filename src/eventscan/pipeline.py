@@ -4,13 +4,23 @@ A run is driven by one declarative config file plus a scene file; every
 effective parameter is echoed into ``manifest.json`` so the run is
 self-describing, and all artifact writers use stable formatting, so the same
 config and seed produce byte-identical outputs.
+
+``STORE`` is the run directory: one entry per artifact with its files and
+its save/load pair. Each ``stage_*`` takes its inputs in memory, writes what
+it makes through the store and returns it. ``_drive`` runs stages in chain
+order and owns the mode logic. ``run_pipeline`` drives all six and hands
+results on in memory; ``run_stage`` drives one on inputs read back through
+the store. Both paths therefore run the same code on the same inputs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import shutil
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,30 +29,14 @@ from .deflectometry import bind_screen, iterative_shape
 from .events import EventStream, GroundTruth
 from .geometry import fundamental_from_models
 from .scene import NoiseModel, ScanSchedule, load_calibration_bundle, load_scene, save_calibration_bundle
-from .separate import DIRECT, ClassifiedSet, epipolar_classify, resolve_mixed_pixels
+from .separate import DIRECT, INDIRECT, ClassifiedSet, epipolar_classify, resolve_mixed_pixels
 from .simulate import simulate_scan
 from .triangulate import DiffuseCloud, build_virtual_screen, triangulate_direct
 
-EVENTS = "events.txt"
-EVENTS_BIN = "events.bin"
-GROUND_TRUTH = "ground_truth.txt"
-RIG = "rig.calib"
-SCAN = "scan.txt"
-CORRESPONDENCES = "correspondences.txt"
-PROVENANCE_IDS = "provenance_ids.npy"
-PROVENANCE_OFFSETS = "provenance_offsets.npy"
-CLASSIFIED = "classified.txt"
-DIFFUSE_PLY = "diffuse.ply"
-SCREEN = "screen.txt"
-SPECULAR_PLY = "specular.ply"
-NORMALS_PFM = "normals.pfm"
-NORMALS_MASK_PFM = "normal_mask.pfm"
-RESIDUALS = "residuals.txt"
-DEFLECT_META = "deflect.txt"
-METRICS = "metrics.txt"
-METRICS_TSV = "metrics.tsv"
 MANIFEST = "manifest.json"
 FAILED_MARKER = "FAILED"
+
+STAGES = ("simulate", "decode", "separate", "triangulate", "deflect", "metrics")
 
 
 class ConfigError(ValueError):
@@ -56,90 +50,81 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-_DEFAULTS = {
-    "scene": None,  # required
-    "calibration": "from-scene",
-    "mode": "mixed",  # mixed | diffuse-only
-    "seed": 0,
-    "tau_px": 2.0,
-    "gap_max_mm": 1.0,
-    "init_depth": "auto",
-    "deflect_max_iter": 50,
-    "deflect_tol_mm": 0.01,
-    "polarity_policy": "positive",
-    "fit_diffuse": "none",  # none | plane | sphere
-    "fit_specular": "none",
-    "binary_events": False,
-    "higher_bounces": False,
-    # optional scene overrides; None = keep the scene file's values
-    "steps": None,
-    "sweep_us": None,
-    "recovery_us": None,
-    "jitter_us": None,
-    "spurious_rate": None,
-    "drop_probability": None,
-}
+def _check(default, rule: str, ok: Callable):
+    """A config key whose value must pass ``ok``; ``rule`` says what passes."""
+    return field(default=default, metadata={"rule": rule, "ok": ok})
+
+
+def _one_of(default, *names):
+    return _check(default, " | ".join(names), lambda v: v in names)
+
+
+def _has_type(value, hint) -> bool:
+    """isinstance against a field annotation; an int passes as a float, a bool only as a bool."""
+    allowed = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in allowed
+    return isinstance(value, allowed) or (float in allowed and isinstance(value, int))
 
 
 @dataclass
 class PipelineConfig:
+    """One run's parameters. Each field is a config key: its name, type,
+    default and allowed values are the whole config schema. A scene override
+    left at ``None`` keeps the scene file's value."""
+
     scene: str
     calibration: str = "from-scene"
-    mode: str = "mixed"
-    seed: int = 0
-    tau_px: float = 2.0
-    gap_max_mm: float = 1.0
-    init_depth: str | float = "auto"
-    deflect_max_iter: int = 50
+    mode: str = _one_of("mixed", "mixed", "diffuse-only")
+    seed: int = _check(0, ">= 0", lambda v: v >= 0)
+    tau_px: float = _check(2.0, "> 0", lambda v: v > 0)
+    gap_max_mm: float = _check(1.0, "> 0", lambda v: v > 0)
+    init_depth: str | float = _check("auto", "a number or 'auto'", lambda v: not isinstance(v, str) or v == "auto")
+    deflect_max_iter: int = _check(50, ">= 1", lambda v: v >= 1)
     deflect_tol_mm: float = 0.01
-    polarity_policy: str = "positive"
-    fit_diffuse: str = "none"
-    fit_specular: str = "none"
+    polarity_policy: str = _one_of("positive", "positive", "negative", "both")
+    fit_diffuse: str = _one_of("none", "none", "plane", "sphere")
+    fit_specular: str = _one_of("none", "none", "plane", "sphere")
     binary_events: bool = False
     higher_bounces: bool = False
-    steps: int | None = None
-    sweep_us: int | None = None
-    recovery_us: int | None = None
-    jitter_us: float | None = None
-    spurious_rate: float | None = None
-    drop_probability: float | None = None
+    steps: int | None = _check(None, ">= 2", lambda v: v >= 2)
+    sweep_us: int | None = _check(None, "> 0", lambda v: v > 0)
+    recovery_us: int | None = _check(None, ">= 0", lambda v: v >= 0)
+    jitter_us: float | None = _check(None, ">= 0", lambda v: v >= 0)
+    spurious_rate: float | None = _check(None, ">= 0", lambda v: v >= 0)
+    drop_probability: float | None = _check(None, "in [0, 1]", lambda v: 0 <= v <= 1)
 
     def __post_init__(self):
-        if self.mode not in ("mixed", "diffuse-only"):
-            raise ConfigError(f"mode must be 'mixed' or 'diffuse-only', got {self.mode!r}")
-        if self.fit_diffuse not in ("none", "plane", "sphere") or self.fit_specular not in ("none", "plane", "sphere"):
-            raise ConfigError("fit_diffuse / fit_specular must be none, plane or sphere")
-        if self.polarity_policy not in ("positive", "negative", "both"):
-            raise ConfigError(f"unknown polarity_policy {self.polarity_policy!r}")
-        if self.tau_px <= 0 or self.gap_max_mm <= 0:
-            raise ConfigError("tau_px and gap_max_mm must be positive")
+        hints = typing.get_type_hints(PipelineConfig)
+        for f in fields(self):
+            value, hint = getattr(self, f.name), hints[f.name]
+            if not _has_type(value, hint):
+                raise ConfigError(f"{f.name} must be of type {getattr(hint, '__name__', hint)}, got {value!r}")
+            if value is not None and "ok" in f.metadata and not f.metadata["ok"](value):
+                raise ConfigError(f"{f.name} must be {f.metadata['rule']}, got {value!r}")
 
     def effective(self) -> dict:
-        out = {}
-        for key in _DEFAULTS:
-            out[key] = getattr(self, key)
-        return out
+        return asdict(self)
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse a run config; any unknown key is a startup error.
+    """Parse a run config against the fields of ``PipelineConfig``.
 
-    Relative ``scene`` and ``calibration`` paths resolve against the config
-    file's directory.
+    An unknown key, a missing ``scene`` or a value of the wrong type or range
+    is a ConfigError. Relative ``scene`` and ``calibration`` paths resolve
+    against the config file's directory.
     """
     sections = formats.read_sections(path)
     if len(sections) != 1 or sections[0].name != "run":
         raise ConfigError(f"{path}: config must contain exactly one [run] section")
-    sec = sections[0]
+    keys = {f.name for f in fields(PipelineConfig)}
     values: dict = {}
-    for key, raw in sec.pairs.items():
-        if key not in _DEFAULTS:
+    for key, raw in sections[0].pairs.items():
+        if key not in keys:
             raise ConfigError(f"{path}: unknown config key '{key}'")
         values[key] = formats.parse_scalar(raw)
     if "scene" not in values:
         raise ConfigError(f"{path}: config is missing 'scene'")
-    if "init_depth" in values and not isinstance(values["init_depth"], (int, float)) and values["init_depth"] != "auto":
-        raise ConfigError(f"{path}: init_depth must be a number or 'auto'")
     base = Path(path).resolve().parent
     for key in ("scene", "calibration"):
         value = values.get(key)
@@ -165,34 +150,293 @@ def _apply_overrides(schedule: ScanSchedule, noise: NoiseModel, cfg: PipelineCon
     return schedule, noise
 
 
-def _write_scan_meta(path, schedule: ScanSchedule, mode: str, n_sweeps: int, scan_span_us: int, counts: dict, warnings: list):
+# --- the artifact store ------------------------------------------------------
+
+
+class ScanMeta(NamedTuple):
+    """What ``scan.txt`` records about the simulated scan."""
+
+    schedule: ScanSchedule
+    mode: str
+    n_sweeps: int
+    span_us: int
+    counts: dict
+    warnings: list
+
+
+_SCHEDULE_KEYS = ("steps_per_sweep", "sweep_duration_us", "recovery_us", "scan_start_us")
+
+
+def _save_scan(paths, scan: ScanMeta) -> None:
     sec = formats.Section("scan")
-    sec.set("mode", mode)
-    sec.set("steps_per_sweep", schedule.steps_per_sweep)
-    sec.set("sweep_duration_us", schedule.sweep_duration_us)
-    sec.set("recovery_us", schedule.recovery_us)
-    sec.set("scan_start_us", schedule.scan_start_us)
-    sec.set("n_sweeps", n_sweeps)
-    sec.set("scan_span_us", scan_span_us)
+    sec.set("mode", scan.mode)
+    for key in _SCHEDULE_KEYS:
+        sec.set(key, getattr(scan.schedule, key))
+    sec.set("n_sweeps", scan.n_sweeps)
+    sec.set("scan_span_us", scan.span_us)
     csec = formats.Section("counts")
-    for key in sorted(counts):
-        csec.set(key, counts[key])
+    for key in sorted(scan.counts):
+        csec.set(key, scan.counts[key])
     wsec = formats.Section("warnings")
-    for i, w in enumerate(warnings):
+    for i, w in enumerate(scan.warnings):
         wsec.set(f"w{i}", w)
-    formats.write_sections(path, [sec, csec, wsec])
+    formats.write_sections(paths[0], [sec, csec, wsec])
 
 
-def _read_scan_meta(path):
-    by_name = {s.name: s for s in formats.read_sections(path)}
+def _load_scan(paths) -> ScanMeta:
+    by_name = {s.name: s for s in formats.read_sections(paths[0])}
     sec = by_name["scan"]
-    schedule = ScanSchedule(
-        steps_per_sweep=sec.get_int("steps_per_sweep"),
-        sweep_duration_us=sec.get_int("sweep_duration_us"),
-        recovery_us=sec.get_int("recovery_us"),
-        scan_start_us=sec.get_int("scan_start_us"),
+    schedule = ScanSchedule(*(sec.get_int(key) for key in _SCHEDULE_KEYS))
+    counts = {key: int(value) for key, value in by_name["counts"].pairs.items()}
+    warnings = list(by_name["warnings"].pairs.values())
+    return ScanMeta(schedule, sec.get_str("mode"), sec.get_int("n_sweeps"), sec.get_int("scan_span_us"), counts, warnings)
+
+
+def _save_provenance(paths, provenance) -> None:
+    for path, array in zip(paths, provenance):
+        np.save(path, array)
+
+
+def _save_specular(paths, specular) -> None:
+    points, meta = specular
+    formats.write_ply(paths[0], points, comment="eventscan specular surface (mm)")
+    formats.write_sections(paths[1], [formats.Section("deflect", {k: formats.fmt(v) for k, v in meta.items()})])
+
+
+def _load_specular(paths):
+    points, _ = formats.read_ply(paths[0])
+    (meta,) = formats.read_sections(paths[1])
+    return points, {key: formats.parse_scalar(value) for key, value in meta.pairs.items()}
+
+
+def _save_metrics(paths, report: dict) -> None:
+    rows = sorted(report.items())
+    lines = [f"{k} = {formats.fmt(v)}" for k, v in rows]
+    paths[0].write_text("\n".join(["# eventscan metrics report"] + lines) + "\n")
+    formats.write_table(paths[1], ["name", "value"], [np.array([k for k, _ in rows]), np.array([formats.fmt(v) for _, v in rows])])
+
+
+class Artifact(NamedTuple):
+    stage: str  # the stage that makes it
+    files: tuple  # file names in the run directory
+    save: Callable  # save(paths, value), one path per file
+    load: Callable | None  # load(paths) -> value; None when no stage reads it back
+
+
+# Every file a run directory holds apart from the manifest and the FAILED marker.
+STORE = {
+    "events": Artifact("simulate", ("events.txt",), lambda p, ev: ev.save_text(p[0]), lambda p: EventStream.load_text(p[0])),
+    "events_bin": Artifact("simulate", ("events.bin",), lambda p, ev: ev.save_binary(p[0]), None),
+    "truth": Artifact("simulate", ("ground_truth.txt",), lambda p, gt: gt.save_text(p[0]), lambda p: GroundTruth.load_text(p[0])),
+    "rig": Artifact("simulate", ("rig.calib",), lambda p, rig: save_calibration_bundle(p[0], *rig), lambda p: load_calibration_bundle(p[0])),
+    "scan": Artifact("simulate", ("scan.txt",), _save_scan, _load_scan),
+    "correspondences": Artifact(
+        "decode", ("correspondences.txt",), lambda p, c: c.save_text(p[0]), lambda p: decode.CorrespondenceSet.load_text(p[0])
+    ),
+    # (event_ids, event_offsets): each correspondence's supporting events in CSR form
+    "provenance": Artifact("decode", ("provenance_ids.npy", "provenance_offsets.npy"), _save_provenance, lambda p: tuple(map(np.load, p))),
+    "classified": Artifact("separate", ("classified.txt",), lambda p, c: c.save_text(p[0]), lambda p: ClassifiedSet.load_text(p[0])),
+    "cloud": Artifact("triangulate", ("diffuse.ply",), lambda p, c: c.save_ply(p[0]), lambda p: DiffuseCloud.load_ply(p[0])),
+    "screen": Artifact("triangulate", ("screen.txt",), lambda p, s: s.save_text(p[0]), None),
+    # (points, deflectometry summary)
+    "specular": Artifact("deflect", ("specular.ply", "deflect.txt"), _save_specular, _load_specular),
+    "normals": Artifact("deflect", ("normals.pfm", "normal_mask.pfm"), lambda p, nm: nm.save_pfm(*p), None),
+    "residuals": Artifact("deflect", ("residuals.txt",), lambda p, est: est.save_residuals(p[0]), None),
+    "metrics": Artifact("metrics", ("metrics.txt", "metrics.tsv"), _save_metrics, None),
+}
+
+
+def _paths(out: Path, key: str) -> list:
+    return [out / name for name in STORE[key].files]
+
+
+def _keep(out: Path, made: dict) -> dict:
+    """Write each made artifact through the store and hand them on."""
+    for key, value in made.items():
+        STORE[key].save(_paths(out, key), value)
+    return made
+
+
+# --- stages --------------------------------------------------------------------
+
+
+def stage_simulate(cfg: PipelineConfig, out: Path) -> dict:
+    scene = load_scene(cfg.scene)
+    schedule, noise = _apply_overrides(scene.schedule, scene.noise, cfg)
+    if cfg.calibration == "from-scene":
+        rig = (scene.camera, scene.projector)
+    else:
+        rig = load_calibration_bundle(cfg.calibration)
+    mode = "single" if cfg.mode == "diffuse-only" else "dual"
+    result = simulate_scan(scene.objects, *rig, schedule, noise, mode=mode, generate_higher_bounces=cfg.higher_bounces)
+    n_sweeps = 1 if mode == "single" else 2
+    made = {
+        "events": result.events,
+        "truth": result.ground_truth,
+        "rig": rig,
+        "scan": ScanMeta(schedule, cfg.mode, n_sweeps, result.scan_span_us, result.counts, result.warnings),
+    }
+    if cfg.binary_events:
+        made["events_bin"] = result.events
+    return _keep(out, made)
+
+
+def stage_decode(cfg: PipelineConfig, out: Path, events: EventStream, scan: ScanMeta, rig) -> dict:
+    assignments = decode.assign_sweeps(events, scan.schedule, scan.schedule.scan_start_us, n_sweeps=scan.n_sweeps)
+    if scan.n_sweeps == 1:
+        F = fundamental_from_models(*rig)
+        corr = decode.intersect_single_sweep(assignments, F, polarity_policy=cfg.polarity_policy)
+    else:
+        corr = decode.intersect_sweeps(assignments, polarity_policy=cfg.polarity_policy)
+    return _keep(out, {"correspondences": corr, "provenance": (corr.event_ids, corr.event_offsets)})
+
+
+def stage_separate(cfg: PipelineConfig, out: Path, corr: decode.CorrespondenceSet, rig) -> dict:
+    F = fundamental_from_models(*rig)
+    return _keep(out, {"classified": resolve_mixed_pixels(epipolar_classify(corr, F, tau=cfg.tau_px))})
+
+
+def stage_triangulate(cfg: PipelineConfig, out: Path, classified: ClassifiedSet, rig, with_screen: bool = True) -> dict:
+    cloud = triangulate_direct(classified, *rig, gap_max_mm=cfg.gap_max_mm)
+    made = {"cloud": cloud}
+    if with_screen:
+        made["screen"] = build_virtual_screen(cloud)
+    return _keep(out, made)
+
+
+def stage_deflect(cfg: PipelineConfig, out: Path, classified: ClassifiedSet, screen, cloud: DiffuseCloud, rig) -> dict:
+    camera = rig[0]
+    binding = bind_screen(classified, screen)
+    estimate, normal_map = iterative_shape(
+        binding,
+        camera,
+        init_depth=None if cfg.init_depth == "auto" else float(cfg.init_depth),
+        max_iter=cfg.deflect_max_iter,
+        tol_mm=cfg.deflect_tol_mm,
+        cloud=cloud,
     )
-    return schedule, sec.get_str("mode"), sec.get_int("n_sweeps")
+    meta = {
+        "iterations": estimate.iterations,
+        "converged": estimate.converged,
+        "rejected_fraction": estimate.rejected_fraction,
+        "curl_rms": estimate.curl_rms,
+        "bound": len(binding),
+        "uncovered": binding.uncovered,
+    }
+    return _keep(out, {"specular": (estimate.points(camera), meta), "normals": normal_map, "residuals": estimate})
+
+
+def stage_metrics(cfg: PipelineConfig, out: Path, cloud: DiffuseCloud, classified, truth: GroundTruth | None, camera, specular=None) -> dict:
+    report: dict = {}
+    report["diffuse_points"] = len(cloud)
+    if cfg.fit_diffuse != "none" and len(cloud) >= 4:
+        fit = metrics.fit_plane(cloud.position) if cfg.fit_diffuse == "plane" else metrics.fit_sphere(cloud.position)
+        report["diffuse_fit"] = cfg.fit_diffuse
+        report["diffuse_rmse_mm"] = fit.rmse
+        report["diffuse_precision_mm"] = metrics.precision(cloud.position, fit)
+        if fit.radius is not None:
+            report["diffuse_radius_mm"] = fit.radius
+    if specular is not None and cfg.fit_specular != "none" and len(specular[0]) >= 4:
+        pts, meta = specular
+        fit = metrics.fit_plane(pts) if cfg.fit_specular == "plane" else metrics.fit_sphere(pts)
+        report["specular_fit"] = cfg.fit_specular
+        report["specular_rmse_mm"] = fit.rmse
+        report["specular_precision_mm"] = metrics.precision(pts, fit)
+        if fit.radius is not None:
+            report["specular_radius_mm"] = fit.radius
+        report["specular_rejected_fraction"] = meta["rejected_fraction"]
+        report["specular_iterations"] = meta["iterations"]
+    has_provenance = classified is not None and len(classified.base.event_offsets) == len(classified) + 1
+    if truth is not None and classified is not None and len(classified) and has_provenance:
+        score = metrics.classification_score(classified, truth)
+        report["class_precision_direct"] = score.precision_direct
+        report["class_recall_direct"] = score.recall_direct
+        report["class_precision_indirect"] = score.precision_indirect
+        report["class_recall_indirect"] = score.recall_indirect
+    return _keep(out, {"metrics": report})
+
+
+# --- the driver ----------------------------------------------------------------
+
+
+def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | None = None) -> list:
+    """Run ``stages`` in chain order; returns (stage, summary, ran) per stage.
+
+    A stage's inputs come from ``have``, which collects what every stage
+    makes, and otherwise are read from ``out`` through the store. With a
+    ``source`` directory, the artifacts of the stages before the first one
+    are first copied byte for byte from there into ``out``.
+
+    The mode logic lives here alone: diffuse-only skips separate and deflect
+    and triangulates every correspondence as direct; deflect runs only when
+    there are indirect correspondences; metrics gets what the run made. A
+    failure leaves a FAILED marker naming the stage and raises StageError.
+    """
+
+    def need(*keys):
+        for key in keys:
+            if key not in have:
+                have[key] = STORE[key].load(_paths(out, key))
+        return [have[key] for key in keys]
+
+    mixed = cfg.mode == "mixed"
+    failed = out / FAILED_MARKER
+    failed.unlink(missing_ok=True)
+    done = []
+    stage = stages[0]
+    try:
+        if source is not None:
+            earlier = STAGES[: STAGES.index(stage)]
+            for art in STORE.values():
+                for name in art.files:
+                    if art.stage in earlier and (source / name).is_file():
+                        shutil.copyfile(source / name, out / name)
+        for stage in stages:
+            ran = True
+            if stage == "simulate":
+                have.update(stage_simulate(cfg, out))
+                summary = f"{len(have['events'])} events"
+            elif stage == "decode":
+                have.update(stage_decode(cfg, out, *need("events", "scan", "rig")))
+                summary = f"{len(have['correspondences'])} correspondences"
+                if not len(have["correspondences"]):
+                    summary += "\nwarning: empty correspondence table"
+            elif stage == "separate" and mixed:
+                corr, provenance, rig = need("correspondences", "provenance", "rig")
+                corr.event_ids, corr.event_offsets = provenance
+                have.update(stage_separate(cfg, out, corr, rig))
+                summary = f"{len(have['classified'])} classified"
+            elif stage == "triangulate":
+                if not mixed:
+                    (corr,) = need("correspondences")
+                    have["classified"] = ClassifiedSet(corr, np.zeros(len(corr), dtype=np.int8), np.zeros(len(corr)))
+                have.update(stage_triangulate(cfg, out, *need("classified", "rig"), with_screen=mixed))
+                summary = f"{len(have['cloud'])} points"
+            elif stage == "deflect" and mixed and (need("classified")[0].label == INDIRECT).any():
+                if "screen" not in have:
+                    have["screen"] = build_virtual_screen(*need("cloud"))
+                have.update(stage_deflect(cfg, out, *need("classified", "screen", "cloud", "rig")))
+                meta = have["specular"][1]
+                state = "converged" if meta["converged"] else "not converged"
+                summary = f"{meta['bound']} bound, {meta['iterations']} iterations, {state}"
+            elif stage == "metrics":
+                classified = truth = specular = None
+                if mixed:
+                    classified, provenance, truth = need("classified", "provenance", "truth")
+                    classified.base.event_ids, classified.base.event_offsets = provenance
+                    if (classified.label == INDIRECT).any():
+                        (specular,) = need("specular")
+                cloud, (camera, _) = need("cloud", "rig")
+                have.update(stage_metrics(cfg, out, cloud, classified, truth, camera, specular))
+                summary = "\n".join(f"{k} = {v}" for k, v in sorted(have["metrics"].items()))
+            else:
+                ran = False
+                summary = "skipped: " + ("diffuse-only mode" if not mixed else "no indirect correspondences")
+            done.append((stage, summary, ran))
+    except Exception as exc:
+        failed.write_text(f"stage = {stage}\nerror = {exc}\n")
+        raise StageError(stage, exc) from exc
+    return done
 
 
 @dataclass
@@ -203,240 +447,46 @@ class RunReport:
     manifest: dict
 
 
-def _metric_rows(report: dict) -> list:
-    rows = []
-    for key in sorted(report):
-        rows.append((key, report[key]))
-    return rows
-
-
-def stage_simulate(cfg: PipelineConfig, out: Path):
-    scene = load_scene(cfg.scene)
-    schedule, noise = _apply_overrides(scene.schedule, scene.noise, cfg)
-    if cfg.calibration == "from-scene":
-        camera, projector = scene.camera, scene.projector
-    else:
-        camera, projector = load_calibration_bundle(cfg.calibration)
-    mode = "single" if cfg.mode == "diffuse-only" else "dual"
-    result = simulate_scan(
-        scene.objects,
-        camera,
-        projector,
-        schedule,
-        noise,
-        mode=mode,
-        generate_higher_bounces=cfg.higher_bounces,
-    )
-    result.events.save_text(out / EVENTS)
-    if cfg.binary_events:
-        result.events.save_binary(out / EVENTS_BIN)
-    result.ground_truth.save_text(out / GROUND_TRUTH)
-    save_calibration_bundle(out / RIG, camera, projector)
-    n_sweeps = 1 if mode == "single" else 2
-    _write_scan_meta(out / SCAN, schedule, cfg.mode, n_sweeps, result.scan_span_us, result.counts, result.warnings)
-    return result, camera, projector, schedule, scene
-
-
-def stage_decode(cfg: PipelineConfig, out: Path, events=None, schedule=None, n_sweeps=None, camera=None, projector=None):
-    if events is None:
-        events = EventStream.load_text(out / EVENTS)
-        schedule, _, n_sweeps = _read_scan_meta(out / SCAN)
-        camera, projector = load_calibration_bundle(out / RIG)
-    assignments = decode.assign_sweeps(events, schedule, schedule.scan_start_us, n_sweeps=n_sweeps)
-    if n_sweeps == 1:
-        F = fundamental_from_models(camera, projector)
-        corr = decode.intersect_single_sweep(assignments, F, polarity_policy=cfg.polarity_policy)
-    else:
-        corr = decode.intersect_sweeps(assignments, polarity_policy=cfg.polarity_policy)
-    corr.save_text(out / CORRESPONDENCES)
-    np.save(out / PROVENANCE_IDS, corr.event_ids)
-    np.save(out / PROVENANCE_OFFSETS, corr.event_offsets)
-    return corr, assignments
-
-
-def _load_correspondences(out: Path) -> decode.CorrespondenceSet:
-    corr = decode.CorrespondenceSet.load_text(out / CORRESPONDENCES)
-    ids = out / PROVENANCE_IDS
-    offsets = out / PROVENANCE_OFFSETS
-    if ids.exists() and offsets.exists():
-        corr.event_ids = np.load(ids)
-        corr.event_offsets = np.load(offsets)
-    return corr
-
-
-def stage_separate(cfg: PipelineConfig, out: Path, corr=None, camera=None, projector=None):
-    if corr is None:
-        corr = _load_correspondences(out)
-        camera, projector = load_calibration_bundle(out / RIG)
-    F = fundamental_from_models(camera, projector)
-    classified = resolve_mixed_pixels(epipolar_classify(corr, F, tau=cfg.tau_px))
-    classified.save_text(out / CLASSIFIED)
-    return classified
-
-
-def stage_triangulate(cfg: PipelineConfig, out: Path, classified=None, camera=None, projector=None, write_screen=True):
-    if classified is None:
-        classified = ClassifiedSet.load_text(out / CLASSIFIED)
-        camera, projector = load_calibration_bundle(out / RIG)
-    cloud = triangulate_direct(classified, camera, projector, gap_max_mm=cfg.gap_max_mm)
-    cloud.save_ply(out / DIFFUSE_PLY)
-    screen = build_virtual_screen(cloud)
-    if write_screen:
-        screen.save_text(out / SCREEN)
-    return cloud, screen
-
-
-def stage_deflect(cfg: PipelineConfig, out: Path, classified=None, screen=None, cloud=None, camera=None):
-    if classified is None:
-        classified = ClassifiedSet.load_text(out / CLASSIFIED)
-        camera, _ = load_calibration_bundle(out / RIG)
-        cloud = DiffuseCloud.load_ply(out / DIFFUSE_PLY)
-        screen = build_virtual_screen(cloud)
-    binding = bind_screen(classified, screen)
-    init = None if cfg.init_depth == "auto" else float(cfg.init_depth)
-    estimate, normal_map = iterative_shape(
-        binding,
-        camera,
-        init_depth=init,
-        max_iter=cfg.deflect_max_iter,
-        tol_mm=cfg.deflect_tol_mm,
-        cloud=cloud,
-    )
-    formats.write_ply(out / SPECULAR_PLY, estimate.points(camera), comment="eventscan specular surface (mm)")
-    normal_map.save_pfm(out / NORMALS_PFM, out / NORMALS_MASK_PFM)
-    estimate.save_residuals(out / RESIDUALS)
-    meta = formats.Section("deflect")
-    meta.set("iterations", estimate.iterations)
-    meta.set("converged", estimate.converged)
-    meta.set("rejected_fraction", estimate.rejected_fraction)
-    meta.set("curl_rms", estimate.curl_rms)
-    meta.set("bound", len(binding))
-    meta.set("uncovered", binding.uncovered)
-    formats.write_sections(out / DEFLECT_META, [meta])
-    return binding, estimate, normal_map
-
-
-def stage_metrics(cfg: PipelineConfig, out: Path, cloud: DiffuseCloud, classified, truth: GroundTruth | None, camera, specular_points=None, deflect_meta: dict | None = None):
-    report: dict = {}
-    report["diffuse_points"] = len(cloud)
-    if cfg.fit_diffuse != "none" and len(cloud) >= 4:
-        fit = metrics.fit_plane(cloud.position) if cfg.fit_diffuse == "plane" else metrics.fit_sphere(cloud.position)
-        report["diffuse_fit"] = cfg.fit_diffuse
-        report["diffuse_rmse_mm"] = fit.rmse
-        report["diffuse_precision_mm"] = metrics.precision(cloud.position, fit)
-        if fit.radius is not None:
-            report["diffuse_radius_mm"] = fit.radius
-    if specular_points is not None and cfg.fit_specular != "none" and len(specular_points) >= 4:
-        pts = specular_points
-        fit = metrics.fit_plane(pts) if cfg.fit_specular == "plane" else metrics.fit_sphere(pts)
-        report["specular_fit"] = cfg.fit_specular
-        report["specular_rmse_mm"] = fit.rmse
-        report["specular_precision_mm"] = metrics.precision(pts, fit)
-        if fit.radius is not None:
-            report["specular_radius_mm"] = fit.radius
-        if deflect_meta:
-            report["specular_rejected_fraction"] = deflect_meta["rejected_fraction"]
-            report["specular_iterations"] = deflect_meta["iterations"]
-    has_provenance = classified is not None and len(classified.base.event_offsets) == len(classified) + 1
-    if truth is not None and classified is not None and len(classified) and has_provenance:
-        score = metrics.classification_score(classified, truth)
-        report["class_precision_direct"] = score.precision_direct
-        report["class_recall_direct"] = score.recall_direct
-        report["class_precision_indirect"] = score.precision_indirect
-        report["class_recall_indirect"] = score.recall_indirect
-    rows = _metric_rows(report)
-    lines = [f"{k} = {formats.fmt(v)}" for k, v in rows]
-    (out / METRICS).write_text("\n".join(["# eventscan metrics report"] + lines) + "\n")
-    formats.write_table(
-        out / METRICS_TSV,
-        ["name", "value"],
-        [np.array([k for k, _ in rows]), np.array([formats.fmt(v) for _, v in rows])],
-    )
-    return report
-
-
 def run_pipeline(cfg: PipelineConfig, out_dir) -> RunReport:
-    """Run all stages; on failure a FAILED marker names the broken stage."""
+    """Run all stages in memory; on failure a FAILED marker names the broken stage."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    failed = out / FAILED_MARKER
-    if failed.exists():
-        failed.unlink()
-    stages_done: list[str] = []
-    numbers: dict = {}
-    stage = "simulate"
-    try:
-        result, camera, projector, schedule, scene = stage_simulate(cfg, out)
-        stages_done.append(stage)
-        n_sweeps = 1 if cfg.mode == "diffuse-only" else 2
-        numbers["events"] = len(result.events)
-        numbers["scan_span_us"] = result.scan_span_us
-
-        stage = "decode"
-        corr, assignments = stage_decode(cfg, out, result.events, schedule, n_sweeps, camera, projector)
-        stages_done.append(stage)
-        numbers["correspondences"] = len(corr)
-
-        estimate = None
-        specular_points = None
-        deflect_meta = None
-        if cfg.mode == "mixed":
-            stage = "separate"
-            classified = stage_separate(cfg, out, corr, camera, projector)
-            stages_done.append(stage)
-            numbers["direct"] = int((classified.label == DIRECT).sum())
-
-            stage = "triangulate"
-            cloud, screen = stage_triangulate(cfg, out, classified, camera, projector)
-            stages_done.append(stage)
-            numbers["diffuse_points"] = len(cloud)
-
-            if len(classified.where(1)):
-                stage = "deflect"
-                binding, estimate, normal_map = stage_deflect(cfg, out, classified, screen, cloud, camera)
-                stages_done.append(stage)
-                numbers["bound"] = len(binding)
-                numbers["uncovered"] = binding.uncovered
-                specular_points = estimate.points(camera)
-                deflect_meta = {"rejected_fraction": estimate.rejected_fraction, "iterations": estimate.iterations}
-        else:
-            # diffuse-only: single sweep, no separation/deflectometry
-            classified = ClassifiedSet(
-                corr,
-                np.zeros(len(corr), dtype=np.int8),
-                np.zeros(len(corr)),
-            )
-            stage = "triangulate"
-            cloud, _ = stage_triangulate(cfg, out, classified, camera, projector, write_screen=False)
-            stages_done.append(stage)
-            numbers["diffuse_points"] = len(cloud)
-
-        stage = "metrics"
-        truth = result.ground_truth
-        report = stage_metrics(
-            cfg,
-            out,
-            cloud,
-            classified if cfg.mode == "mixed" else None,
-            truth,
-            camera,
-            specular_points=specular_points,
-            deflect_meta=deflect_meta,
-        )
-        stages_done.append(stage)
-        numbers.update(report)
-    except Exception as exc:
-        failed.write_text(f"stage = {stage}\nerror = {exc}\n")
-        raise StageError(stage, exc) from exc
-
+    have: dict = {}
+    stages_done = [stage for stage, _, ran in _drive(cfg, out, STAGES, have) if ran]
+    numbers = {
+        "events": len(have["events"]),
+        "scan_span_us": have["scan"].span_us,
+        "correspondences": len(have["correspondences"]),
+        "diffuse_points": len(have["cloud"]),
+    }
+    if cfg.mode == "mixed":
+        numbers["direct"] = int((have["classified"].label == DIRECT).sum())
+    if "specular" in have:
+        numbers["bound"] = have["specular"][1]["bound"]
+        numbers["uncovered"] = have["specular"][1]["uncovered"]
+    numbers.update(have["metrics"])
     manifest = {
         "tool": "eventscan",
         "version": __version__,
         "numpy": np.__version__,
-        "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in cfg.effective().items()},
+        "config": cfg.effective(),
         "stages": stages_done,
         "numbers": {k: (float(v) if isinstance(v, (np.floating, float)) else int(v) if isinstance(v, (np.integer, int)) else v) for k, v in numbers.items()},
         "artifacts": sorted(p.name for p in out.iterdir() if p.is_file() and p.name != MANIFEST),
     }
     (out / MANIFEST).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return RunReport(out, stages_done, numbers, manifest)
+
+
+def run_stage(cfg: PipelineConfig, stage: str, out_dir, input_dir=None) -> str:
+    """Run one stage on inputs read through the store from ``out_dir``; returns its summary.
+
+    With an ``input_dir`` other than ``out_dir``, the artifacts of the
+    earlier stages are first copied from there, so a chain of stages through
+    fresh directories carries every artifact forward.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    same = input_dir is None or Path(input_dir).resolve() == out.resolve()
+    ((_, summary, _),) = _drive(cfg, out, [stage], {}, None if same else Path(input_dir))
+    return summary

@@ -28,29 +28,16 @@ import numpy as np
 from .events import SWEEP_HORIZONTAL, SWEEP_RASTER, SWEEP_VERTICAL, EventStream, GroundTruth
 from .geometry import (
     PinholeModel,
-    Ray,
     epipolar_distances,
     fundamental_from_models,
     pixel_directions,
     project_points,
     reflect_direction,
-    unit,
 )
 from .scene import NoiseModel, Plane, ScanSchedule, SceneObject, Sphere, TriangleMesh
 
 HIT_EPS_MM = 1e-6
 ON_EPIPOLAR_TAU_PX = 2.0
-
-
-class Hit:
-    """Nearest intersection of a single ray with the scene."""
-
-    __slots__ = ("point", "normal", "obj")
-
-    def __init__(self, point, normal, obj):
-        self.point = point
-        self.normal = normal
-        self.obj = obj
 
 
 def _intersect_plane(origins, dirs, plane: Plane):
@@ -144,26 +131,6 @@ def intersect_ray_batch(origins: np.ndarray, dirs: np.ndarray, objects: list[Sce
     flip = np.sum(best_normal * dirs, axis=1) > 0
     best_normal = np.where(flip[:, None], -best_normal, best_normal)
     return best_t, best_normal, best_obj
-
-
-def intersect(ray: Ray, objects: list[SceneObject]) -> Hit | None:
-    """Nearest positive-t hit of one ray, or None on miss."""
-    t, normals, obj_idx = intersect_ray_batch(ray.origin[None], ray.direction[None], objects)
-    if obj_idx[0] < 0:
-        return None
-    return Hit(ray.origin + t[0] * ray.direction, normals[0], objects[obj_idx[0]])
-
-
-def reflect_ray(incident: Ray, hit_point: np.ndarray, normal: np.ndarray) -> Ray:
-    """Mirror law: out = in - 2 (in . n) n, anchored at the hit point."""
-    normal = np.asarray(normal, dtype=np.float64)
-    if abs(np.linalg.norm(normal) - 1.0) > 1e-9:
-        raise ValueError("normal must be unit length")
-    d = float(incident.direction @ normal)
-    if abs(d) <= 1e-12:
-        raise ValueError("incident ray is orthogonal-degenerate to the surface normal")
-    out = reflect_direction(incident.direction[None], normal[None])[0]
-    return Ray(np.asarray(hit_point, dtype=np.float64), unit(out))
 
 
 @dataclass
@@ -261,18 +228,21 @@ def _camera_pixel_grid(camera: PinholeModel):
     return np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
 
 
-def _projector_view(projector: PinholeModel, points: np.ndarray, objects: list[SceneObject]):
-    """Continuous projector pixel of each point, with visibility from the laser.
+def _line_of_sight(model: PinholeModel, points: np.ndarray, objects: list[SceneObject], *, snap: bool):
+    """Pixel of each point in ``model`` and whether the device sees it.
 
-    A point is lit only when nothing occludes it from the projector and it
-    falls inside the swept field (both coordinates within [0, steps - 1]).
+    A point is seen when it lies in front of the device, its pixel lies
+    within [0, size - 1] on both axes and nothing occludes the straight line
+    from the device's centre. The projector keeps the continuous pixel, its
+    sweep position; the camera (``snap``) rounds to the integer pixel centre
+    first, so that pixel is what must lie inside the image.
     """
-    pp, in_front = project_points(projector, points)
-    ok = in_front.copy()
-    ok &= (pp[:, 0] >= 0.0) & (pp[:, 0] <= projector.width - 1.0)
-    ok &= (pp[:, 1] >= 0.0) & (pp[:, 1] <= projector.height - 1.0)
+    px, in_front = project_points(model, points)
+    if snap:
+        px = np.floor(px + 0.5).astype(np.int64)
+    ok = in_front & (px[:, 0] >= 0) & (px[:, 0] <= model.width - 1) & (px[:, 1] >= 0) & (px[:, 1] <= model.height - 1)
     if np.any(ok):
-        center = projector.center
+        center = model.center
         diff = points[ok] - center
         dist = np.linalg.norm(diff, axis=1)
         dirs = diff / dist[:, None]
@@ -281,25 +251,7 @@ def _projector_view(projector: PinholeModel, points: np.ndarray, objects: list[S
         sub = np.zeros(ok.sum(), dtype=bool)
         sub[visible] = True
         ok[np.where(ok)[0]] = sub
-    return pp, ok
-
-
-def _camera_sees(camera: PinholeModel, points: np.ndarray, objects: list[SceneObject]):
-    """Integer camera pixel of each point, requiring unoccluded line of sight."""
-    px, in_front = project_points(camera, points)
-    pix = np.floor(px + 0.5).astype(np.int64)
-    ok = in_front & (pix[:, 0] >= 0) & (pix[:, 0] < camera.width) & (pix[:, 1] >= 0) & (pix[:, 1] < camera.height)
-    if np.any(ok):
-        center = camera.center
-        diff = points[ok] - center
-        dist = np.linalg.norm(diff, axis=1)
-        dirs = diff / dist[:, None]
-        t, _, _ = intersect_ray_batch(np.broadcast_to(center, dirs.shape), dirs, objects)
-        visible = np.abs(t - dist) <= 1e-6 * dist + 1e-9
-        sub = np.zeros(ok.sum(), dtype=bool)
-        sub[visible] = True
-        ok[np.where(ok)[0]] = sub
-    return pix, ok
+    return px, ok
 
 
 def _apply_noise(stream: EventStream, gt: GroundTruth, noise: NoiseModel, camera: PinholeModel, span):
@@ -399,7 +351,7 @@ def simulate_scan(
         direct = hit & scatters[np.clip(obj_idx, 0, None)]
         if np.any(direct):
             P = center + t_hit[direct, None] * dirs[direct]
-            pp, lit = _projector_view(projector, P, objects)
+            pp, lit = _line_of_sight(projector, P, objects, snap=False)
             sel = np.where(direct)[0][lit]
             P, pp = P[lit], pp[lit]
             n_emit = len(sel)
@@ -434,7 +386,7 @@ def simulate_scan(
                 land_scatter = found & scatters[np.clip(o2, 0, None)]
                 if np.any(land_scatter):
                     Q = ro[land_scatter] + t2[land_scatter, None] * rd[land_scatter]
-                    pp, lit = _projector_view(projector, Q, objects)
+                    pp, lit = _line_of_sight(projector, Q, objects, snap=False)
                     sel = idx[land_scatter][lit]
                     bounce = (1 + mirror_hits[land_scatter][lit]).astype(np.int16)
                     Q, pp = Q[lit], pp[lit]
@@ -479,7 +431,7 @@ def simulate_scan(
                 land = found & scatters[np.clip(o2, 0, None)]
                 if np.any(land):
                     D = ro[land] + t2[land, None] * rd[land]
-                    cam_pix, seen = _camera_sees(camera, D, objects)
+                    cam_pix, seen = _line_of_sight(camera, D, objects, snap=True)
                     sel = np.where(land)[0][seen]
                     if len(sel):
                         D_v = D[seen]
@@ -514,7 +466,7 @@ def simulate_scan(
         scatters = np.array([o.material.scatters for o in objects])
         landed = (o1 >= 0) & scatters[np.clip(o1, 0, None)]
         D = porig[landed] + t1[landed, None] * pdirs[landed]
-        cam_pix, seen = _camera_sees(camera, D, objects)
+        cam_pix, seen = _line_of_sight(camera, D, objects, snap=True)
         sel = np.where(landed)[0][seen]
         if len(sel):
             pix = cam_pix[seen]

@@ -6,7 +6,6 @@ from eventscan.geometry import (
     DegenerateProjectionError,
     PinholeModel,
     Ray,
-    UnstableTriangulationError,
     epipolar_distances,
     fundamental_from_models,
     pixel_to_ray,
@@ -14,7 +13,7 @@ from eventscan.geometry import (
     project_points,
     pixel_directions,
     rigid_transform_model,
-    triangulate_rays,
+    triangulate_ray_arrays,
     unit,
 )
 
@@ -135,45 +134,37 @@ def test_fundamental_zero_baseline_raises():
 
 
 def test_triangulate_exact_intersection():
-    a = Ray(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-    b = Ray(np.array([100.0, 0.0, 0.0]), unit(np.array([-100.0, 0.0, 500.0])))
-    point, gap = triangulate_rays(a, b)
-    assert np.allclose(point, [0, 0, 500], atol=1e-9)
-    assert gap < 1e-9
+    points, gaps, _ = triangulate_ray_arrays(np.zeros(3), [0.0, 0.0, 1.0], [100.0, 0.0, 0.0], unit(np.array([-100.0, 0.0, 500.0])))
+    assert np.allclose(points[0], [0, 0, 500], atol=1e-9)
+    assert gaps[0] < 1e-9
 
 
 def test_triangulate_known_skew_gap():
-    # construct a skew pair whose mutually closest segment is known: rays
+    # construct skew pairs whose mutually closest segment is known: rays
     # along x and y, separated by `off` along z
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        off = rng.uniform(0.01, 5.0)
-        a = Ray(np.array([0.0, -7.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-        b = Ray(np.array([-4.0, 0.0, off]), np.array([1.0, 0.0, 0.0]))
-        point, gap = triangulate_rays(a, b)
-        assert abs(gap - off) < 1e-12
-        assert np.allclose(point, [0, 0, off / 2], atol=1e-12)
+    off = np.random.default_rng(3).uniform(0.01, 5.0, 20)
+    o2 = np.stack([np.full(20, -4.0), np.zeros(20), off], axis=1)
+    points, gaps, _ = triangulate_ray_arrays(np.array([[0.0, -7.0, 0.0]]), np.array([[0.0, 1.0, 0.0]]), o2, np.array([[1.0, 0.0, 0.0]]))
+    assert np.all(np.abs(gaps - off) < 1e-12)
+    assert np.allclose(points, np.stack([np.zeros(20), np.zeros(20), off / 2], axis=1), atol=1e-12)
 
 
-def test_triangulate_parallel_raises_with_condition():
-    a = Ray(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-    b = Ray(np.array([5.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(UnstableTriangulationError) as exc:
-        triangulate_rays(a, b)
-    assert exc.value.condition <= 1e-9
+def test_triangulate_parallel_flags_condition():
+    # callers drop pairs by the direction cross norm, which is 0 for parallel rays
+    _, _, cross_norm = triangulate_ray_arrays(np.zeros(3), [0.0, 0.0, 1.0], [5.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    assert cross_norm[0] <= 1e-9
 
 
 def test_triangulate_symmetric():
     rng = np.random.default_rng(4)
-    for _ in range(200):
-        a = Ray(rng.uniform(-10, 10, 3), unit(rng.normal(size=3)))
-        b = Ray(rng.uniform(-10, 10, 3), unit(rng.normal(size=3)))
-        if np.linalg.norm(np.cross(a.direction, b.direction)) < 1e-6:
-            continue
-        p1, g1 = triangulate_rays(a, b)
-        p2, g2 = triangulate_rays(b, a)
-        assert np.linalg.norm(p1 - p2) < 1e-9
-        assert abs(g1 - g2) < 1e-9
+    o1, o2 = rng.uniform(-10, 10, (2, 200, 3))
+    d1, d2 = unit(rng.normal(size=(2, 200, 3)))
+    p1, g1, c1 = triangulate_ray_arrays(o1, d1, o2, d2)
+    p2, g2, _ = triangulate_ray_arrays(o2, d2, o1, d1)
+    ok = c1 >= 1e-6
+    assert ok.sum() > 190
+    assert np.all(np.linalg.norm(p1 - p2, axis=1)[ok] < 1e-9)
+    assert np.all(np.abs(g1 - g2)[ok] < 1e-9)
 
 
 def test_model_validation():

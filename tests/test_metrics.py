@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eventscan.metrics import DegenerateFitError, fit_plane, fit_sphere, precision, rmse_to
+from eventscan.metrics import DegenerateFitError, fit_plane, fit_sphere, precision
 
 
 def sphere_samples(rng, center, radius, n=800):
@@ -89,7 +89,8 @@ def test_precision_equals_rmse_for_unbiased_plane_fit():
     pts = uv @ basis + np.array([0.0, 0.0, 600.0])
     noisy = pts + rng.normal(0, 0.08, pts.shape) * np.array([0, 0, 1.0])
     fit = fit_plane(noisy)
-    assert abs(precision(noisy, fit) - rmse_to(noisy, fit)) < 1e-3
+    res = fit.residuals(noisy)
+    assert abs(precision(noisy, fit) - np.sqrt(np.mean(res * res))) < 1e-3
 
 
 def test_fits_invariant_under_rigid_motion():

@@ -7,7 +7,7 @@ import pytest
 from conftest import CONFIGS, REPO
 
 from eventscan.cli import main as cli_main
-from eventscan.pipeline import ConfigError, PipelineConfig, StageError, load_config, run_pipeline
+from eventscan.pipeline import STAGES, ConfigError, PipelineConfig, StageError, load_config, run_pipeline
 
 
 def write_cfg(tmp_path, body):
@@ -37,6 +37,27 @@ def test_workers_key_is_unknown(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli_main(["run", "--config", str(p), "--out", str(out), "--workers", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tau_px", "abc"),
+        ("seed", "abc"),
+        ("drop_probability", "1.5"),
+        ("deflect_max_iter", "0"),
+        ("jitter_us", "-1.0"),
+        ("spurious_rate", "-0.5"),
+    ],
+)
+def test_bad_config_value_rejected_before_writing(tmp_path, key, value):
+    p = write_cfg(tmp_path, f"scene = {REPO/'scenes'/'plane.scene'}\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(p)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(p), "--out", str(out)]) == 2
+    assert cli_main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_config_defaults_echoed(tmp_path):
@@ -89,15 +110,50 @@ def test_full_run_artifacts(mirror_run):
     assert "deflect" in manifest["stages"]
 
 
+def run_staged(config, root, chain=False):
+    """Run the six subcommands in one directory, or each in a fresh one fed by
+    the previous one through --input; returns the last directory."""
+    prev = None
+    for stage in STAGES:
+        out = root / (stage if chain else "staged")
+        args = [stage, "--config", str(config), "--out", str(out)]
+        assert cli_main(args + (["--input", str(prev)] if prev else [])) == 0, stage
+        prev = out
+    return out
+
+
+def assert_same_files(run_dir, staged_dir):
+    names = sorted(p.name for p in run_dir.iterdir() if p.name != "manifest.json")
+    assert sorted(p.name for p in staged_dir.iterdir()) == names
+    for name in names:
+        assert (staged_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
 def test_stage_composition_equals_monolith(mirror_run, tmp_path):
-    cfg, report, out = mirror_run
-    staged = tmp_path / "staged"
-    args = ["--config", str(CONFIGS / "plane_mirror.cfg"), "--out", str(staged)]
+    _, _, out = mirror_run
+    assert_same_files(out, run_staged(CONFIGS / "plane_mirror.cfg", tmp_path))
+
+
+@pytest.mark.parametrize(
+    "config, chain",
+    [
+        ("plane.cfg", True),  # mixed mode without a mirror: deflect is skipped
+        ("plane_fast.cfg", False),  # diffuse-only: separate and deflect are skipped
+    ],
+)
+def test_staged_skips_what_run_skips(config, chain, tmp_path):
+    run_pipeline(load_config(CONFIGS / config), tmp_path / "run")
+    assert_same_files(tmp_path / "run", run_staged(CONFIGS / config, tmp_path, chain))
+
+
+def test_stage_subcommand_failure_writes_marker(tmp_path):
+    out = tmp_path / "o"
+    args = ["--config", str(CONFIGS / "plane.cfg"), "--out", str(out)]
     assert cli_main(["simulate"] + args) == 0
-    for stage in ("decode", "separate", "triangulate", "deflect", "metrics"):
-        assert cli_main([stage] + args) == 0
-    for name in ("events.txt", "correspondences.txt", "classified.txt", "diffuse.ply", "specular.ply", "metrics.tsv"):
-        assert (staged / name).read_bytes() == (out / name).read_bytes(), name
+    events = out / "events.txt"
+    events.write_bytes(events.read_bytes()[: events.stat().st_size // 2])
+    assert cli_main(["decode"] + args) == 3
+    assert "stage = decode" in (out / "FAILED").read_text()
 
 
 def test_decode_on_empty_stream_warns(tmp_path):

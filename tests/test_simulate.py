@@ -4,54 +4,53 @@ import pytest
 from conftest import small_rig, tilted_mirror, wall_object
 
 from eventscan.events import SWEEP_HORIZONTAL, SWEEP_VERTICAL
-from eventscan.geometry import Ray, epipolar_distances, fundamental_from_models, unit
+from eventscan.geometry import epipolar_distances, fundamental_from_models, reflect_direction, unit
 from eventscan.scene import Material, NoiseModel, Plane, ScanSchedule, SceneObject, Sphere, TriangleMesh
-from eventscan.simulate import intersect, intersect_ray_batch, reflect_ray, simulate_scan
+from eventscan.simulate import intersect_ray_batch, simulate_scan
 
 
-# --- reflect_ray -----------------------------------------------------------
+# --- reflect_direction -----------------------------------------------------
 
 def test_reflect_retroreflection():
-    r = reflect_ray(Ray(np.array([0.0, 0, 5]), np.array([0.0, 0, -1])), np.zeros(3), np.array([0.0, 0, 1]))
-    assert np.allclose(r.direction, [0, 0, 1])
-    assert np.allclose(r.origin, 0)
+    out = reflect_direction(np.array([[0.0, 0, -1]]), np.array([[0.0, 0, 1]]))
+    assert np.allclose(out, [[0, 0, 1]])
 
 
 def test_reflect_45_degrees():
     d = unit(np.array([1.0, 0.0, -1.0]))
-    r = reflect_ray(Ray(np.array([0.0, 0, 5]), d), np.zeros(3), np.array([0.0, 0, 1]))
-    assert np.allclose(r.direction, unit(np.array([1.0, 0.0, 1.0])))
+    out = reflect_direction(d[None], np.array([[0.0, 0, 1]]))
+    assert np.allclose(out, unit(np.array([1.0, 0.0, 1.0]))[None])
 
 
 def test_reflect_angle_preserved():
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = unit(rng.normal(size=3))
-        d = unit(rng.normal(size=3))
-        if abs(d @ n) < 1e-3:
-            continue
-        r = reflect_ray(Ray(rng.normal(size=3), d), np.zeros(3), n)
-        assert abs(abs(d @ n) - abs(r.direction @ n)) < 1e-12
+    n = unit(rng.normal(size=(200, 3)))
+    d = unit(rng.normal(size=(200, 3)))
+    out = reflect_direction(d, n)
+    assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
+    assert np.all(np.abs(np.sum(d * n, axis=1) + np.sum(out * n, axis=1)) < 1e-12)
 
 
 def test_reflect_grazing_degenerate():
-    with pytest.raises(ValueError):
-        reflect_ray(Ray(np.zeros(3), np.array([1.0, 0, 0])), np.zeros(3), np.array([0.0, 0, 1.0]))
+    # a ray parallel to the surface has no normal component to flip
+    d = np.array([[1.0, 0, 0]])
+    assert np.array_equal(reflect_direction(d, np.array([[0.0, 0, 1.0]])), d)
 
 
-# --- intersect -------------------------------------------------------------
+# --- intersect_ray_batch -----------------------------------------------------
 
 def test_intersect_sphere_on_axis():
     scene = [SceneObject(Sphere([0.0, 0, 100], 10.0), Material("diffuse", 0.9), "s")]
-    hit = intersect(Ray(np.zeros(3), np.array([0.0, 0, 1])), scene)
-    assert hit is not None
-    assert np.allclose(hit.point, [0, 0, 90])
-    assert np.allclose(hit.normal, [0, 0, -1])
+    t, normals, obj = intersect_ray_batch(np.zeros((1, 3)), np.array([[0.0, 0, 1]]), scene)
+    assert obj[0] == 0
+    assert np.allclose(t[0] * np.array([0.0, 0, 1]), [0, 0, 90])
+    assert np.allclose(normals[0], [0, 0, -1])
 
 
 def test_intersect_parallel_plane_misses():
     scene = [SceneObject(Plane([0.0, 0, 10], [0.0, 0, 1], [5.0, 5.0]), Material("diffuse", 0.9), "p")]
-    assert intersect(Ray(np.array([0.0, 0, 0]), np.array([1.0, 0, 0])), scene) is None
+    t, _, obj = intersect_ray_batch(np.zeros((1, 3)), np.array([[1.0, 0, 0]]), scene)
+    assert obj[0] == -1 and np.isinf(t[0])
 
 
 def test_intersect_mesh_matches_brute_force():
@@ -101,8 +100,8 @@ def test_intersect_nearest_of_two_objects():
         SceneObject(Plane([0.0, 0, 200], [0.0, 0, -1], [50.0, 50.0]), Material("diffuse", 0.9), "far"),
         SceneObject(Sphere([0.0, 0, 100], 10.0), Material("diffuse", 0.9), "near"),
     ]
-    hit = intersect(Ray(np.zeros(3), np.array([0.0, 0, 1])), scene)
-    assert hit.obj.label == "near"
+    _, _, obj = intersect_ray_batch(np.zeros((1, 3)), np.array([[0.0, 0, 1]]), scene)
+    assert scene[obj[0]].label == "near"
 
 
 # --- simulate_scan ---------------------------------------------------------
