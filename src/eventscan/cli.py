@@ -43,11 +43,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load(args)
-    except (ConfigError, FormatError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.command == "run":
             report = run_pipeline(cfg, args.out)
             for stage in report.stages:
@@ -58,6 +53,9 @@ def main(argv=None) -> int:
             for line in run_stage(cfg, args.command, args.out, args.input).splitlines():
                 print(f"{args.command}: {line}")
         return EXIT_OK
+    except (ConfigError, FormatError, FileNotFoundError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE

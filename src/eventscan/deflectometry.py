@@ -20,13 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formats
-from .geometry import PinholeModel, pixel_directions, unit
+from .geometry import PinholeModel, pixel_directions
 from .separate import INDIRECT, ClassifiedSet
 from .triangulate import DiffuseCloud, VirtualScreen
-
-
-class DegenerateNormalError(ValueError):
-    """View and screen directions cancel; the bisector is undefined."""
 
 
 class EmptyRegionError(ValueError):
@@ -80,27 +76,6 @@ def bisector_normals(view_dirs: np.ndarray, screen_dirs: np.ndarray):
     return s / safe[..., None], ok
 
 
-def normal_from_depth(camera: PinholeModel, pixel, depth: float, screen_point) -> np.ndarray:
-    """Surface normal at one camera pixel from an assumed depth.
-
-    The surface point is the camera ray at ``depth``; the normal is the unit
-    bisector of the directions back to the camera and to the screen point.
-    """
-    if depth <= 0:
-        raise ValueError("depth must be positive")
-    pixel = np.asarray(pixel, dtype=np.float64)
-    d = pixel_directions(camera, pixel[None])[0]
-    S = camera.center + depth * d
-    v = unit(camera.center - S)
-    s_dir = np.asarray(screen_point, dtype=np.float64) - S
-    if np.linalg.norm(s_dir) < 1e-12:
-        raise ValueError("screen point coincides with the surface point")
-    normals, ok = bisector_normals(v[None], unit(s_dir)[None])
-    if not ok[0]:
-        raise DegenerateNormalError("view and screen directions cancel (grazing configuration)")
-    return normals[0]
-
-
 @dataclass
 class NormalMap:
     """Unit normals on a camera-pixel grid; cell (r, c) is pixel (x0+c, y0+r)."""
@@ -108,26 +83,6 @@ class NormalMap:
     normals: np.ndarray  # (H, W, 3), world frame
     mask: np.ndarray  # (H, W) bool
     origin: tuple  # (x0, y0)
-    pitch_px: float = 1.0
-
-    @property
-    def components(self) -> int:
-        """Number of 4-connected masked-in regions."""
-        mask = self.mask.copy()
-        count = 0
-        while True:
-            seeds = np.argwhere(mask)
-            if len(seeds) == 0:
-                return count
-            count += 1
-            stack = [tuple(seeds[0])]
-            mask[tuple(seeds[0])] = False
-            while stack:
-                r, c = stack.pop()
-                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                    if 0 <= rr < mask.shape[0] and 0 <= cc < mask.shape[1] and mask[rr, cc]:
-                        mask[rr, cc] = False
-                        stack.append((rr, cc))
 
     def save_pfm(self, path, mask_path=None) -> None:
         img = np.where(self.mask[:, :, None], self.normals, 0.0).astype(np.float32)
@@ -215,36 +170,6 @@ def integrate_gradients(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     yy, xx = np.mgrid[0:h, 0:w]
     z = z + pbar * xx + qbar * yy
     return z - float(np.mean(z))
-
-
-def integrate_frankot_chellappa(normal_map: NormalMap, pitch_mm: float = 1.0, nz_min: float = 1e-3) -> SurfaceEstimate:
-    """Integrate a normal map into a depth field (orthographic model).
-
-    Gradients are p = -n_x / n_z and q = -n_y / n_z per cell of ``pitch_mm``;
-    cells steeper than ``nz_min`` are masked out, masked regions are filled
-    with zero gradient for the transform and re-masked afterwards. The result
-    is defined up to an additive constant.
-    """
-    mask = normal_map.mask & (np.abs(normal_map.normals[:, :, 2]) > nz_min)
-    if not np.any(mask):
-        raise EmptyRegionError("empty mask: no cells to integrate")
-    n = normal_map.normals
-    nz = np.where(mask, n[:, :, 2], 1.0)
-    p = np.where(mask, -n[:, :, 0] / nz, 0.0)
-    q = np.where(mask, -n[:, :, 1] / nz, 0.0)
-    z = integrate_gradients(p, q) * pitch_mm
-    z = np.where(mask, z, 0.0)
-    masked = z[mask]
-    z[mask] = masked - float(np.mean(masked))
-    return SurfaceEstimate(
-        depth=z,
-        mask=mask,
-        origin=normal_map.origin,
-        iterations=1,
-        residual_history=[],
-        converged=True,
-        curl_rms=curl_rms(p, q, mask),
-    )
 
 
 def rasterize_correspondences(binding: DeflectometryCorrespondences):

@@ -15,13 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-UNIT_TOL = 1e-9
-
-
-class DegenerateProjectionError(ValueError):
-    """Point at or behind the optical center cannot be projected."""
-
-
 class DegenerateGeometryError(ValueError):
     """Rig configuration does not define the requested entity (e.g. zero baseline)."""
 
@@ -51,28 +44,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class Ray:
-    """Half-line with unit direction; origin in mm."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", _readonly(self.origin))
-        object.__setattr__(self, "direction", _readonly(self.direction))
-        if self.origin.shape != (3,) or self.direction.shape != (3,):
-            raise ValueError("Ray expects 3-vectors")
-        if not np.all(np.isfinite(self.origin)) or not np.all(np.isfinite(self.direction)):
-            raise ValueError("Ray components must be finite")
-        n = np.linalg.norm(self.direction)
-        if abs(n - 1.0) > UNIT_TOL:
-            raise ValueError(f"Ray direction must be unit length (|d| = {n!r})")
-
-    def at(self, t: float) -> np.ndarray:
-        return self.origin + t * self.direction
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +97,6 @@ class PinholeModel:
         points = np.asarray(points, dtype=np.float64)
         return points @ self.rotation.T + self.translation
 
-    def to_world(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.float64)
-        return (points - self.translation) @ self.rotation
-
 
 def _distort(xn: np.ndarray, yn: np.ndarray, k1: float):
     r2 = xn * xn + yn * yn
@@ -167,23 +134,6 @@ def project_points(model: PinholeModel, points: np.ndarray):
     return np.stack([u, v], axis=-1), valid
 
 
-def project(model: PinholeModel, point: np.ndarray) -> np.ndarray:
-    """Project a single world point to pixel coordinates.
-
-    Raises DegenerateProjectionError for points at or behind the optical
-    center.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    if point.shape != (3,):
-        raise ValueError("project expects a single 3D point")
-    if not np.all(np.isfinite(point)):
-        raise ValueError("point must be finite")
-    px, valid = project_points(model, point[None, :])
-    if not valid[0]:
-        raise DegenerateProjectionError(f"point {point.tolist()} is not in front of the device")
-    return px[0]
-
-
 def pixel_directions(model: PinholeModel, pixels: np.ndarray) -> np.ndarray:
     """Unit world-frame ray directions through an (N, 2) pixel array."""
     px = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
@@ -193,19 +143,6 @@ def pixel_directions(model: PinholeModel, pixels: np.ndarray) -> np.ndarray:
     dirs_dev = np.stack([xn, yn, np.ones_like(xn)], axis=-1)
     dirs_world = dirs_dev @ model.rotation
     return unit(dirs_world)
-
-
-def pixel_to_ray(model: PinholeModel, px) -> Ray:
-    """Back-project one pixel to a world ray through the optical center."""
-    px = np.asarray(px, dtype=np.float64)
-    if px.shape != (2,):
-        raise ValueError("pixel_to_ray expects a single (x, y) pixel")
-    if not np.all(np.isfinite(px)):
-        raise ValueError("pixel coordinates must be finite")
-    if not (-1.0 <= px[0] <= model.width and -1.0 <= px[1] <= model.height):
-        raise ValueError(f"pixel {px.tolist()} outside sensor bounds (+1 px margin)")
-    direction = pixel_directions(model, px[None, :])[0]
-    return Ray(model.center, direction)
 
 
 def fundamental_from_models(camera: PinholeModel, projector: PinholeModel) -> np.ndarray:

@@ -28,7 +28,7 @@ from . import __version__, decode, formats, metrics
 from .deflectometry import bind_screen, iterative_shape
 from .events import EventStream, GroundTruth
 from .geometry import fundamental_from_models
-from .scene import NoiseModel, ScanSchedule, load_calibration_bundle, load_scene, save_calibration_bundle
+from .scene import NoiseModel, ScanSchedule, SceneFile, load_calibration_bundle, load_scene, save_calibration_bundle
 from .separate import DIRECT, INDIRECT, ClassifiedSet, epipolar_classify, resolve_mixed_pixels
 from .simulate import simulate_scan
 from .triangulate import DiffuseCloud, build_virtual_screen, triangulate_direct
@@ -150,6 +150,23 @@ def _apply_overrides(schedule: ScanSchedule, noise: NoiseModel, cfg: PipelineCon
     return schedule, noise
 
 
+def load_run_scene(cfg: PipelineConfig) -> SceneFile:
+    """The scene as the run simulates it: the rig from ``calibration`` and the
+    config's schedule and noise overrides applied.
+
+    The simulator identifies sweep steps with projector pixels, so a schedule
+    whose steps differ from the projector's pixelation is a ConfigError.
+    """
+    scene = load_scene(cfg.scene)
+    camera, projector = (scene.camera, scene.projector) if cfg.calibration == "from-scene" else load_calibration_bundle(cfg.calibration)
+    schedule, noise = _apply_overrides(scene.schedule, scene.noise, cfg)
+    if projector.width != schedule.steps_per_sweep or projector.height != schedule.steps_per_sweep:
+        raise ConfigError(
+            f"steps {schedule.steps_per_sweep} must equal the projector pixelation {projector.width}x{projector.height}"
+        )
+    return SceneFile(camera, projector, schedule, noise, scene.objects)
+
+
 # --- the artifact store ------------------------------------------------------
 
 
@@ -260,21 +277,17 @@ def _keep(out: Path, made: dict) -> dict:
 # --- stages --------------------------------------------------------------------
 
 
-def stage_simulate(cfg: PipelineConfig, out: Path) -> dict:
-    scene = load_scene(cfg.scene)
-    schedule, noise = _apply_overrides(scene.schedule, scene.noise, cfg)
-    if cfg.calibration == "from-scene":
-        rig = (scene.camera, scene.projector)
-    else:
-        rig = load_calibration_bundle(cfg.calibration)
+def stage_simulate(cfg: PipelineConfig, out: Path, scene: SceneFile) -> dict:
+    """Simulate the scan of ``scene``, as ``load_run_scene`` returns it."""
+    rig = (scene.camera, scene.projector)
     mode = "single" if cfg.mode == "diffuse-only" else "dual"
-    result = simulate_scan(scene.objects, *rig, schedule, noise, mode=mode, generate_higher_bounces=cfg.higher_bounces)
+    result = simulate_scan(scene.objects, *rig, scene.schedule, scene.noise, mode=mode, generate_higher_bounces=cfg.higher_bounces)
     n_sweeps = 1 if mode == "single" else 2
     made = {
         "events": result.events,
         "truth": result.ground_truth,
         "rig": rig,
-        "scan": ScanMeta(schedule, cfg.mode, n_sweeps, result.scan_span_us, result.counts, result.warnings),
+        "scan": ScanMeta(scene.schedule, cfg.mode, n_sweeps, result.scan_span_us, result.counts, result.warnings),
     }
     if cfg.binary_events:
         made["events_bin"] = result.events
@@ -326,7 +339,7 @@ def stage_deflect(cfg: PipelineConfig, out: Path, classified: ClassifiedSet, scr
     return _keep(out, {"specular": (estimate.points(camera), meta), "normals": normal_map, "residuals": estimate})
 
 
-def stage_metrics(cfg: PipelineConfig, out: Path, cloud: DiffuseCloud, classified, truth: GroundTruth | None, camera, specular=None) -> dict:
+def stage_metrics(cfg: PipelineConfig, out: Path, cloud: DiffuseCloud, classified, truth: GroundTruth | None, specular=None) -> dict:
     report: dict = {}
     report["diffuse_points"] = len(cloud)
     if cfg.fit_diffuse != "none" and len(cloud) >= 4:
@@ -346,8 +359,7 @@ def stage_metrics(cfg: PipelineConfig, out: Path, cloud: DiffuseCloud, classifie
             report["specular_radius_mm"] = fit.radius
         report["specular_rejected_fraction"] = meta["rejected_fraction"]
         report["specular_iterations"] = meta["iterations"]
-    has_provenance = classified is not None and len(classified.base.event_offsets) == len(classified) + 1
-    if truth is not None and classified is not None and len(classified) and has_provenance:
+    if truth is not None and classified is not None and len(classified):
         score = metrics.classification_score(classified, truth)
         report["class_precision_direct"] = score.precision_direct
         report["class_recall_direct"] = score.recall_direct
@@ -371,6 +383,8 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
     and triangulates every correspondence as direct; deflect runs only when
     there are indirect correspondences; metrics gets what the run made. A
     failure leaves a FAILED marker naming the stage and raises StageError.
+    When the chain starts with simulate, its scene is read before ``out`` is
+    created, so a ConfigError there leaves nothing behind.
     """
 
     def need(*keys):
@@ -381,10 +395,12 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
 
     mixed = cfg.mode == "mixed"
     failed = out / FAILED_MARKER
-    failed.unlink(missing_ok=True)
     done = []
     stage = stages[0]
     try:
+        scene = load_run_scene(cfg) if stage == "simulate" else None
+        out.mkdir(parents=True, exist_ok=True)
+        failed.unlink(missing_ok=True)
         if source is not None:
             earlier = STAGES[: STAGES.index(stage)]
             for art in STORE.values():
@@ -394,7 +410,7 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
         for stage in stages:
             ran = True
             if stage == "simulate":
-                have.update(stage_simulate(cfg, out))
+                have.update(stage_simulate(cfg, out, scene))
                 summary = f"{len(have['events'])} events"
             elif stage == "decode":
                 have.update(stage_decode(cfg, out, *need("events", "scan", "rig")))
@@ -402,9 +418,7 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
                 if not len(have["correspondences"]):
                     summary += "\nwarning: empty correspondence table"
             elif stage == "separate" and mixed:
-                corr, provenance, rig = need("correspondences", "provenance", "rig")
-                corr.event_ids, corr.event_offsets = provenance
-                have.update(stage_separate(cfg, out, corr, rig))
+                have.update(stage_separate(cfg, out, *need("correspondences", "rig")))
                 summary = f"{len(have['classified'])} classified"
             elif stage == "triangulate":
                 if not mixed:
@@ -426,14 +440,16 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
                     classified.base.event_ids, classified.base.event_offsets = provenance
                     if (classified.label == INDIRECT).any():
                         (specular,) = need("specular")
-                cloud, (camera, _) = need("cloud", "rig")
-                have.update(stage_metrics(cfg, out, cloud, classified, truth, camera, specular))
+                have.update(stage_metrics(cfg, out, *need("cloud"), classified, truth, specular))
                 summary = "\n".join(f"{k} = {v}" for k, v in sorted(have["metrics"].items()))
             else:
                 ran = False
                 summary = "skipped: " + ("diffuse-only mode" if not mixed else "no indirect correspondences")
             done.append((stage, summary, ran))
+    except ConfigError:
+        raise
     except Exception as exc:
+        out.mkdir(parents=True, exist_ok=True)
         failed.write_text(f"stage = {stage}\nerror = {exc}\n")
         raise StageError(stage, exc) from exc
     return done
@@ -450,7 +466,6 @@ class RunReport:
 def run_pipeline(cfg: PipelineConfig, out_dir) -> RunReport:
     """Run all stages in memory; on failure a FAILED marker names the broken stage."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     have: dict = {}
     stages_done = [stage for stage, _, ran in _drive(cfg, out, STAGES, have) if ran]
     numbers = {
@@ -486,7 +501,6 @@ def run_stage(cfg: PipelineConfig, stage: str, out_dir, input_dir=None) -> str:
     fresh directories carries every artifact forward.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     same = input_dir is None or Path(input_dir).resolve() == out.resolve()
     ((_, summary, _),) = _drive(cfg, out, [stage], {}, None if same else Path(input_dir))
     return summary

@@ -38,6 +38,7 @@ from .scene import NoiseModel, Plane, ScanSchedule, SceneObject, Sphere, Triangl
 
 HIT_EPS_MM = 1e-6
 ON_EPIPOLAR_TAU_PX = 2.0
+MAX_MIRROR_BOUNCES = 3
 
 
 def _intersect_plane(origins, dirs, plane: Plane):
@@ -184,7 +185,7 @@ class _Emitter:
             self.x.append(pixels[:, 0].astype(np.int32))
             self.y.append(pixels[:, 1].astype(np.int32))
             self.pol.append(np.full(n, pol, dtype=np.int8))
-            self.bounce.append(np.asarray(bounce, dtype=np.int16))
+            self.bounce.append(np.full(n, bounce, dtype=np.int16))
             self.surface.append(np.asarray(surface, dtype=np.float64))
             self.label.append(np.asarray(label_idx, dtype=np.int32))
             self.proj.append(np.asarray(proj_pixel, dtype=np.float64))
@@ -254,6 +255,35 @@ def _line_of_sight(model: PinholeModel, points: np.ndarray, objects: list[SceneO
     return px, ok
 
 
+def _mirror_chains(objects, points, dirs, normals, device: PinholeModel, *, snap: bool, steps: int):
+    """Follow rays that met a mirror at ``points`` through up to ``steps`` reflections.
+
+    Each step reflects the rays, intersects them with the scene and yields
+    (rows, landing points, device pixels, landed objects, bounce) for the
+    rays that land on a scattering surface which ``device`` sees (see
+    ``_line_of_sight``); ``rows`` index the starting rays. Rays that land on
+    a pure mirror carry on to the next step. The first step yields bounce 2.
+    """
+    scatters = np.array([o.material.scatters for o in objects])
+    pure_mirrors = np.array([o.material.mirrors and not o.material.scatters for o in objects])
+    rows = np.arange(len(points))
+    for bounce in range(2, 2 + steps):
+        if len(rows) == 0:
+            return
+        rd = reflect_direction(dirs, normals)
+        ro = points + rd * HIT_EPS_MM
+        t, normals, obj = intersect_ray_batch(ro, rd, objects)
+        found = obj >= 0
+        land = found & scatters[np.clip(obj, 0, None)]
+        if np.any(land):
+            X = ro[land] + t[land, None] * rd[land]
+            px, seen = _line_of_sight(device, X, objects, snap=snap)
+            yield rows[land][seen], X[seen], px[seen], obj[land][seen], bounce
+        chain = found & pure_mirrors[np.clip(obj, 0, None)]
+        points = ro[chain] + t[chain, None] * rd[chain]
+        dirs, normals, rows = rd[chain], normals[chain], rows[chain]
+
+
 def _apply_noise(stream: EventStream, gt: GroundTruth, noise: NoiseModel, camera: PinholeModel, span):
     rng = np.random.default_rng(noise.seed)
     counts = {"dropped": 0, "spurious": 0}
@@ -309,7 +339,6 @@ def simulate_scan(
     *,
     mode: str = "dual",
     generate_higher_bounces: bool = False,
-    max_mirror_bounces: int = 3,
 ) -> SimulationResult:
     """Trace the scan and return the sorted event stream plus ground truth.
 
@@ -337,6 +366,11 @@ def simulate_scan(
 
     sweeps = [SWEEP_VERTICAL] if mode == "single" else [SWEEP_VERTICAL, SWEEP_HORIZONTAL]
 
+    def emit_pairs(cam_px, pp, bounce, points, label, on_epi):
+        for sweep in sweeps:
+            pos = pp[:, 0] if sweep == SWEEP_VERTICAL else pp[:, 1]
+            emitter.emit(sweep, cam_px, pos, bounce, points, label, pp, on_epi)
+
     if mode in ("dual", "single"):
         pixels = _camera_pixel_grid(camera)
         center = camera.center
@@ -354,59 +388,26 @@ def simulate_scan(
             pp, lit = _line_of_sight(projector, P, objects, snap=False)
             sel = np.where(direct)[0][lit]
             P, pp = P[lit], pp[lit]
-            n_emit = len(sel)
-            counts["direct_pairs"] += n_emit * len(sweeps)
-            for sweep in sweeps:
-                pos = pp[:, 0] if sweep == SWEEP_VERTICAL else pp[:, 1]
-                emitter.emit(
-                    sweep,
-                    pixels[sel],
-                    pos,
-                    np.ones(n_emit, dtype=np.int16),
-                    P,
-                    obj_idx[sel],
-                    pp,
-                    np.zeros(n_emit, dtype=bool),
-                )
+            counts["direct_pairs"] += len(sel) * len(sweeps)
+            emit_pairs(pixels[sel], pp, 1, P, obj_idx[sel], np.zeros(len(sel), dtype=bool))
 
         # Indirect channel: follow mirror reflections from specular pixels
         # back to the diffuse point that acts as the screen.
-        specular = hit & mirrors[np.clip(obj_idx, 0, None)]
-        if np.any(specular):
-            idx = np.where(specular)[0]
-            ro = center + t_hit[idx, None] * dirs[idx]
-            rd = reflect_direction(dirs[idx], normals[idx])
-            ro = ro + rd * HIT_EPS_MM
-            mirror_hits = np.ones(len(idx), dtype=np.int16)
-            for _ in range(max_mirror_bounces):
-                if len(idx) == 0:
-                    break
-                t2, n2, o2 = intersect_ray_batch(ro, rd, objects)
-                found = o2 >= 0
-                land_scatter = found & scatters[np.clip(o2, 0, None)]
-                if np.any(land_scatter):
-                    Q = ro[land_scatter] + t2[land_scatter, None] * rd[land_scatter]
-                    pp, lit = _line_of_sight(projector, Q, objects, snap=False)
-                    sel = idx[land_scatter][lit]
-                    bounce = (1 + mirror_hits[land_scatter][lit]).astype(np.int16)
-                    Q, pp = Q[lit], pp[lit]
-                    if len(sel):
-                        on_epi = epipolar_distances(F, pp, pixels[sel]) <= ON_EPIPOLAR_TAU_PX
-                        for sweep in sweeps:
-                            pos = pp[:, 0] if sweep == SWEEP_VERTICAL else pp[:, 1]
-                            emitter.emit(sweep, pixels[sel], pos, bounce, Q, obj_idx[sel], pp, on_epi)
-                        counts["two_bounce_pairs"] += int((bounce == 2).sum()) * len(sweeps)
-                        counts["higher_bounce_pairs"] += int((bounce > 2).sum()) * len(sweeps)
-                if not generate_higher_bounces:
-                    break
-                chain = found & mirrors[np.clip(o2, 0, None)] & ~scatters[np.clip(o2, 0, None)]
-                if not np.any(chain):
-                    break
-                hp = ro[chain] + t2[chain, None] * rd[chain]
-                rd = reflect_direction(rd[chain], n2[chain])
-                ro = hp + rd * HIT_EPS_MM
-                idx = idx[chain]
-                mirror_hits = mirror_hits[chain] + 1
+        start = np.where(hit & mirrors[np.clip(obj_idx, 0, None)])[0]
+        chains = _mirror_chains(
+            objects,
+            center + t_hit[start, None] * dirs[start],
+            dirs[start],
+            normals[start],
+            projector,
+            snap=False,
+            steps=MAX_MIRROR_BOUNCES if generate_higher_bounces else 1,
+        )
+        for rows, Q, pp, _, bounce in chains:
+            sel = start[rows]
+            on_epi = epipolar_distances(F, pp, pixels[sel]) <= ON_EPIPOLAR_TAU_PX
+            emit_pairs(pixels[sel], pp, bounce, Q, obj_idx[sel], on_epi)
+            counts["two_bounce_pairs" if bounce == 2 else "higher_bounce_pairs"] += len(sel) * len(sweeps)
 
         # Specular-first paths (laser hits a mirror before any diffuse
         # surface); rejection fodder, generated only on request.
@@ -415,42 +416,22 @@ def simulate_scan(
             kx, ky = np.meshgrid(np.arange(steps), np.arange(steps))
             ppix = np.stack([kx.ravel(), ky.ravel()], axis=1).astype(np.float64)
             pdirs = pixel_directions(projector, ppix)
-            porig = np.broadcast_to(projector.center, pdirs.shape)
-            t1, n1, o1 = intersect_ray_batch(porig, pdirs, objects)
-            first_mirror = (o1 >= 0) & mirrors[np.clip(o1, 0, None)] & ~scatters[np.clip(o1, 0, None)]
-            idx = np.where(first_mirror)[0]
-            ro = porig[idx] + t1[idx, None] * pdirs[idx]
-            rd = reflect_direction(pdirs[idx], n1[idx])
-            ro = ro + rd * HIT_EPS_MM
-            nbounce = np.ones(len(idx), dtype=np.int16)
-            for _ in range(max_mirror_bounces):
-                if len(idx) == 0:
-                    break
-                t2, n2, o2 = intersect_ray_batch(ro, rd, objects)
-                found = o2 >= 0
-                land = found & scatters[np.clip(o2, 0, None)]
-                if np.any(land):
-                    D = ro[land] + t2[land, None] * rd[land]
-                    cam_pix, seen = _line_of_sight(camera, D, objects, snap=True)
-                    sel = np.where(land)[0][seen]
-                    if len(sel):
-                        D_v = D[seen]
-                        pix = cam_pix[seen]
-                        pp = ppix[idx[sel]]
-                        bounce = (nbounce[sel] + 1).astype(np.int16)
-                        on_epi = epipolar_distances(F, pp, pix.astype(np.float64)) <= ON_EPIPOLAR_TAU_PX
-                        for sweep in sweeps:
-                            pos = pp[:, 0] if sweep == SWEEP_VERTICAL else pp[:, 1]
-                            emitter.emit(sweep, pix, pos, bounce, D_v, o2[land][seen], pp, on_epi)
-                        counts["higher_bounce_pairs"] += len(sel) * len(sweeps)
-                chain = found & mirrors[np.clip(o2, 0, None)] & ~scatters[np.clip(o2, 0, None)]
-                if not np.any(chain):
-                    break
-                hp = ro[chain] + t2[chain, None] * rd[chain]
-                rd = reflect_direction(rd[chain], n2[chain])
-                ro = hp + rd * HIT_EPS_MM
-                idx = idx[chain]
-                nbounce = nbounce[chain] + 1
+            t1, n1, o1 = intersect_ray_batch(np.broadcast_to(projector.center, pdirs.shape), pdirs, objects)
+            start = np.where((o1 >= 0) & mirrors[np.clip(o1, 0, None)] & ~scatters[np.clip(o1, 0, None)])[0]
+            chains = _mirror_chains(
+                objects,
+                projector.center + t1[start, None] * pdirs[start],
+                pdirs[start],
+                n1[start],
+                camera,
+                snap=True,
+                steps=MAX_MIRROR_BOUNCES,
+            )
+            for rows, D, cam_px, landed, bounce in chains:
+                pp = ppix[start[rows]]
+                on_epi = epipolar_distances(F, pp, cam_px) <= ON_EPIPOLAR_TAU_PX
+                emit_pairs(cam_px, pp, bounce, D, landed, on_epi)
+                counts["higher_bounce_pairs"] += len(rows) * len(sweeps)
         scan_span = schedule.total_us(len(sweeps))
     else:
         # Explicit point raster: one projector pixel at a time, each held for
@@ -475,7 +456,7 @@ def simulate_scan(
                 SWEEP_RASTER,
                 pix,
                 ppix[sel][:, 0],
-                np.ones(len(sel), dtype=np.int16),
+                1,
                 D[seen],
                 o1[sel],
                 ppix[sel],

@@ -3,13 +3,9 @@ import pytest
 
 from eventscan.geometry import (
     DegenerateGeometryError,
-    DegenerateProjectionError,
     PinholeModel,
-    Ray,
     epipolar_distances,
     fundamental_from_models,
-    pixel_to_ray,
-    project,
     project_points,
     pixel_directions,
     rigid_transform_model,
@@ -39,35 +35,26 @@ def random_model(rng, k1=0.0):
 
 def test_principal_ray():
     m = PinholeModel(fx=1, fy=1, cx=0, cy=0, width=10, height=10)
-    r = pixel_to_ray(m, (0.0, 0.0))
-    assert np.allclose(r.origin, 0)
-    assert np.allclose(r.direction, [0, 0, 1])
+    assert np.allclose(m.center, 0)
+    assert np.allclose(pixel_directions(m, np.array([[0.0, 0.0]])), [[0, 0, 1]])
 
 
 def test_45_degree_pixel():
     m = PinholeModel(fx=100, fy=100, cx=0, cy=0, width=200, height=200)
-    r = pixel_to_ray(m, (100.0, 0.0))
-    assert np.allclose(r.direction, unit(np.array([1.0, 0.0, 1.0])))
+    assert np.allclose(pixel_directions(m, np.array([[100.0, 0.0]]))[0], unit(np.array([1.0, 0.0, 1.0])))
 
 
 def test_project_on_axis():
     m = PinholeModel(fx=500, fy=500, cx=360, cy=640, width=720, height=1280)
-    assert np.allclose(project(m, np.array([0.0, 0.0, 1000.0])), [360, 640])
+    px, valid = project_points(m, np.array([0.0, 0.0, 1000.0]))
+    assert valid[0]
+    assert np.allclose(px[0], [360, 640])
 
 
-def test_project_behind_center_raises():
+def test_project_points_flags_points_behind_center():
     m = PinholeModel(fx=500, fy=500, cx=100, cy=100, width=200, height=200)
-    with pytest.raises(DegenerateProjectionError):
-        project(m, np.array([0.0, 0.0, -5.0]))
-
-
-def test_pixel_to_ray_rejects_nonfinite_and_out_of_bounds():
-    m = PinholeModel(fx=500, fy=500, cx=100, cy=100, width=200, height=200)
-    with pytest.raises(ValueError):
-        pixel_to_ray(m, (np.nan, 0.0))
-    with pytest.raises(ValueError):
-        pixel_to_ray(m, (250.0, 0.0))
-    pixel_to_ray(m, (-1.0, 200.0))  # one pixel of margin is allowed
+    _, valid = project_points(m, np.array([[0.0, 0.0, -5.0], [0.0, 0.0, 0.0], [0.0, 0.0, 5.0]]))
+    assert valid.tolist() == [False, False, True]
 
 
 def test_back_projection_round_trip_contains_point():
@@ -76,11 +63,12 @@ def test_back_projection_round_trip_contains_point():
         m = random_model(rng)
         seed_px = np.array([rng.uniform(0, m.width), rng.uniform(0, m.height)])
         point = m.center + rng.uniform(200, 800) * pixel_directions(m, seed_px[None])[0]
-        px = project(m, point)
-        ray = pixel_to_ray(m, px)
-        # distance from the point to the ray
-        v = point - ray.origin
-        d = np.linalg.norm(v - (v @ ray.direction) * ray.direction)
+        px, valid = project_points(m, point)
+        assert valid[0]
+        direction = pixel_directions(m, px)[0]
+        # distance from the point to the ray through the optical center
+        v = point - m.center
+        d = np.linalg.norm(v - (v @ direction) * direction)
         assert d < 1e-6
 
 
@@ -174,8 +162,6 @@ def test_model_validation():
         PinholeModel(fx=1, fy=1, cx=9, cy=0, width=4, height=4)
     with pytest.raises(ValueError):
         PinholeModel(fx=1, fy=1, cx=0, cy=0, width=4, height=4, rotation=np.eye(3) * 2)
-    with pytest.raises(ValueError):
-        Ray(np.zeros(3), np.array([0.0, 0.0, 2.0]))
 
 
 def test_rigid_transform_model_reprojects():

@@ -70,6 +70,17 @@ def test_config_defaults_echoed(tmp_path):
     assert eff["init_depth"] == "auto"
 
 
+def test_steps_off_projector_pixelation_rejected_before_writing(tmp_path):
+    # sweep steps are projector pixels; plane.scene's projector is 801 px square
+    p = write_cfg(tmp_path, f"scene = {REPO/'scenes'/'plane.scene'}\nsteps = 800\n")
+    with pytest.raises(ConfigError, match="steps 800"):
+        run_pipeline(load_config(p), tmp_path / "lib")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(p), "--out", str(out)]) == 2
+    assert cli_main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    assert not out.exists() and not (tmp_path / "lib").exists()
+
+
 def test_bad_mode_rejected():
     with pytest.raises(ConfigError):
         PipelineConfig(scene="x", mode="turbo")
@@ -161,9 +172,9 @@ def test_decode_on_empty_stream_warns(tmp_path):
     out.mkdir()
     cfg = load_config(CONFIGS / "plane.cfg")
     from eventscan.events import EventStream
-    from eventscan.pipeline import stage_simulate
+    from eventscan.pipeline import load_run_scene, stage_simulate
 
-    stage_simulate(cfg, out)
+    stage_simulate(cfg, out, load_run_scene(cfg))
     EventStream.empty().save_text(out / "events.txt")
     rc = cli_main(["decode", "--config", str(CONFIGS / "plane.cfg"), "--out", str(out)])
     assert rc == 0

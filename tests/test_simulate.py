@@ -240,10 +240,23 @@ def test_higher_bounce_generation_flag():
     on = simulate_scan([wall_object(), mirror], camera, projector, sched, generate_higher_bounces=True)
     assert off.counts["higher_bounce_pairs"] == 0
     assert on.counts["higher_bounce_pairs"] > 0
-    # specular-first paths are annotated with the laser's projector pixel
-    gt = on.ground_truth
     extra = len(on.events) - len(off.events)
     assert extra == 4 * on.counts["higher_bounce_pairs"] / 2  # pairs counted per sweep
+    wall, mirror_label = (on.ground_truth.labels.index(name) for name in ("wall", "mirror"))
+    # camera-first rows carry the mirror's label; one flat mirror cannot
+    # chain, so the flag leaves them unchanged
+    off_multi = off.ground_truth.bounce >= 2
+    assert off_multi.any()
+    assert np.all(off.ground_truth.object_label[off_multi] == mirror_label)
+    gt = on.ground_truth
+    assert ((gt.bounce >= 2) & (gt.object_label == mirror_label)).sum() == off_multi.sum()
+    # specular-first rows are bounce 2, labelled with the wall the laser lands
+    # on after the mirror, and annotated with the laser's integer projector pixel
+    specular_first = (gt.bounce >= 2) & (gt.object_label == wall)
+    assert specular_first.sum() == extra
+    assert np.all(gt.bounce[specular_first] == 2)
+    pp = gt.projector_pixel[specular_first]
+    assert np.array_equal(pp, np.round(pp))
 
 
 def test_two_mirror_chain_bounce_three():
