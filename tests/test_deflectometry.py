@@ -142,6 +142,25 @@ def test_fc_zero_gradients_constant():
     assert np.abs(z).max() < 1e-12
 
 
+def test_fc_normal_map_interface():
+    h = w = 64
+    yy, xx = np.mgrid[0:h, 0:w]
+    # plane with slopes (p0, q0): normal ~ (-p0, -q0, 1)
+    p0, q0 = 0.2, -0.1
+    normals = unit(np.stack([np.full((h, w), -p0), np.full((h, w), -q0), np.ones((h, w))], axis=-1))
+    nm = NormalMap(normals, np.ones((h, w), bool), origin=(0, 0))
+    # slopes per cell of pitch 2 mm, read back from the map's normals
+    pitch = 2.0
+    nz = nm.normals[..., 2]
+    p = -pitch * nm.normals[..., 0] / nz
+    q = -pitch * nm.normals[..., 1] / nz
+    z = integrate_gradients(p, q)
+    zt = pitch * (p0 * xx + q0 * yy)
+    zt = zt - zt.mean()
+    assert np.abs(z - zt).max() < 1e-9
+    assert curl_rms(p, q, nm.mask) < 1e-12
+
+
 def test_fc_masked_regions_padded_and_remasked():
     h = w = 64
     p0, q0 = 0.4, -0.2
