@@ -7,7 +7,7 @@ broken by ``(y, x, polarity)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,12 +39,25 @@ class EventStream:
         return EventStream(z, z, z, z)
 
     def sort_order(self) -> np.ndarray:
-        """Canonical order: t, then y, x, polarity."""
-        return np.lexsort((self.polarity, self.x, self.y, self.t))
+        """Canonical order: t, then y, x, polarity; equal events keep their order.
 
-    def is_sorted(self) -> bool:
-        order = self.sort_order()
-        return bool(np.all(order == np.arange(len(self))))
+        One stable argsort of a packed uint64 key, each field offset by its
+        minimum and given the bits its span needs; ``np.lexsort`` when the
+        spans need more than 64 bits together.
+        """
+        keys = (self.t, self.y, self.x, self.polarity)
+        lows = [int(k.min()) for k in keys] if len(self) else []
+        bits = [(int(k.max()) - lo).bit_length() for k, lo in zip(keys, lows)]
+        if not lows or sum(bits) > 64:
+            return np.lexsort(keys[::-1])
+        packed = np.zeros(len(self), dtype=np.uint64)
+        for k, lo, b in zip(keys, lows, bits):
+            packed <<= np.uint64(b)
+            offset = k.astype(np.int64)
+            # int64 arithmetic wraps, so the uint64 view is the true offset
+            offset -= np.int64(lo)
+            packed |= offset.view(np.uint64)
+        return np.argsort(packed, kind="stable")
 
     def take(self, order: np.ndarray) -> "EventStream":
         return EventStream(self.t[order], self.x[order], self.y[order], self.polarity[order])
@@ -71,27 +84,58 @@ SWEEP_HORIZONTAL = 1
 SWEEP_RASTER = 2
 
 
+# Per-path column -> value it reads as for a spurious event (path -1).
+UNANNOTATED = {"bounce": 0, "surface_point": np.nan, "object_label": -1, "projector_pixel": np.nan, "on_epipolar": False}
+
+_TABLE_COLUMNS = ["event", "bounce", "sx", "sy", "sz", "label", "px", "py", "on_epipolar", "sweep", "step", "step_time_us"]
+
+
+def _step_key(sweep, step) -> np.ndarray:
+    return np.asarray(sweep, dtype=np.int64) * (1 << 32) + np.asarray(step, dtype=np.int64)
+
+
+def step_table(sweep, step, time) -> np.ndarray:
+    """One (sweep, step, time) row per distinct (sweep, step), sorted by it.
+
+    ValueError when one pair comes with two times.
+    """
+    keys = _step_key(sweep, step)
+    order = np.argsort(keys, kind="stable")
+    keys, times = keys[order], np.asarray(time)[order]
+    same = keys[1:] == keys[:-1]
+    if np.any(same & (times[1:] != times[:-1])):
+        raise ValueError("one (sweep, step) pair has two step times")
+    rows = order[np.concatenate([[True], ~same])] if len(keys) else order
+    return np.stack([np.asarray(col, dtype=np.int64)[rows] for col in (sweep, step, time)], axis=1)
+
+
 @dataclass
 class GroundTruth:
-    """Per-event annotations for simulator output, keyed by event index.
+    """Simulator annotations: one row per light path, one path index per event.
 
-    ``bounce`` is 0 for spurious noise events (no annotation). For two-bounce
-    reflections ``surface_point`` and ``projector_pixel`` describe the first
-    (diffuse) bounce, which is what the deflectometry screen lookup needs.
-    ``on_epipolar`` flags multi-bounce events that nevertheless land within
-    2 px of their epipolar line (the acknowledged rare exception).
-    ``step_time_us`` is the schedule time of the projector step that caused
-    the event: the projector-side timestamp.
+    A light path's ON and OFF events, in every sweep, share one annotation
+    row; ``path`` maps each event to it, and spurious noise events have path
+    -1 (see ``UNANNOTATED`` for what they read as). ``bounce`` is >= 1. For
+    two-bounce reflections ``surface_point`` and ``projector_pixel`` describe
+    the first (diffuse) bounce, which is what the deflectometry screen lookup
+    needs. ``on_epipolar`` flags multi-bounce paths that nevertheless land
+    within 2 px of their epipolar line (the acknowledged rare exception).
+
+    Per event, ``sweep`` and ``step`` name the projector step that caused it
+    (-1 for spurious events). ``step_times`` holds one (sweep, step, time)
+    row per pair that occurs, sorted by (sweep, step); ``step_time_us`` looks
+    each event's step up in it: the projector-side timestamp.
     """
 
-    bounce: np.ndarray  # int16; 0 = unannotated noise
-    surface_point: np.ndarray  # (N, 3) float64, nan when unannotated
-    object_label: np.ndarray  # int32 index into labels, -1 when unannotated
-    projector_pixel: np.ndarray  # (N, 2) float64 continuous, nan when unannotated
+    bounce: np.ndarray  # int16, per path
+    surface_point: np.ndarray  # (P, 3) float64
+    object_label: np.ndarray  # int32 index into labels
+    projector_pixel: np.ndarray  # (P, 2) float64 continuous
     on_epipolar: np.ndarray  # bool
+    path: np.ndarray  # int32 per event, -1 for spurious events
     sweep: np.ndarray  # int8: 0 vertical, 1 horizontal, 2 raster, -1 none
     step: np.ndarray  # int32 projector step index, -1 none
-    step_time_us: np.ndarray  # int64, -1 none
+    step_times: np.ndarray  # (K, 3) int64 rows (sweep, step, time_us)
     labels: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -100,56 +144,65 @@ class GroundTruth:
         self.object_label = np.asarray(self.object_label, dtype=np.int32)
         self.projector_pixel = np.asarray(self.projector_pixel, dtype=np.float64).reshape(-1, 2)
         self.on_epipolar = np.asarray(self.on_epipolar, dtype=bool)
+        self.path = np.asarray(self.path, dtype=np.int32)
         self.sweep = np.asarray(self.sweep, dtype=np.int8)
         self.step = np.asarray(self.step, dtype=np.int32)
-        self.step_time_us = np.asarray(self.step_time_us, dtype=np.int64)
+        self.step_times = np.asarray(self.step_times, dtype=np.int64).reshape(-1, 3)
         self.labels = tuple(self.labels)
+        if len({len(getattr(self, name)) for name in UNANNOTATED}) > 1:
+            raise ValueError("path columns must have equal length")
+        if not (len(self.sweep) == len(self.step) == len(self.path)):
+            raise ValueError("event columns must have equal length")
 
     def __len__(self) -> int:
-        return len(self.bounce)
+        """Number of events."""
+        return len(self.path)
+
+    def per_event(self, name: str, ids=slice(None)) -> np.ndarray:
+        """Path column ``name`` read at events ``ids`` (all by default)."""
+        col = getattr(self, name)
+        fill = np.full((1,) + col.shape[1:], UNANNOTATED[name], dtype=col.dtype)
+        # path -1 reads the appended fill row
+        return np.concatenate([col, fill])[self.path[ids]]
 
     @property
-    def annotated(self) -> np.ndarray:
-        return self.bounce > 0
+    def step_time_us(self) -> np.ndarray:
+        """Schedule time of each event's projector step."""
+        table = _step_key(self.step_times[:, 0], self.step_times[:, 1])
+        keys = _step_key(self.sweep, self.step)
+        at = np.searchsorted(table, keys)
+        found = at < len(table)
+        found[found] = table[at[found]] == keys[found]
+        if not found.all():
+            raise ValueError("an event's (sweep, step) is missing from step_times")
+        return self.step_times[at, 2]
 
     def take(self, order: np.ndarray) -> "GroundTruth":
-        return GroundTruth(
-            self.bounce[order],
-            self.surface_point[order],
-            self.object_label[order],
-            self.projector_pixel[order],
-            self.on_epipolar[order],
-            self.sweep[order],
-            self.step[order],
-            self.step_time_us[order],
-            self.labels,
-        )
+        """The events ``order`` selects, sharing this object's paths."""
+        return replace(self, path=self.path[order], sweep=self.sweep[order], step=self.step[order])
 
     def save_text(self, path) -> None:
-        idx = np.arange(len(self))
+        """One row per event, with its path's annotation written out."""
+
+        def columns():
+            # expanded one path column at a time, so only one is alive at once
+            yield np.arange(len(self))
+            for name in UNANNOTATED:
+                col = self.per_event(name)
+                yield from col.T if col.ndim == 2 else [col]
+            yield from (self.sweep, self.step, self.step_time_us)
+
         header = "labels: " + (" ".join(self.labels) if self.labels else "-")
-        formats.write_table(
-            path,
-            ["event", "bounce", "sx", "sy", "sz", "label", "px", "py", "on_epipolar", "sweep", "step", "step_time_us"],
-            [
-                idx,
-                self.bounce,
-                self.surface_point[:, 0],
-                self.surface_point[:, 1],
-                self.surface_point[:, 2],
-                self.object_label,
-                self.projector_pixel[:, 0],
-                self.projector_pixel[:, 1],
-                self.on_epipolar,
-                self.sweep,
-                self.step,
-                self.step_time_us,
-            ],
-            header=header,
-        )
+        formats.write_table(path, _TABLE_COLUMNS, columns(), header=header)
 
     @staticmethod
     def load_text(path) -> "GroundTruth":
+        """Each annotated row (bounce > 0) becomes its own path.
+
+        A row with bounce 0 is a spurious event and must carry no annotation,
+        and every row of one (sweep, step) must carry one step time;
+        otherwise FormatError.
+        """
         labels: tuple = ()
         with open(path) as f:
             first = f.readline().strip()
@@ -158,18 +211,30 @@ class GroundTruth:
             labels = tuple(rest) if rest != ["-"] else ()
         _, cols = formats.read_table(
             path,
-            ["event", "bounce", "sx", "sy", "sz", "label", "px", "py", "on_epipolar", "sweep", "step", "step_time_us"],
+            _TABLE_COLUMNS,
             [np.int64, np.int16, float, float, float, np.int32, float, float, ("false", "true"),
              np.int8, np.int32, np.int64],
         )
+        bounce, label, on_epi, sweep, step, times = cols[1], cols[5], cols[8], cols[9], cols[10], cols[11]
+        surface, proj = np.stack(cols[2:5], axis=1), np.stack(cols[6:8], axis=1)
+        annotated = bounce > 0
+        blank = (bounce == 0) & (label == -1) & (on_epi == 0) & np.isnan(surface).all(axis=1) & np.isnan(proj).all(axis=1)
+        stray = np.flatnonzero(~annotated & ~blank)
+        if len(stray):
+            raise formats.FormatError(f"{path}: row {stray[0] + 1} has bounce {bounce[stray[0]]} but an annotation")
+        try:
+            table = step_table(sweep, step, times)
+        except ValueError as exc:
+            raise formats.FormatError(f"{path}: {exc}") from None
         return GroundTruth(
-            cols[1],
-            np.stack(cols[2:5], axis=1),
-            cols[5],
-            np.stack(cols[6:8], axis=1),
-            cols[8],
-            cols[9],
-            cols[10],
-            cols[11],
+            bounce[annotated],
+            surface[annotated],
+            label[annotated],
+            proj[annotated],
+            on_epi[annotated],
+            np.where(annotated, np.cumsum(annotated) - 1, -1),
+            sweep,
+            step,
+            table,
             labels,
         )

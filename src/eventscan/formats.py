@@ -152,12 +152,16 @@ def _column_spec(a):
     return "%s", [str(v) for v in arr]
 
 
-def write_table(path, columns: list[str], arrays: list, header: str | None = None) -> None:
-    """Whitespace-separated table with a ``# col1 col2 ...`` header line."""
-    n = len(arrays[0]) if arrays else 0
-    for a in arrays:
-        if len(a) != n:
-            raise ValueError("table columns must have equal length")
+def write_table(path, columns: list[str], arrays, header: str | None = None) -> None:
+    """Whitespace-separated table with a ``# col1 col2 ...`` header line.
+
+    ``arrays`` is any iterable of columns. Each is converted before the next
+    is taken, so a generator can make them one at a time.
+    """
+    specs = [_column_spec(a) for a in arrays]
+    n = len(specs[0][1]) if specs else 0
+    if any(len(values) != n for _, values in specs):
+        raise ValueError("table columns must have equal length")
     head = []
     if header:
         head.append(f"# {header}")
@@ -165,7 +169,6 @@ def write_table(path, columns: list[str], arrays: list, header: str | None = Non
     if n == 0:
         Path(path).write_text("\n".join(head) + "\n")
         return
-    specs = [_column_spec(a) for a in arrays]
     fmt = " ".join(s[0] for s in specs)
     body = "\n".join(fmt % row for row in zip(*[s[1] for s in specs]))
     Path(path).write_text("\n".join(head) + "\n" + body + "\n")

@@ -134,7 +134,7 @@ def truth_class_of(correspondences: CorrespondenceSet, truth: GroundTruth) -> np
     if len(offsets) < n + 1:
         raise ValueError("event_offsets must hold one more entry than there are correspondences")
     # per-row counts are differences of running sums read at the CSR offsets
-    bounce = truth.bounce[ids]
+    bounce = truth.per_event("bounce", ids)
     running = np.zeros((2, len(ids) + 1), dtype=np.int64)
     np.cumsum(bounce == 1, out=running[0, 1:])
     np.cumsum(bounce > 0, out=running[1, 1:])

@@ -15,6 +15,7 @@ the store. Both paths therefore run the same code on the same inputs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import typing
@@ -93,6 +94,9 @@ class PipelineConfig:
     jitter_us: float | None = _check(None, ">= 0", lambda v: v >= 0)
     spurious_rate: float | None = _check(None, ">= 0", lambda v: v >= 0)
     drop_probability: float | None = _check(None, "in [0, 1]", lambda v: 0 <= v <= 1)
+    # not a config key: ``scene`` and ``calibration`` as the config file
+    # wrote them, before load_config resolved them; the manifest records these
+    written: dict = field(default_factory=dict, compare=False, metadata={"internal": True})
 
     def __post_init__(self):
         hints = typing.get_type_hints(PipelineConfig)
@@ -104,7 +108,11 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be {f.metadata['rule']}, got {value!r}")
 
     def effective(self) -> dict:
-        return asdict(self)
+        return {k: v for k, v in asdict(self).items() if not _internal(k)}
+
+
+def _internal(name: str) -> bool:
+    return PipelineConfig.__dataclass_fields__[name].metadata.get("internal", False)
 
 
 def load_config(path) -> PipelineConfig:
@@ -112,12 +120,12 @@ def load_config(path) -> PipelineConfig:
 
     An unknown key, a missing ``scene`` or a value of the wrong type or range
     is a ConfigError. Relative ``scene`` and ``calibration`` paths resolve
-    against the config file's directory.
+    against the config file's directory; ``written`` keeps them as written.
     """
     sections = formats.read_sections(path)
     if len(sections) != 1 or sections[0].name != "run":
         raise ConfigError(f"{path}: config must contain exactly one [run] section")
-    keys = {f.name for f in fields(PipelineConfig)}
+    keys = {f.name for f in fields(PipelineConfig) if not _internal(f.name)}
     values: dict = {}
     for key, raw in sections[0].pairs.items():
         if key not in keys:
@@ -126,11 +134,13 @@ def load_config(path) -> PipelineConfig:
     if "scene" not in values:
         raise ConfigError(f"{path}: config is missing 'scene'")
     base = Path(path).resolve().parent
+    written = {}
     for key in ("scene", "calibration"):
         value = values.get(key)
         if isinstance(value, str) and value != "from-scene" and not Path(value).is_absolute():
+            written[key] = value
             values[key] = str(base / value)
-    return PipelineConfig(**values)
+    return PipelineConfig(**values, written=written)
 
 
 def _apply_overrides(schedule: ScanSchedule, noise: NoiseModel, cfg: PipelineConfig):
@@ -480,11 +490,15 @@ def run_pipeline(cfg: PipelineConfig, out_dir) -> RunReport:
         numbers["bound"] = have["specular"][1]["bound"]
         numbers["uncovered"] = have["specular"][1]["uncovered"]
     numbers.update(have["metrics"])
+    # paths as the config wrote them, so the manifest does not depend on where
+    # the checkout lives, and the hash of each input file the run read
+    inputs = {key: getattr(cfg, key) for key in ("scene", "calibration") if getattr(cfg, key) != "from-scene"}
     manifest = {
         "tool": "eventscan",
         "version": __version__,
         "numpy": np.__version__,
-        "config": cfg.effective(),
+        "config": {**cfg.effective(), **cfg.written},
+        "input_sha256": {key: hashlib.sha256(Path(path).read_bytes()).hexdigest() for key, path in inputs.items()},
         "stages": stages_done,
         "numbers": {k: (float(v) if isinstance(v, (np.floating, float)) else int(v) if isinstance(v, (np.integer, int)) else v) for k, v in numbers.items()},
         "artifacts": sorted(p.name for p in out.iterdir() if p.is_file() and p.name != MANIFEST),

@@ -21,11 +21,11 @@ Reflection paths handled per camera pixel:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .events import SWEEP_HORIZONTAL, SWEEP_RASTER, SWEEP_VERTICAL, EventStream, GroundTruth
+from .events import SWEEP_HORIZONTAL, SWEEP_RASTER, SWEEP_VERTICAL, UNANNOTATED, EventStream, GroundTruth, step_table
 from .geometry import (
     PinholeModel,
     epipolar_distances,
@@ -145,25 +145,33 @@ class SimulationResult:
 
 
 class _Emitter:
-    """Accumulates +1/-1 event pairs with shared annotations."""
+    """Accumulates light paths, each annotated once, and their +1/-1 event pairs."""
 
     def __init__(self, schedule: ScanSchedule, labels: list[str]):
         self.schedule = schedule
         self.labels = labels
-        self.t: list[np.ndarray] = []
-        self.x: list[np.ndarray] = []
-        self.y: list[np.ndarray] = []
-        self.pol: list[np.ndarray] = []
-        self.bounce: list[np.ndarray] = []
-        self.surface: list[np.ndarray] = []
-        self.label: list[np.ndarray] = []
-        self.proj: list[np.ndarray] = []
-        self.on_epi: list[np.ndarray] = []
-        self.sweep: list[np.ndarray] = []
-        self.step: list[np.ndarray] = []
-        self.step_time: list[np.ndarray] = []
+        self.n_paths = 0
+        self.paths: dict[str, list] = {name: [] for name in UNANNOTATED}
+        self.events: dict[str, list] = {name: [] for name in ("t", "x", "y", "polarity", "path", "sweep", "step")}
+        self.step_times: list[np.ndarray] = []
 
-    def emit(self, sweep, pixels, positions, bounce, surface, label_idx, proj_pixel, on_epi, raster_step=None):
+    def add_paths(self, bounce, surface, label_idx, proj_pixel, on_epi) -> np.ndarray:
+        """Annotate ``len(label_idx)`` new light paths; returns their ids."""
+        n = len(label_idx)
+        columns = {
+            "bounce": np.full(n, bounce, dtype=np.int16),
+            "surface_point": surface,
+            "object_label": label_idx,
+            "projector_pixel": proj_pixel,
+            "on_epipolar": on_epi,
+        }
+        for name, col in columns.items():
+            self.paths[name].append(col)
+        self.n_paths += n
+        return np.arange(self.n_paths - n, self.n_paths, dtype=np.int32)
+
+    def emit(self, sweep, pixels, positions, path, raster_step=None):
+        """The ON and OFF event of each of ``path`` in one sweep (or the raster)."""
         n = len(positions)
         if n == 0:
             return
@@ -180,47 +188,33 @@ class _Emitter:
             step = np.floor((t_on - start) * sched.steps_per_sweep / sched.sweep_duration_us).astype(np.int32)
             step = np.clip(step, 0, sched.steps_per_sweep - 1)
             step_time = sched.step_time(sweep, step)
+        steps, first = np.unique(step, return_index=True)
+        self.step_times.append(np.stack([np.full(len(steps), sweep), steps, step_time[first]], axis=1))
+        shared = {
+            "x": pixels[:, 0].astype(np.int32),
+            "y": pixels[:, 1].astype(np.int32),
+            "path": path,
+            "sweep": np.full(n, sweep, dtype=np.int8),
+            "step": step,
+        }
         for t_ev, pol in ((t_on, 1), (t_off, -1)):
-            self.t.append(t_ev)
-            self.x.append(pixels[:, 0].astype(np.int32))
-            self.y.append(pixels[:, 1].astype(np.int32))
-            self.pol.append(np.full(n, pol, dtype=np.int8))
-            self.bounce.append(np.full(n, bounce, dtype=np.int16))
-            self.surface.append(np.asarray(surface, dtype=np.float64))
-            self.label.append(np.asarray(label_idx, dtype=np.int32))
-            self.proj.append(np.asarray(proj_pixel, dtype=np.float64))
-            self.on_epi.append(np.asarray(on_epi, dtype=bool))
-            self.sweep.append(np.full(n, sweep, dtype=np.int8))
-            self.step.append(step)
-            self.step_time.append(step_time)
+            self.events["t"].append(t_ev)
+            self.events["polarity"].append(np.full(n, pol, dtype=np.int8))
+            for name, col in shared.items():
+                self.events[name].append(col)
 
     def result(self) -> tuple[EventStream, GroundTruth]:
-        if not self.t:
-            empty = EventStream.empty()
-            gt = GroundTruth(
-                np.zeros(0, dtype=np.int16),
-                np.zeros((0, 3)),
-                np.zeros(0, dtype=np.int32),
-                np.zeros((0, 2)),
-                np.zeros(0, dtype=bool),
-                np.zeros(0, dtype=np.int8),
-                np.zeros(0, dtype=np.int32),
-                np.zeros(0, dtype=np.int64),
-                tuple(self.labels),
-            )
-            return empty, gt
-        stream = EventStream(np.concatenate(self.t), np.concatenate(self.x), np.concatenate(self.y), np.concatenate(self.pol))
-        gt = GroundTruth(
-            np.concatenate(self.bounce),
-            np.concatenate(self.surface),
-            np.concatenate(self.label),
-            np.concatenate(self.proj),
-            np.concatenate(self.on_epi),
-            np.concatenate(self.sweep),
-            np.concatenate(self.step),
-            np.concatenate(self.step_time),
-            tuple(self.labels),
-        )
+        def drain(parts):
+            # concatenate and let go of the parts, one column at a time
+            out = np.concatenate(parts) if parts else np.zeros(0)
+            parts.clear()
+            return out
+
+        ev = {name: drain(parts) for name, parts in self.events.items()}
+        paths = {name: drain(parts) for name, parts in self.paths.items()}
+        stream = EventStream(ev["t"], ev["x"], ev["y"], ev["polarity"])
+        table = step_table(*np.concatenate(self.step_times or [np.zeros((0, 3), dtype=np.int64)]).T)
+        gt = GroundTruth(**paths, path=ev["path"], sweep=ev["sweep"], step=ev["step"], step_times=table, labels=tuple(self.labels))
         return stream, gt
 
 
@@ -297,7 +291,7 @@ def _apply_noise(stream: EventStream, gt: GroundTruth, noise: NoiseModel, camera
         keep = rng.random(len(t)) >= noise.drop_probability
         counts["dropped"] = int((~keep).sum())
     stream = EventStream(t[keep], stream.x[keep], stream.y[keep], stream.polarity[keep])
-    gt = gt.take(np.where(keep)[0])
+    gt = gt.take(keep)
     if noise.spurious_rate > 0:
         t0, t1 = span
         expected = noise.spurious_rate * max(t1 - t0, 1) * (camera.width * camera.height / 1e6)
@@ -314,18 +308,14 @@ def _apply_noise(stream: EventStream, gt: GroundTruth, noise: NoiseModel, camera
                 np.concatenate([stream.y, ys]),
                 np.concatenate([stream.polarity, ps]),
             )
-            nan3 = np.full((n_spur, 3), np.nan)
-            nan2 = np.full((n_spur, 2), np.nan)
-            gt = GroundTruth(
-                np.concatenate([gt.bounce, np.zeros(n_spur, dtype=np.int16)]),
-                np.concatenate([gt.surface_point, nan3]),
-                np.concatenate([gt.object_label, np.full(n_spur, -1, dtype=np.int32)]),
-                np.concatenate([gt.projector_pixel, nan2]),
-                np.concatenate([gt.on_epipolar, np.zeros(n_spur, dtype=bool)]),
-                np.concatenate([gt.sweep, np.full(n_spur, -1, dtype=np.int8)]),
-                np.concatenate([gt.step, np.full(n_spur, -1, dtype=np.int32)]),
-                np.concatenate([gt.step_time_us, np.full(n_spur, -1, dtype=np.int64)]),
-                gt.labels,
+            # spurious events belong to no path and no projector step
+            none = np.full(n_spur, -1)
+            gt = replace(
+                gt,
+                path=np.concatenate([gt.path, none]),
+                sweep=np.concatenate([gt.sweep, none]),
+                step=np.concatenate([gt.step, none]),
+                step_times=np.concatenate([[[-1, -1, -1]], gt.step_times]),
             )
     return stream, gt, counts
 
@@ -367,9 +357,10 @@ def simulate_scan(
     sweeps = [SWEEP_VERTICAL] if mode == "single" else [SWEEP_VERTICAL, SWEEP_HORIZONTAL]
 
     def emit_pairs(cam_px, pp, bounce, points, label, on_epi):
+        path = emitter.add_paths(bounce, points, label, pp, on_epi)
         for sweep in sweeps:
             pos = pp[:, 0] if sweep == SWEEP_VERTICAL else pp[:, 1]
-            emitter.emit(sweep, cam_px, pos, bounce, points, label, pp, on_epi)
+            emitter.emit(sweep, cam_px, pos, path)
 
     if mode in ("dual", "single"):
         pixels = _camera_pixel_grid(camera)
@@ -452,17 +443,8 @@ def simulate_scan(
         if len(sel):
             pix = cam_pix[seen]
             counts["direct_pairs"] += len(sel)
-            emitter.emit(
-                SWEEP_RASTER,
-                pix,
-                ppix[sel][:, 0],
-                1,
-                D[seen],
-                o1[sel],
-                ppix[sel],
-                np.zeros(len(sel), dtype=bool),
-                raster_step=raster_step[sel],
-            )
+            path = emitter.add_paths(1, D[seen], o1[sel], ppix[sel], np.zeros(len(sel), dtype=bool))
+            emitter.emit(SWEEP_RASTER, pix, ppix[sel][:, 0], path, raster_step=raster_step[sel])
         scan_span = int(round(steps * steps * schedule.step_us))
 
     stream, gt = emitter.result()

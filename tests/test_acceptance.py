@@ -101,7 +101,7 @@ def test_criterion_3_epipolar_separation(mirror_chain):
     acc_b1 = (pred[b1] == DIRECT).mean()
     recall_b2 = (pred[b2] == INDIRECT).mean()
     misses = np.where(b2 & (pred == DIRECT))[0]
-    attributable = all(gt.on_epipolar[corr.events_of(i)].all() for i in misses)
+    attributable = all(gt.on_epipolar[gt.path[corr.events_of(i)]].all() for i in misses)
     ok = acc_b1 == 1.0 and recall_b2 >= 0.95 and attributable
     report(3, ok, f"bounce-1 accuracy {acc_b1:.4f}, bounce-2 recall {recall_b2:.4f}, {len(misses)} attributable misses")
     assert acc_b1 == 1.0

@@ -87,7 +87,8 @@ def test_decode_recovers_ground_truth_indices(plane_scan):
     sched = plane_scan["schedule"]
     a = decode.assign_sweeps(res.events, sched, 0, 2)
     gt = res.ground_truth.take(a.event_index)
-    pos_true = np.where(a.sweep == SWEEP_VERTICAL, gt.projector_pixel[:, 0], gt.projector_pixel[:, 1])
+    pp = gt.projector_pixel[gt.path]
+    pos_true = np.where(a.sweep == SWEEP_VERTICAL, pp[:, 0], pp[:, 1])
     onset = a.polarity > 0
     # timestamp rounding moves the position by at most one microsecond
     tol = sched.steps_per_sweep / sched.sweep_duration_us * 1.0 + 1e-9
@@ -104,7 +105,7 @@ def test_decode_correspondences_match_ground_truth(plane_scan):
     key_ev = res.events.y.astype(np.int64) << 20 | res.events.x.astype(np.int64)
     first = {}
     for i in np.unique(key_ev, return_index=True)[1]:
-        first[key_ev[i]] = gt.projector_pixel[i]
+        first[key_ev[i]] = gt.projector_pixel[gt.path[i]]
     key_corr = corr.camera_pixel[:, 1].astype(np.int64) << 20 | corr.camera_pixel[:, 0].astype(np.int64)
     truth = np.stack([first[k] for k in key_corr])
     err = np.abs(corr.projector_pixel - truth)
@@ -170,7 +171,7 @@ def test_single_sweep_epipolar_decoding():
     key_ev = res.events.y.astype(np.int64) << 20 | res.events.x.astype(np.int64)
     first = {}
     for i in np.unique(key_ev, return_index=True)[1]:
-        first[key_ev[i]] = gt.projector_pixel[i]
+        first[key_ev[i]] = gt.projector_pixel[gt.path[i]]
     key_corr = corr.camera_pixel[:, 1].astype(np.int64) << 20 | corr.camera_pixel[:, 0].astype(np.int64)
     truth = np.stack([first[k] for k in key_corr])
     # y_P comes from the epipolar constraint and is accurate to sub-pixel

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import struct
 import warnings
@@ -97,43 +98,75 @@ def test_event_sort_order():
 
 def test_ground_truth_round_trip(tmp_path):
     gt = GroundTruth(
-        bounce=np.array([1, 2, 0]),
-        surface_point=np.array([[1.0, 2, 3], [4, 5, 6], [np.nan] * 3]),
-        object_label=np.array([0, 1, -1]),
-        projector_pixel=np.array([[10.5, 20.25], [1, 2], [np.nan] * 2]),
-        on_epipolar=np.array([False, True, False]),
+        bounce=np.array([1, 2]),
+        surface_point=np.array([[1.0, 2, 3], [4, 5, 6]]),
+        object_label=np.array([0, 1]),
+        projector_pixel=np.array([[10.5, 20.25], [1, 2]]),
+        on_epipolar=np.array([False, True]),
+        path=np.array([0, 1, -1]),  # the last event is spurious
         sweep=np.array([0, 1, -1]),
         step=np.array([10, 20, -1]),
-        step_time_us=np.array([100, 200, -1]),
+        step_times=np.array([[-1, -1, -1], [0, 10, 100], [1, 20, 200]]),
         labels=("wall", "mirror"),
     )
     gt.save_text(tmp_path / "gt.txt")
     back = GroundTruth.load_text(tmp_path / "gt.txt")
     assert back.labels == ("wall", "mirror")
     assert np.array_equal(back.bounce, gt.bounce)
-    assert np.allclose(back.surface_point[:2], gt.surface_point[:2])
-    assert np.isnan(back.surface_point[2]).all()
+    assert np.array_equal(back.path, gt.path)
+    assert np.allclose(back.surface_point, gt.surface_point)
+    assert np.isnan(back.per_event("surface_point")[2]).all()
     assert np.array_equal(back.on_epipolar, gt.on_epipolar)
+    assert np.array_equal(back.step_time_us, [100, 200, -1])
     assert np.array_equal(back.step_time_us, gt.step_time_us)
 
 
-def test_ground_truth_rejects_unknown_on_epipolar(tmp_path):
-    gt = GroundTruth(
+def two_path_truth():
+    return GroundTruth(
         bounce=np.array([1, 2]),
         surface_point=np.ones((2, 3)),
         object_label=np.array([0, 0]),
         projector_pixel=np.ones((2, 2)),
         on_epipolar=np.array([False, True]),
+        path=np.array([0, 1]),
         sweep=np.array([0, 1]),
         step=np.array([1, 2]),
-        step_time_us=np.array([10, 20]),
+        step_times=np.array([[0, 1, 10], [1, 2, 20]]),
         labels=("wall",),
     )
+
+
+def test_ground_truth_rejects_unknown_on_epipolar(tmp_path):
     path = tmp_path / "gt.txt"
-    gt.save_text(path)
+    two_path_truth().save_text(path)
     path.write_text(path.read_text().replace(" true ", " yes "))
     with pytest.raises(formats.FormatError, match=re.escape(path.name) + ".*on_epipolar"):
         GroundTruth.load_text(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, match",
+    [
+        ("\n1 2 ", "\n1 0 ", "row 2 has bounce 0 but an annotation"),  # unannotated row with a surface point
+        ("\n1 2 ", "\n1 -2 ", "row 2 has bounce -2"),
+        (" 1 2 20\n", " 0 1 20\n", "two step times"),  # one (sweep, step) with two times
+    ],
+)
+def test_ground_truth_rejects_rows_it_cannot_keep(tmp_path, old, new, match):
+    # each of these would not come back as the same bytes after load -> save
+    path = tmp_path / "gt.txt"
+    two_path_truth().save_text(path)
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    with pytest.raises(formats.FormatError, match=match):
+        GroundTruth.load_text(path)
+
+
+def test_step_time_of_unknown_step_raises():
+    gt = dataclasses.replace(two_path_truth(), step_times=[[0, 1, 10]])
+    with pytest.raises(ValueError, match="missing from step_times"):
+        gt.step_time_us
 
 
 def test_ply_round_trip(tmp_path):

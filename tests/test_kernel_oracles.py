@@ -1,20 +1,25 @@
 """Array kernels against the code they replaced.
 
 Each oracle below is the implementation a kernel replaced: a per-row loop,
-a hash-based set operation or a full lexsort, kept verbatim in behaviour.
-The kernels must return the same arrays, dtype included, on random inputs
-and on the edge cases named in each test.
+a hash-based set operation, a full lexsort or the per-event ground-truth
+layout, kept verbatim in behaviour. The kernels must return the same arrays,
+dtype included (and the same file bytes), on random inputs, on small
+simulated scans and on the edge cases named in each test.
 """
 
+from dataclasses import dataclass, fields
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventscan import decode
+from conftest import small_rig, tilted_mirror, wall_object
+from eventscan import decode, formats, simulate
 from eventscan.decode import CorrespondenceSet
-from eventscan.events import SWEEP_HORIZONTAL, SWEEP_VERTICAL, EventStream, GroundTruth
+from eventscan.events import SWEEP_HORIZONTAL, SWEEP_RASTER, SWEEP_VERTICAL, EventStream, GroundTruth
 from eventscan.metrics import truth_class_of
-from eventscan.scene import ScanSchedule
+from eventscan.scene import NoiseModel, ScanSchedule
 from eventscan.separate import DIRECT, INDIRECT, REJECTED, ClassifiedSet, resolve_mixed_pixels
 from eventscan.triangulate import DiffuseCloud, build_virtual_screen
 
@@ -31,6 +36,7 @@ def assert_same(got, want):
 
 
 def truth_class_loop(correspondences, truth):
+    """``truth`` holds a bounce per event (``EventTruth``, the per-event layout)."""
     out = np.full(len(correspondences), -1, dtype=np.int8)
     for i in range(len(correspondences)):
         b = truth.bounce[correspondences.events_of(i)]
@@ -43,17 +49,17 @@ def truth_class_loop(correspondences, truth):
 
 
 def ground_truth(bounce):
+    """Both layouts of events with these bounces (0 = spurious): (per-event, per-path)."""
+    bounce = np.asarray(bounce, dtype=np.int16)
     n = len(bounce)
-    return GroundTruth(
-        bounce=bounce,
-        surface_point=np.zeros((n, 3)),
-        object_label=np.zeros(n),
-        projector_pixel=np.zeros((n, 2)),
-        on_epipolar=np.zeros(n, bool),
-        sweep=np.zeros(n),
-        step=np.zeros(n),
-        step_time_us=np.zeros(n),
+    annotated = bounce > 0
+    m = int(annotated.sum())
+    per_event = EventTruth(bounce, np.zeros((n, 3)), np.zeros(n), np.zeros((n, 2)), np.zeros(n, bool), np.zeros(n), np.zeros(n), np.zeros(n))
+    per_path = GroundTruth(
+        bounce[annotated], np.zeros((m, 3)), np.zeros(m), np.zeros((m, 2)), np.zeros(m, bool),
+        path=np.where(annotated, np.cumsum(annotated) - 1, -1), sweep=np.zeros(n), step=np.zeros(n), step_times=[[0, 0, 0]],
     )
+    return per_event, per_path
 
 
 def csr(rows, tail=()):
@@ -65,7 +71,7 @@ def csr(rows, tail=()):
 
 
 def test_truth_class_edge_cases():
-    truth = ground_truth([0, 1, 2, 1, 0, 3])
+    oracle, truth = ground_truth([0, 1, 2, 1, 0, 3])
     rows = [
         [],  # no events at all
         [0, 4],  # all spurious
@@ -76,8 +82,14 @@ def test_truth_class_edge_cases():
     # event_ids continue past the last offset: those ids belong to no row
     corr = csr(rows, tail=[1, 1, 1])
     got = truth_class_of(corr, truth)
-    assert_same(got, truth_class_loop(corr, truth))
+    assert_same(got, truth_class_loop(corr, oracle))
     assert got.tolist() == [-1, -1, INDIRECT, DIRECT, INDIRECT]
+
+
+def test_truth_class_without_any_path():
+    oracle, truth = ground_truth([0, 0, 0])
+    corr = csr([[0, 1], [], [2]])
+    assert_same(truth_class_of(corr, truth), truth_class_loop(corr, oracle))
 
 
 @ORACLE
@@ -90,8 +102,243 @@ def test_truth_class_matches_loop(bounce, shape, tail):
     m = len(bounce)
     rows = [[e % m for e in r] for r in shape]
     corr = csr(rows, tail=[e % m for e in tail])
-    truth = ground_truth(bounce)
-    assert_same(truth_class_of(corr, truth), truth_class_loop(corr, truth))
+    oracle, truth = ground_truth(bounce)
+    assert_same(truth_class_of(corr, truth), truth_class_loop(corr, oracle))
+
+
+# --- GroundTruth per light path ---------------------------------------------
+
+
+@dataclass
+class EventTruth:
+    """The per-event ground-truth layout GroundTruth replaced: every event
+    carries its full annotation, so a path's ON and OFF events in each sweep
+    hold four copies of it."""
+
+    bounce: np.ndarray
+    surface_point: np.ndarray
+    object_label: np.ndarray
+    projector_pixel: np.ndarray
+    on_epipolar: np.ndarray
+    sweep: np.ndarray
+    step: np.ndarray
+    step_time_us: np.ndarray
+    labels: tuple = ()
+
+    def __post_init__(self):
+        self.bounce = np.asarray(self.bounce, dtype=np.int16)
+        self.surface_point = np.asarray(self.surface_point, dtype=np.float64).reshape(-1, 3)
+        self.object_label = np.asarray(self.object_label, dtype=np.int32)
+        self.projector_pixel = np.asarray(self.projector_pixel, dtype=np.float64).reshape(-1, 2)
+        self.on_epipolar = np.asarray(self.on_epipolar, dtype=bool)
+        self.sweep = np.asarray(self.sweep, dtype=np.int8)
+        self.step = np.asarray(self.step, dtype=np.int32)
+        self.step_time_us = np.asarray(self.step_time_us, dtype=np.int64)
+        self.labels = tuple(self.labels)
+
+    def take(self, order):
+        return EventTruth(*(getattr(self, f.name)[order] for f in fields(self) if f.name != "labels"), self.labels)
+
+    def concatenate(self, other):
+        return EventTruth(*(np.concatenate([getattr(self, f.name), getattr(other, f.name)]) for f in fields(self) if f.name != "labels"), self.labels)
+
+    def save_text(self, path):
+        header = "labels: " + (" ".join(self.labels) if self.labels else "-")
+        formats.write_table(
+            path,
+            ["event", "bounce", "sx", "sy", "sz", "label", "px", "py", "on_epipolar", "sweep", "step", "step_time_us"],
+            [
+                np.arange(len(self.bounce)), self.bounce,
+                self.surface_point[:, 0], self.surface_point[:, 1], self.surface_point[:, 2],
+                self.object_label, self.projector_pixel[:, 0], self.projector_pixel[:, 1], self.on_epipolar,
+                self.sweep, self.step, self.step_time_us,
+            ],
+            header=header,
+        )
+
+
+class EventTruthEmitter:
+    """simulate._Emitter's interface, copying each path's annotation onto every event."""
+
+    def __init__(self, schedule, labels):
+        self.schedule, self.labels = schedule, labels
+        self.paths = []
+        self.events, self.truth = [], []
+
+    def add_paths(self, bounce, surface, label_idx, proj_pixel, on_epi):
+        n = len(label_idx)
+        start = sum(len(p[2]) for p in self.paths)
+        self.paths.append((np.full(n, bounce), surface, label_idx, proj_pixel, on_epi))
+        return np.arange(start, start + n)
+
+    def emit(self, sweep, pixels, positions, path, raster_step=None):
+        n = len(positions)
+        if n == 0:
+            return
+        sched = self.schedule
+        if sweep == SWEEP_RASTER:
+            t_on, t_off = sched.step_time(0, raster_step), sched.step_time(0, raster_step + 1)
+            step, step_time = raster_step, t_on
+        else:
+            t_on, t_off = sched.crossing_time(sweep, positions), sched.crossing_time(sweep, positions + 1.0)
+            step = np.floor((t_on - sched.sweep_start(sweep)) * sched.steps_per_sweep / sched.sweep_duration_us)
+            step = np.clip(step, 0, sched.steps_per_sweep - 1)
+            step_time = sched.step_time(sweep, step)
+        ann = [np.concatenate(c)[path] for c in zip(*self.paths)]
+        for t_ev, pol in ((t_on, 1), (t_off, -1)):
+            self.events.append(EventStream(t_ev, pixels[:, 0], pixels[:, 1], np.full(n, pol)))
+            self.truth.append(EventTruth(*ann, np.full(n, sweep), step, step_time, self.labels))
+
+    def result(self):
+        events, truth = EventStream.empty(), EventTruth(*[np.zeros(0)] * 8, self.labels)
+        for e, t in zip(self.events, self.truth):
+            events = EventStream(*(np.concatenate([getattr(events, k), getattr(e, k)]) for k in ("t", "x", "y", "polarity")))
+            truth = truth.concatenate(t)
+        return events, truth
+
+
+def event_truth_noise(stream, gt, noise, camera, span):
+    """simulate._apply_noise on the per-event layout: the same draws, in the same order."""
+    rng = np.random.default_rng(noise.seed)
+    counts = {"dropped": 0, "spurious": 0}
+    t = stream.t.astype(np.float64)
+    if noise.timestamp_jitter_sigma_us > 0:
+        t = t + rng.normal(0.0, noise.timestamp_jitter_sigma_us, size=len(t))
+    t = np.maximum(np.floor(t + 0.5), 0.0).astype(np.int64)
+    keep = np.ones(len(t), dtype=bool)
+    if noise.drop_probability > 0:
+        keep = rng.random(len(t)) >= noise.drop_probability
+        counts["dropped"] = int((~keep).sum())
+    stream = EventStream(t[keep], stream.x[keep], stream.y[keep], stream.polarity[keep])
+    gt = gt.take(keep)
+    if noise.spurious_rate > 0:
+        t0, t1 = span
+        n_spur = int(rng.poisson(noise.spurious_rate * max(t1 - t0, 1) * (camera.width * camera.height / 1e6)))
+        counts["spurious"] = n_spur
+        if n_spur:
+            ts = rng.integers(t0, t1 + 1, size=n_spur)
+            xs = rng.integers(0, camera.width, size=n_spur)
+            ys = rng.integers(0, camera.height, size=n_spur)
+            ps = np.where(rng.random(n_spur) < 0.5, -1, 1)
+            spurious = EventStream(ts, xs, ys, ps)
+            stream = EventStream(*(np.concatenate([getattr(stream, k), getattr(spurious, k)]) for k in ("t", "x", "y", "polarity")))
+            none = np.full(n_spur, -1)
+            gt = gt.concatenate(EventTruth(np.zeros(n_spur), np.full((n_spur, 3), np.nan), none, np.full((n_spur, 2), np.nan), np.zeros(n_spur), none, none, none))
+    return stream, gt, counts
+
+
+def mirror_rig():
+    camera, projector = small_rig(steps=201, cam_px=160, cam_f=480.0)
+    return camera, projector, ScanSchedule(201, 30000, 3000), [wall_object(), tilted_mirror()[0]]
+
+
+NOISY = NoiseModel(timestamp_jitter_sigma_us=30.0, spurious_rate=0.002, drop_probability=0.1, seed=5)
+SCANS = {
+    "noise": (NOISY, {}),
+    "higher_bounces": (None, {"generate_higher_bounces": True}),
+    "raster": (NOISY, {"mode": "raster"}),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SCANS))
+def both_layouts(request, tmp_path_factory):
+    """One small scan simulated twice: with per-path truth and with the per-event oracle."""
+    camera, projector, sched, objects = mirror_rig()
+    noise, kw = SCANS[request.param]
+    res = simulate.simulate_scan(objects, camera, projector, sched, noise, **kw)
+    mp = pytest.MonkeyPatch()
+    mp.setattr(simulate, "_Emitter", EventTruthEmitter)
+    mp.setattr(simulate, "_apply_noise", event_truth_noise)
+    try:
+        oracle = simulate.simulate_scan(objects, camera, projector, sched, noise, **kw)
+    finally:
+        mp.undo()
+    return request.param, res, oracle, sched, tmp_path_factory.mktemp(request.param)
+
+
+def test_scans_cover_every_kind_of_row(both_layouts):
+    name, res, _, _, _ = both_layouts
+    bounce = res.ground_truth.per_event("bounce")
+    assert (bounce == 1).any()
+    if name != "raster":
+        assert (bounce == 2).any()
+    if name == "higher_bounces":
+        assert res.counts["higher_bounce_pairs"] > 0
+    else:
+        assert res.counts["dropped"] > 0 and (bounce == 0).sum() == res.counts["spurious"] > 0
+
+
+def test_ground_truth_text_matches_per_event_oracle(both_layouts):
+    _, res, oracle, _, tmp = both_layouts
+    for name in ("t", "x", "y", "polarity"):
+        assert_same(getattr(res.events, name), getattr(oracle.events, name))
+    res.ground_truth.save_text(tmp / "paths.txt")
+    oracle.ground_truth.save_text(tmp / "events.txt")
+    assert (tmp / "paths.txt").read_bytes() == (tmp / "events.txt").read_bytes()
+    # each light path is held once, not once per event; counts are pairs per sweep
+    pairs = sum(res.counts[k] for k in ("direct_pairs", "two_bounce_pairs", "higher_bounce_pairs"))
+    assert len(res.ground_truth.bounce) == pairs // (1 if res.mode == "raster" else 2)
+
+
+def test_truth_class_matches_loop_on_simulated_scans(both_layouts):
+    _, res, oracle, sched, _ = both_layouts
+    n = len(res.events)
+    rng = np.random.default_rng(0)
+    corrs = [csr([rng.integers(0, n, size=rng.integers(0, 6)).tolist() for _ in range(400)])]
+    corr = decode.intersect_sweeps(decode.assign_sweeps(res.events, sched, 0, 2))
+    if len(corr):
+        corrs.append(corr)
+    for c in corrs:
+        assert_same(truth_class_of(c, res.ground_truth), truth_class_loop(c, oracle.ground_truth))
+
+
+def test_ground_truth_text_round_trips_to_same_bytes(both_layouts):
+    name, res, _, _, tmp = both_layouts
+    first, second = tmp / "first.txt", tmp / "second.txt"
+    res.ground_truth.save_text(first)
+    back = GroundTruth.load_text(first)
+    back.save_text(second)
+    assert second.read_bytes() == first.read_bytes()
+    if name != "higher_bounces":  # NaN rows and path -1 rows are in the file
+        assert (back.path == -1).any() and b" nan nan nan -1 nan nan false " in first.read_bytes()
+
+
+# --- EventStream.sort_order -------------------------------------------------
+
+
+def assert_sorts_like_lexsort(t, x, y, p):
+    ev = EventStream(t, x, y, p)
+    assert_same(ev.sort_order(), np.lexsort((ev.polarity, ev.x, ev.y, ev.t)))
+
+
+I64, I32 = np.iinfo(np.int64), np.iinfo(np.int32)
+
+
+def test_sort_order_edge_cases():
+    assert_sorts_like_lexsort([], [], [], [])
+    # ties in all four keys keep their input order
+    assert_sorts_like_lexsort([5] * 4 + [3] * 3, [1] * 7, [2] * 7, [1, -1, 1, -1, 1, 1, -1])
+    assert_sorts_like_lexsort([-7, -7, 3, -100, 0], [4, 4, 0, 1, 1], [0, 0, 9, 9, 9], [1, 1, -1, 1, -1])
+    # spans too wide to pack into 64 bits together: the lexsort fallback
+    assert_sorts_like_lexsort([I64.min, I64.max, 0, 0], [0, 1, 1, 0], [0, 0, 0, 0], [1, -1, 1, 1])
+    assert_sorts_like_lexsort([0, 1 << 20, 0, 0], [I32.min, I32.max, 0, 0], [I32.max, 0, I32.min, 0], [1, 1, -1, 1])
+    # negative pixel coordinates and polarities other than +-1 pack by offset
+    assert_sorts_like_lexsort([2, 2, 2, 2], [-3, -3, 5, -3], [-1, -1, -1, -2], [0, -1, 1, 2])
+
+
+def narrow_or_wide(lo, hi):
+    return st.one_of(st.integers(-3, 3), st.integers(lo, hi))
+
+
+@ORACLE
+@given(
+    rows=st.lists(
+        st.tuples(narrow_or_wide(I64.min, I64.max), narrow_or_wide(I32.min, I32.max), narrow_or_wide(I32.min, I32.max), st.sampled_from([1, -1, 1, 0, 127, -128])),
+        max_size=40,
+    )
+)
+def test_sort_order_is_lexsort(rows):
+    assert_sorts_like_lexsort(*(zip(*rows) if rows else ([], [], [], [])))
 
 
 # --- build_virtual_screen / lookup_many -----------------------------------

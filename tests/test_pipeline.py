@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shutil
 import subprocess
 import sys
 
@@ -219,6 +221,22 @@ def test_seed_changes_noise_and_manifest(tmp_path):
     e2 = (tmp_path / "b" / "events.txt").read_bytes()
     assert e1 != e2
     assert json.loads((tmp_path / "b" / "manifest.json").read_text())["config"]["seed"] == 1
+
+
+def test_manifest_does_not_depend_on_checkout_directory(tmp_path):
+    # the same configs and scenes under two directory names give the same manifest
+    manifests = []
+    for name in ("a", "checkout_b"):
+        root = tmp_path / name
+        shutil.copytree(CONFIGS, root / "configs")
+        shutil.copytree(REPO / "scenes", root / "scenes")
+        run_pipeline(load_config(root / "configs" / "plane_fast.cfg"), root / "out")
+        manifests.append((root / "out" / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    manifest = json.loads(manifests[0])
+    assert manifest["config"]["scene"] == "../scenes/plane.scene"
+    scene_hash = hashlib.sha256((REPO / "scenes" / "plane.scene").read_bytes()).hexdigest()
+    assert manifest["input_sha256"] == {"scene": scene_hash}
 
 
 def test_cli_entry_point_runs():

@@ -51,7 +51,7 @@ def test_bounce2_classified_indirect(mirror_scan, mirror_classified):
     misses = np.where(b2 & (cl.label == DIRECT))[0]
     gt = mirror_scan["result"].ground_truth
     for i in misses:
-        assert gt.on_epipolar[corr.events_of(i)].all()
+        assert gt.on_epipolar[gt.path[corr.events_of(i)]].all()
 
 
 def test_tau_infinite_everything_direct(mirror_classified, mirror_scan):
@@ -107,8 +107,9 @@ def test_shiny_scene_mixed_pixels_resolve_to_direct():
     corr = decode.intersect_sweeps(a)
     F = fundamental_from_models(camera, projector)
     out = resolve_mixed_pixels(epipolar_classify(corr, F, 2.0))
-    b1_pix = set(zip(res.events.x[gt.bounce == 1].tolist(), res.events.y[gt.bounce == 1].tolist()))
-    b2_pix = set(zip(res.events.x[gt.bounce == 2].tolist(), res.events.y[gt.bounce == 2].tolist()))
+    bounce = gt.bounce[gt.path]
+    b1_pix = set(zip(res.events.x[bounce == 1].tolist(), res.events.y[bounce == 1].tolist()))
+    b2_pix = set(zip(res.events.x[bounce == 2].tolist(), res.events.y[bounce == 2].tolist()))
     mixed = b1_pix & b2_pix
     per_pixel_direct = {}
     for (x, y), label in zip(out.base.camera_pixel.tolist(), out.label):

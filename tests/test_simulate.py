@@ -123,7 +123,8 @@ def test_plane_events_sorted_and_deterministic(plane_scan):
     from eventscan.simulate import simulate_scan
 
     res = plane_scan["result"]
-    assert res.events.is_sorted()
+    ev = res.events
+    assert np.array_equal(np.lexsort((ev.polarity, ev.x, ev.y, ev.t)), np.arange(len(ev)))
     res2 = simulate_scan(plane_scan["objects"], plane_scan["camera"], plane_scan["projector"], plane_scan["schedule"])
     assert np.array_equal(res.events.t, res2.events.t)
     assert np.array_equal(res.events.x, res2.events.x)
@@ -134,16 +135,17 @@ def test_bounce1_events_satisfy_epipolar_constraint(plane_scan):
     res = plane_scan["result"]
     F = fundamental_from_models(plane_scan["camera"], plane_scan["projector"])
     gt = res.ground_truth
-    sel = gt.bounce == 1
-    d = epipolar_distances(F, gt.projector_pixel[sel], np.stack([res.events.x[sel], res.events.y[sel]], 1).astype(float))
+    sel = gt.bounce[gt.path] == 1
+    d = epipolar_distances(F, gt.projector_pixel[gt.path[sel]], np.stack([res.events.x[sel], res.events.y[sel]], 1).astype(float))
     assert d.max() < 0.5
 
 
 def test_mirror_two_bounce_annotations(mirror_scan):
     res = mirror_scan["result"]
     gt = res.ground_truth
-    b2 = gt.bounce == 2
+    b2 = gt.bounce[gt.path] == 2
     assert b2.sum() > 1000
+    b2 = gt.path[b2]
     # two-bounce events appear at mirror pixels, annotated with the first
     # (diffuse) bounce point, which lies on the wall plane z=600
     assert np.allclose(gt.surface_point[b2][:, 2], 600.0, atol=1e-6)
@@ -157,8 +159,8 @@ def test_mirror_timestamps_match_screen_crossings(mirror_scan):
     res = mirror_scan["result"]
     sched = mirror_scan["schedule"]
     gt = res.ground_truth
-    b2 = (gt.bounce == 2) & (res.events.polarity > 0)
-    pos = gt.projector_pixel[b2]
+    b2 = (gt.bounce[gt.path] == 2) & (res.events.polarity > 0)
+    pos = gt.projector_pixel[gt.path[b2]]
     t_v = sched.crossing_time(SWEEP_VERTICAL, pos[:, 0])
     t_h = sched.crossing_time(SWEEP_HORIZONTAL, pos[:, 1])
     t = res.events.t[b2]
@@ -179,12 +181,12 @@ def test_mirror_two_bounce_mostly_off_epipolar():
         mirror, _ = tilted_mirror(target=target)
         res = simulate_scan([wall_object(), mirror], camera, projector, ScanSchedule(401, 60000, 5000))
         gt = res.ground_truth
-        b2 = gt.bounce >= 2
+        b2 = gt.bounce[gt.path] >= 2
         d = epipolar_distances(
-            F, gt.projector_pixel[b2], np.stack([res.events.x[b2], res.events.y[b2]], 1).astype(float)
+            F, gt.projector_pixel[gt.path[b2]], np.stack([res.events.x[b2], res.events.y[b2]], 1).astype(float)
         )
         off_frac.append(np.mean(d > 2.0))
-        assert np.array_equal(gt.on_epipolar[b2], d <= 2.0)
+        assert np.array_equal(gt.on_epipolar[gt.path[b2]], d <= 2.0)
     assert min(off_frac) > 0.95
 
 
@@ -192,9 +194,9 @@ def test_shiny_surface_emits_both_channels():
     camera, projector = small_rig(steps=401)
     bowl, _ = tilted_mirror(kind="shiny")
     res = simulate_scan([wall_object(), bowl], camera, projector, ScanSchedule(401, 60000, 5000))
-    gt = res.ground_truth
-    b1_pix = set(zip(res.events.x[gt.bounce == 1].tolist(), res.events.y[gt.bounce == 1].tolist()))
-    b2_pix = set(zip(res.events.x[gt.bounce == 2].tolist(), res.events.y[gt.bounce == 2].tolist()))
+    bounce = res.ground_truth.bounce[res.ground_truth.path]
+    b1_pix = set(zip(res.events.x[bounce == 1].tolist(), res.events.y[bounce == 1].tolist()))
+    b2_pix = set(zip(res.events.x[bounce == 2].tolist(), res.events.y[bounce == 2].tolist()))
     assert len(b1_pix & b2_pix) > 500  # mixed pixels exist
 
 
@@ -245,17 +247,19 @@ def test_higher_bounce_generation_flag():
     wall, mirror_label = (on.ground_truth.labels.index(name) for name in ("wall", "mirror"))
     # camera-first rows carry the mirror's label; one flat mirror cannot
     # chain, so the flag leaves them unchanged
-    off_multi = off.ground_truth.bounce >= 2
+    off_path = off.ground_truth.path
+    off_multi = off.ground_truth.bounce[off_path] >= 2
     assert off_multi.any()
-    assert np.all(off.ground_truth.object_label[off_multi] == mirror_label)
+    assert np.all(off.ground_truth.object_label[off_path[off_multi]] == mirror_label)
     gt = on.ground_truth
-    assert ((gt.bounce >= 2) & (gt.object_label == mirror_label)).sum() == off_multi.sum()
+    bounce, label = gt.bounce[gt.path], gt.object_label[gt.path]
+    assert ((bounce >= 2) & (label == mirror_label)).sum() == off_multi.sum()
     # specular-first rows are bounce 2, labelled with the wall the laser lands
     # on after the mirror, and annotated with the laser's integer projector pixel
-    specular_first = (gt.bounce >= 2) & (gt.object_label == wall)
+    specular_first = (bounce >= 2) & (label == wall)
     assert specular_first.sum() == extra
-    assert np.all(gt.bounce[specular_first] == 2)
-    pp = gt.projector_pixel[specular_first]
+    assert np.all(bounce[specular_first] == 2)
+    pp = gt.projector_pixel[gt.path[specular_first]]
     assert np.array_equal(pp, np.round(pp))
 
 
@@ -282,7 +286,7 @@ def test_noise_model_determinism_and_counts():
     assert np.array_equal(r1.events.t, r2.events.t)
     assert np.array_equal(r1.events.x, r2.events.x)
     assert r1.counts["dropped"] > 0 and r1.counts["spurious"] > 0
-    assert (r1.ground_truth.bounce == 0).sum() == r1.counts["spurious"]
+    assert (r1.ground_truth.per_event("bounce") == 0).sum() == r1.counts["spurious"]
     clean = simulate_scan([wall_object()], camera, projector, sched)
     expected = len(clean.events) - r1.counts["dropped"] + r1.counts["spurious"]
     assert len(r1.events) == expected
