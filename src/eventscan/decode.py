@@ -80,6 +80,9 @@ def assign_sweeps(events: EventStream, schedule: ScanSchedule, scan_start_us: in
     )
 
 
+CORRESPONDENCE_COLUMNS = ((("x_C", "y_C"), np.int32), (("x_P", "y_P"), np.float64), ("support", np.int32), ("quality", np.float64))
+
+
 @dataclass
 class CorrespondenceSet:
     """Camera pixel to projector pixel links with provenance.
@@ -102,26 +105,16 @@ class CorrespondenceSet:
     def events_of(self, i: int) -> np.ndarray:
         return self.event_ids[self.event_offsets[i] : self.event_offsets[i + 1]]
 
+    def table(self) -> list:
+        """The arrays of CORRESPONDENCE_COLUMNS, in order."""
+        return [self.camera_pixel, self.projector_pixel, self.support, self.quality]
+
     def save_text(self, path) -> None:
-        formats.write_table(
-            path,
-            ["x_C", "y_C", "x_P", "y_P", "support", "quality"],
-            [
-                self.camera_pixel[:, 0],
-                self.camera_pixel[:, 1],
-                self.projector_pixel[:, 0],
-                self.projector_pixel[:, 1],
-                self.support,
-                self.quality,
-            ],
-        )
+        formats.write_table(path, CORRESPONDENCE_COLUMNS, self.table())
 
     @staticmethod
     def load_text(path) -> "CorrespondenceSet":
-        _, cols = formats.read_table(
-            path, ["x_C", "y_C", "x_P", "y_P", "support", "quality"], [np.int32, np.int32, float, float, np.int32, float]
-        )
-        return CorrespondenceSet(np.stack(cols[0:2], axis=1), np.stack(cols[2:4], axis=1), cols[4], cols[5])
+        return CorrespondenceSet(*formats.read_table(path, CORRESPONDENCE_COLUMNS)[1])
 
 
 def _empty_correspondences() -> CorrespondenceSet:

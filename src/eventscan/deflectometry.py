@@ -91,6 +91,9 @@ class NormalMap:
             formats.write_pfm(mask_path, self.mask.astype(np.float32))
 
 
+RESIDUAL_COLUMNS = (("iteration", np.int64), ("max_step_mm", np.float64))
+
+
 @dataclass
 class SurfaceEstimate:
     """Per-cell depth along the camera ray over the same grid as a NormalMap."""
@@ -113,7 +116,7 @@ class SurfaceEstimate:
 
     def save_residuals(self, path) -> None:
         hist = np.asarray(self.residual_history, dtype=np.float64)
-        formats.write_table(path, ["iteration", "max_step_mm"], [np.arange(1, len(hist) + 1), hist])
+        formats.write_table(path, RESIDUAL_COLUMNS, [np.arange(1, len(hist) + 1), hist])
 
 
 def curl_rms(p: np.ndarray, q: np.ndarray, mask: np.ndarray) -> float:

@@ -13,6 +13,8 @@ import numpy as np
 
 from . import formats
 
+EVENT_COLUMNS = (("t_us", np.int64), ("x", np.int32), ("y", np.int32), ("polarity", np.int8))
+
 
 @dataclass
 class EventStream:
@@ -63,12 +65,11 @@ class EventStream:
         return EventStream(self.t[order], self.x[order], self.y[order], self.polarity[order])
 
     def save_text(self, path) -> None:
-        formats.write_table(path, ["t_us", "x", "y", "polarity"], [self.t, self.x, self.y, self.polarity])
+        formats.write_table(path, EVENT_COLUMNS, [self.t, self.x, self.y, self.polarity])
 
     @staticmethod
     def load_text(path) -> "EventStream":
-        _, cols = formats.read_table(path, ["t_us", "x", "y", "polarity"], [np.int64, np.int32, np.int32, np.int8])
-        return EventStream(*cols)
+        return EventStream(*formats.read_table(path, EVENT_COLUMNS)[1])
 
     def save_binary(self, path) -> None:
         formats.write_event_binary(path, self.t, self.x, self.y, self.polarity)
@@ -87,7 +88,12 @@ SWEEP_RASTER = 2
 # Per-path column -> value it reads as for a spurious event (path -1).
 UNANNOTATED = {"bounce": 0, "surface_point": np.nan, "object_label": -1, "projector_pixel": np.nan, "on_epipolar": False}
 
-_TABLE_COLUMNS = ["event", "bounce", "sx", "sy", "sz", "label", "px", "py", "on_epipolar", "sweep", "step", "step_time_us"]
+# ground_truth.txt: one row per event; the five path columns in the order of UNANNOTATED
+TRUTH_COLUMNS = (
+    ("event", np.int64), ("bounce", np.int16), (("sx", "sy", "sz"), np.float64), ("label", np.int32),
+    (("px", "py"), np.float64), ("on_epipolar", ("false", "true")),
+    ("sweep", np.int8), ("step", np.int32), ("step_time_us", np.int64),
+)
 
 
 def _step_key(sweep, step) -> np.ndarray:
@@ -188,12 +194,11 @@ class GroundTruth:
             # expanded one path column at a time, so only one is alive at once
             yield np.arange(len(self))
             for name in UNANNOTATED:
-                col = self.per_event(name)
-                yield from col.T if col.ndim == 2 else [col]
+                yield self.per_event(name)
             yield from (self.sweep, self.step, self.step_time_us)
 
         header = "labels: " + (" ".join(self.labels) if self.labels else "-")
-        formats.write_table(path, _TABLE_COLUMNS, columns(), header=header)
+        formats.write_table(path, TRUTH_COLUMNS, columns(), header=header)
 
     @staticmethod
     def load_text(path) -> "GroundTruth":
@@ -209,14 +214,7 @@ class GroundTruth:
         if first.startswith("# labels:"):
             rest = first[len("# labels:") :].split()
             labels = tuple(rest) if rest != ["-"] else ()
-        _, cols = formats.read_table(
-            path,
-            _TABLE_COLUMNS,
-            [np.int64, np.int16, float, float, float, np.int32, float, float, ("false", "true"),
-             np.int8, np.int32, np.int64],
-        )
-        bounce, label, on_epi, sweep, step, times = cols[1], cols[5], cols[8], cols[9], cols[10], cols[11]
-        surface, proj = np.stack(cols[2:5], axis=1), np.stack(cols[6:8], axis=1)
+        _, (_, bounce, surface, label, proj, on_epi, sweep, step, times) = formats.read_table(path, TRUTH_COLUMNS)
         annotated = bounce > 0
         blank = (bounce == 0) & (label == -1) & (on_epi == 0) & np.isnan(surface).all(axis=1) & np.isnan(proj).all(axis=1)
         stray = np.flatnonzero(~annotated & ~blank)

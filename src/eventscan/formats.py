@@ -5,13 +5,17 @@ table and PLY bodies use ``%.17g``. Both round-trip float64 exactly, so a
 given value always serializes to the same bytes and pipeline runs are
 byte-reproducible.
 
-``read_table`` returns string columns unless the caller declares a type per
-column. Typed columns are parsed in one ``np.loadtxt`` pass: integers as
-integers (never through float), floats as float64, and a column of names
-(true/false, class names) as int8 indices into the declared names.
-``read_ply`` parses its body the same way as float64. Every reader raises
-``FormatError`` naming the file on a missing header, a wrong field count, an
-unparsable or unknown token, or a body that does not match its header.
+A table or PLY artifact declares its columns once, as a sequence of entries:
+``"name"`` is a column of strings; ``(name, dtype)`` a numeric column, ``%d``
+for an integer dtype and ``%.17g`` for a float one; ``(name, names)`` a column
+of names from the tuple ``names``, held as int8 indices into it; and
+``((name1, ..., namek), kind)`` an (N, k) field of k such columns.
+``write_table``/``write_ply`` take the declaration and one array per entry;
+``read_table``/``read_ply`` return one array per entry, parsed in one typed
+``np.loadtxt`` pass: integers never go through float. Every reader raises
+``FormatError`` naming the file on a missing header or property, a wrong field
+count, an unparsable or unknown token, or a body that does not match its
+header.
 """
 
 from __future__ import annotations
@@ -75,11 +79,17 @@ class Section:
             raise FormatError(f"section [{self.name}] is missing key '{key}'")
         return self.pairs[key]
 
+    def _parse(self, key: str, kind):
+        try:
+            return kind(self.get_str(key))
+        except ValueError as exc:
+            raise FormatError(f"section [{self.name}] key '{key}': {exc}") from None
+
     def get_int(self, key: str) -> int:
-        return int(self.get_str(key))
+        return self._parse(key, int)
 
     def get_float(self, key: str) -> float:
-        return float(self.get_str(key))
+        return self._parse(key, float)
 
     def get_bool(self, key: str) -> bool:
         v = self.get_str(key)
@@ -88,11 +98,7 @@ class Section:
         return v == "true"
 
     def get_floats(self, key: str, n: int | None = None) -> np.ndarray:
-        parts = self.get_str(key).split()
-        try:
-            arr = np.array([float(p) for p in parts])
-        except ValueError as exc:
-            raise FormatError(f"section [{self.name}] key '{key}': {exc}") from exc
+        arr = self._parse(key, lambda text: np.array([float(p) for p in text.split()]))
         if n is not None and arr.size != n:
             raise FormatError(f"section [{self.name}] key '{key}': expected {n} numbers, got {arr.size}")
         return arr
@@ -139,92 +145,113 @@ def write_sections(path, sections: list[Section], header: str | None = None) -> 
     Path(path).write_text("\n".join(lines))
 
 
-def _column_spec(a):
-    """(percent format, python list) for one table column."""
-    arr = np.asarray(a)
-    if arr.dtype.kind in "iu":
-        return "%d", arr.tolist()
-    if arr.dtype.kind == "b":
-        return "%s", np.where(arr, "true", "false").tolist()
-    if arr.dtype.kind == "f":
-        # %.17g round-trips float64 exactly
-        return "%.17g", arr.tolist()
-    return "%s", [str(v) for v in arr]
+def _entries(columns):
+    """Each declaration entry as (column names, kind, numpy type it parses as)."""
+    for entry in columns:
+        names, kind = (entry, str) if isinstance(entry, str) else entry
+        if isinstance(kind, tuple):
+            # one character wider than the longest name, so a longer token
+            # cannot be truncated into a valid one
+            parsed = f"U{max(map(len, kind)) + 1}"
+        else:
+            parsed = object if np.dtype(kind).kind == "U" else kind  # an unsized 'U' field reads every token as ''
+        yield ((names,) if isinstance(names, str) else tuple(names)), kind, parsed
 
 
-def write_table(path, columns: list[str], arrays, header: str | None = None) -> None:
-    """Whitespace-separated table with a ``# col1 col2 ...`` header line.
+def _column_names(columns) -> list[str]:
+    return [name for names, _, _ in _entries(columns) for name in names]
 
-    ``arrays`` is any iterable of columns. Each is converted before the next
-    is taken, so a generator can make them one at a time.
-    """
-    specs = [_column_spec(a) for a in arrays]
+
+# %.17g round-trips float64 exactly
+_SPECS = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
+
+
+def _text_columns(columns, arrays):
+    """(percent format, python list) per column, one field converted at a time."""
+    for (names, kind, _), field in zip(_entries(columns), arrays, strict=True):
+        field = np.asarray(field)
+        if field.shape[1:] != ((len(names),) if len(names) > 1 else ()):
+            raise ValueError(f"columns {' '.join(names)} got an array of shape {field.shape}")
+        for col in field.T if len(names) > 1 else [field]:
+            if isinstance(kind, tuple):
+                yield "%s", np.take(np.array(kind, dtype=object), col).tolist()
+            else:
+                yield _SPECS[np.dtype(kind).kind], col.tolist()
+
+
+def _write_text(path, head, columns, arrays) -> None:
+    """The lines ``head(row count)``, then one line per row."""
+    specs = list(_text_columns(columns, arrays))
     n = len(specs[0][1]) if specs else 0
     if any(len(values) != n for _, values in specs):
         raise ValueError("table columns must have equal length")
-    head = []
-    if header:
-        head.append(f"# {header}")
-    head.append("# " + " ".join(columns))
-    if n == 0:
-        Path(path).write_text("\n".join(head) + "\n")
-        return
     fmt = " ".join(s[0] for s in specs)
     body = "\n".join(fmt % row for row in zip(*[s[1] for s in specs]))
-    Path(path).write_text("\n".join(head) + "\n" + body + "\n")
+    with open(path, "w") as f:
+        f.writelines(["\n".join(head(n)), "\n", body, "\n" if n else ""])
 
 
-def read_table(path, expected_columns: list[str] | None = None, types: list | None = None):
-    """Read back a write_table file; returns (columns, list of column arrays).
+def write_table(path, columns, arrays, header: str | None = None) -> None:
+    """Whitespace-separated table with a ``# col1 col2 ...`` header line.
 
-    The header is the first ``#`` line before the body whose fields equal
-    ``expected_columns`` (any non-empty ``#`` line when None). Without
-    ``types`` every column is an array of strings. Otherwise ``types`` has one
-    entry per column: a numpy dtype, or a tuple of names whose tokens are
-    returned as int8 indices into the tuple.
+    ``arrays`` holds one array per entry of the ``columns`` declaration, in
+    any iterable. Each is converted before the next is taken, so a generator
+    can make them one at a time.
     """
+    head = ([f"# {header}"] if header else []) + ["# " + " ".join(_column_names(columns))]
+    _write_text(path, lambda n: head, columns, arrays)
+
+
+def _reader_fields(columns) -> list:
+    """(column name, numpy type) for the one typed parsing pass."""
+    return [(name, parsed) for names, _, parsed in _entries(columns) for name in names]
+
+
+def _read_body(path, f, fields: list, rows: int | None, **kwargs) -> np.ndarray:
+    """The rest of ``f``, or its next ``rows`` lines, as a structured array."""
+    dtype = np.dtype(fields)
+    if rows == 0:
+        return np.zeros(0, dtype)
+    try:
+        return np.loadtxt(f, dtype=dtype, ndmin=1, max_rows=rows, **kwargs)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _declared(path, columns, data: np.ndarray) -> list:
+    """One array per declaration entry: (N,) for a name, (N, k) for k names."""
+    out = []
+    for names, kind, _ in _entries(columns):
+        cols = [data[name] for name in names]
+        if isinstance(kind, tuple):
+            cols = [_name_codes(path, name, col, kind) for name, col in zip(names, cols)]
+        elif np.dtype(kind).kind == "U":
+            cols = [col.astype(str) for col in cols]
+        out.append(np.stack(cols, axis=1) if len(names) > 1 else np.ascontiguousarray(cols[0]))
+    return out
+
+
+def read_table(path, columns):
+    """Read back a write_table file; returns (column names, one array per entry).
+
+    The header is the first ``#`` line before the body whose fields are the
+    declaration's column names. The body is parsed in one typed pass.
+    """
+    expected = _column_names(columns)
     with open(path) as f:
-        columns: list[str] | None = None
-        has_body = False
+        found = False
         head_lines = 0
         while line := f.readline():
             text = line.strip()
             if text and not text.startswith("#"):
-                has_body = True
-                break
+                break  # the first body line
             head_lines += 1
-            fields = text[1:].split()
-            if columns is None and fields and (expected_columns is None or fields == expected_columns):
-                columns = fields
-        if columns is None:
+            found = found or text[1:].split() == expected
+        if not found:
             raise FormatError(f"{path}: missing column header line")
-        if types is not None and len(types) != len(columns):
-            raise ValueError(f"{len(types)} column types for {len(columns)} columns")
-        if types is None:
-            dtype = np.dtype(str)
-        else:
-            # one character wider than the longest name, so a longer token
-            # cannot be truncated into a valid one
-            dtype = np.dtype([
-                (f"f{i}", f"U{max(map(len, t)) + 1}" if isinstance(t, tuple) else t) for i, t in enumerate(types)
-            ])
-        if not has_body:
-            data = np.zeros((0, len(columns)) if types is None else 0, dtype)
-        else:
-            f.seek(0)
-            try:
-                data = np.loadtxt(f, dtype=dtype, comments="#", skiprows=head_lines, ndmin=2 if types is None else 1)
-            except ValueError as exc:
-                raise FormatError(f"{path}: {exc}") from None
-    if types is None:
-        if data.shape[1] != len(columns):
-            raise FormatError(f"{path}: rows have {data.shape[1]} fields, expected {len(columns)}")
-        return columns, list(data.T)
-    cols = []
-    for i, (name, t) in enumerate(zip(columns, types)):
-        col = data[f"f{i}"]
-        cols.append(_name_codes(path, name, col, t) if isinstance(t, tuple) else np.ascontiguousarray(col))
-    return columns, cols
+        f.seek(0)
+        data = _read_body(path, f, _reader_fields(columns), None if line else 0, comments="#", skiprows=head_lines)
+    return expected, _declared(path, columns, data)
 
 
 def _name_codes(path, column: str, tokens: np.ndarray, names: tuple) -> np.ndarray:
@@ -240,28 +267,23 @@ def _name_codes(path, column: str, tokens: np.ndarray, names: tuple) -> np.ndarr
     return codes
 
 
-def write_ply(path, vertices: np.ndarray, extra: dict[str, np.ndarray] | None = None, comment: str | None = None) -> None:
-    """ASCII PLY point cloud with optional per-vertex float properties."""
-    vertices = np.atleast_2d(np.asarray(vertices, dtype=np.float64))
-    extra = extra or {}
-    lines = ["ply", "format ascii 1.0"]
-    if comment:
-        lines.append(f"comment {comment}")
-    lines.append(f"element vertex {vertices.shape[0]}")
-    for axis in ("x", "y", "z"):
-        lines.append(f"property double {axis}")
-    for name in extra:
-        lines.append(f"property double {name}")
-    lines.append("end_header")
-    cols = [vertices[:, 0], vertices[:, 1], vertices[:, 2]] + [np.asarray(extra[k], dtype=np.float64) for k in extra]
-    if vertices.shape[0]:
-        fmt = " ".join(["%.17g"] * len(cols))
-        lines.append("\n".join(fmt % row for row in zip(*[c.tolist() for c in cols])))
-    Path(path).write_text("\n".join(lines) + "\n")
+XYZ = (("x", "y", "z"), np.float64)  # a PLY vertex position
 
 
-def read_ply(path):
-    """Read an ASCII PLY written by write_ply; returns (vertices, extras dict)."""
+def write_ply(path, columns, arrays, comment: str | None = None) -> None:
+    """ASCII PLY point cloud; each declared column is a double property."""
+    props = [f"property double {name}" for name in _column_names(columns)]
+    lines = ["ply", "format ascii 1.0"] + ([f"comment {comment}"] if comment else [])
+    _write_text(path, lambda n: lines + [f"element vertex {n}"] + props + ["end_header"], columns, arrays)
+
+
+def read_ply(path, columns=None):
+    """Read an ASCII PLY written by write_ply; returns one array per entry.
+
+    Properties are found by name, and ones the declaration lacks are read as
+    float64 and dropped; a declared property the file lacks is a FormatError.
+    Without a declaration, returns (vertices, dict of the other properties).
+    """
     with open(path) as f:
         if f.readline().rstrip("\r\n") != "ply":
             raise FormatError(f"{path}: not a PLY file")
@@ -279,17 +301,16 @@ def read_ply(path):
             count = None  # no end_header line
         if count is None:
             raise FormatError(f"{path}: malformed PLY header")
-        data = np.zeros((0, len(props)))
-        if count:
-            try:
-                data = np.loadtxt(f, dtype=np.float64, comments=None, ndmin=2, max_rows=count)
-            except ValueError as exc:
-                raise FormatError(f"{path}: {exc}") from None
-    if data.shape != (count, len(props)):
+        declared = columns if columns is not None else [XYZ] + [(name, np.float64) for name in props[3:]]
+        kinds = dict(_reader_fields(declared))
+        missing = [name for name in kinds if name not in props]
+        if missing:
+            raise FormatError(f"{path}: no property '{missing[0]}'")
+        data = _read_body(path, f, [(name, kinds.get(name, np.float64)) for name in props], count, comments=None)
+    if len(data) != count:
         raise FormatError(f"{path}: PLY body does not match header")
-    vertices = data[:, :3] if count else np.zeros((0, 3))
-    extras = {name: data[:, 3 + j] for j, name in enumerate(props[3:])}
-    return vertices, extras
+    arrays = _declared(path, declared, data)
+    return arrays if columns is not None else (arrays[0], dict(zip(props[3:], arrays[1:])))
 
 
 def write_pfm(path, image: np.ndarray) -> None:

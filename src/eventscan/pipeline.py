@@ -160,15 +160,23 @@ def _apply_overrides(schedule: ScanSchedule, noise: NoiseModel, cfg: PipelineCon
     return schedule, noise
 
 
+def _read_input(load: Callable, path):
+    try:
+        return load(path)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc) if str(exc).startswith(str(path)) else f"{path}: {exc}") from exc
+
+
 def load_run_scene(cfg: PipelineConfig) -> SceneFile:
     """The scene as the run simulates it: the rig from ``calibration`` and the
     config's schedule and noise overrides applied.
 
-    The simulator identifies sweep steps with projector pixels, so a schedule
-    whose steps differ from the projector's pixelation is a ConfigError.
+    A scene or calibration file that cannot be read is a ConfigError naming
+    it. The simulator identifies sweep steps with projector pixels, so a
+    schedule whose steps differ from the projector's pixelation is one too.
     """
-    scene = load_scene(cfg.scene)
-    camera, projector = (scene.camera, scene.projector) if cfg.calibration == "from-scene" else load_calibration_bundle(cfg.calibration)
+    scene = _read_input(load_scene, cfg.scene)
+    camera, projector = (scene.camera, scene.projector) if cfg.calibration == "from-scene" else _read_input(load_calibration_bundle, cfg.calibration)
     schedule, noise = _apply_overrides(scene.schedule, scene.noise, cfg)
     if projector.width != schedule.steps_per_sweep or projector.height != schedule.steps_per_sweep:
         raise ConfigError(
@@ -224,14 +232,18 @@ def _save_provenance(paths, provenance) -> None:
         np.save(path, array)
 
 
+SPECULAR_COLUMNS = (formats.XYZ,)
+METRICS_COLUMNS = ("name", "value")
+
+
 def _save_specular(paths, specular) -> None:
     points, meta = specular
-    formats.write_ply(paths[0], points, comment="eventscan specular surface (mm)")
+    formats.write_ply(paths[0], SPECULAR_COLUMNS, [points], comment="eventscan specular surface (mm)")
     formats.write_sections(paths[1], [formats.Section("deflect", {k: formats.fmt(v) for k, v in meta.items()})])
 
 
 def _load_specular(paths):
-    points, _ = formats.read_ply(paths[0])
+    (points,) = formats.read_ply(paths[0], SPECULAR_COLUMNS)
     (meta,) = formats.read_sections(paths[1])
     return points, {key: formats.parse_scalar(value) for key, value in meta.pairs.items()}
 
@@ -240,7 +252,7 @@ def _save_metrics(paths, report: dict) -> None:
     rows = sorted(report.items())
     lines = [f"{k} = {formats.fmt(v)}" for k, v in rows]
     paths[0].write_text("\n".join(["# eventscan metrics report"] + lines) + "\n")
-    formats.write_table(paths[1], ["name", "value"], [np.array([k for k, _ in rows]), np.array([formats.fmt(v) for _, v in rows])])
+    formats.write_table(paths[1], METRICS_COLUMNS, [[k for k, _ in rows], [formats.fmt(v) for _, v in rows]])
 
 
 class Artifact(NamedTuple):
@@ -407,8 +419,8 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
     failed = out / FAILED_MARKER
     done = []
     stage = stages[0]
+    scene = load_run_scene(cfg) if stage == "simulate" else None
     try:
-        scene = load_run_scene(cfg) if stage == "simulate" else None
         out.mkdir(parents=True, exist_ok=True)
         failed.unlink(missing_ok=True)
         if source is not None:
@@ -456,8 +468,6 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
                 ran = False
                 summary = "skipped: " + ("diffuse-only mode" if not mixed else "no indirect correspondences")
             done.append((stage, summary, ran))
-    except ConfigError:
-        raise
     except Exception as exc:
         out.mkdir(parents=True, exist_ok=True)
         failed.write_text(f"stage = {stage}\nerror = {exc}\n")

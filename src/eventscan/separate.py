@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
-from .decode import CorrespondenceSet, _KEY_SHIFT, _sort_by_key
+from .decode import CORRESPONDENCE_COLUMNS, CorrespondenceSet, _KEY_SHIFT, _sort_by_key
 from .geometry import epipolar_distances
 
 DIRECT = 0
@@ -22,6 +22,8 @@ INDIRECT = 1
 REJECTED = 2
 
 CLASS_NAMES = ("direct", "indirect", "rejected")
+
+CLASSIFIED_COLUMNS = CORRESPONDENCE_COLUMNS + (("class", CLASS_NAMES), ("epi_dist", np.float64))
 
 
 @dataclass
@@ -39,31 +41,12 @@ class ClassifiedSet:
         return np.where(self.label == label)[0]
 
     def save_text(self, path) -> None:
-        b = self.base
-        formats.write_table(
-            path,
-            ["x_C", "y_C", "x_P", "y_P", "support", "quality", "class", "epi_dist"],
-            [
-                b.camera_pixel[:, 0],
-                b.camera_pixel[:, 1],
-                b.projector_pixel[:, 0],
-                b.projector_pixel[:, 1],
-                b.support,
-                b.quality,
-                np.array(CLASS_NAMES)[self.label],
-                self.epipolar_distance,
-            ],
-        )
+        formats.write_table(path, CLASSIFIED_COLUMNS, self.base.table() + [self.label, self.epipolar_distance])
 
     @staticmethod
     def load_text(path) -> "ClassifiedSet":
-        _, cols = formats.read_table(
-            path,
-            ["x_C", "y_C", "x_P", "y_P", "support", "quality", "class", "epi_dist"],
-            [np.int32, np.int32, float, float, np.int32, float, CLASS_NAMES, float],
-        )
-        base = CorrespondenceSet(np.stack(cols[0:2], axis=1), np.stack(cols[2:4], axis=1), cols[4], cols[5])
-        return ClassifiedSet(base, cols[6], cols[7])
+        _, (*base, label, epipolar_distance) = formats.read_table(path, CLASSIFIED_COLUMNS)
+        return ClassifiedSet(CorrespondenceSet(*base), label, epipolar_distance)
 
 
 def epipolar_classify(correspondences: CorrespondenceSet, F: np.ndarray, tau: float = 2.0) -> ClassifiedSet:

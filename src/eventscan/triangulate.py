@@ -20,6 +20,10 @@ from .geometry import PinholeModel, pixel_directions, triangulate_ray_arrays
 from .separate import DIRECT, ClassifiedSet
 
 
+# diffuse.ply; PLY calls every property double, and x_C/y_C hold integers
+CLOUD_COLUMNS = (formats.XYZ, ("quality", np.float64), ("gap", np.float64), (("x_C", "y_C"), np.int32), (("x_P", "y_P"), np.float64))
+
+
 @dataclass
 class DiffuseCloud:
     """Triangulated single-bounce points, one per direct correspondence."""
@@ -36,26 +40,13 @@ class DiffuseCloud:
         return len(self.gap)
 
     def save_ply(self, path) -> None:
-        formats.write_ply(
-            path,
-            self.position,
-            extra={
-                "quality": self.quality,
-                "gap": self.gap,
-                "x_C": self.camera_pixel[:, 0].astype(np.float64),
-                "y_C": self.camera_pixel[:, 1].astype(np.float64),
-                "x_P": self.projector_pixel[:, 0],
-                "y_P": self.projector_pixel[:, 1],
-            },
-            comment="eventscan diffuse cloud (mm)",
-        )
+        arrays = [self.position, self.quality, self.gap, self.camera_pixel, self.projector_pixel]
+        formats.write_ply(path, CLOUD_COLUMNS, arrays, comment="eventscan diffuse cloud (mm)")
 
     @staticmethod
     def load_ply(path) -> "DiffuseCloud":
-        vertices, extras = formats.read_ply(path)
-        cam = np.stack([extras["x_C"], extras["y_C"]], axis=1).astype(np.int32)
-        proj = np.stack([extras["x_P"], extras["y_P"]], axis=1)
-        return DiffuseCloud(vertices, cam, proj, extras.get("gap", np.zeros(len(vertices))), extras.get("quality", np.ones(len(vertices))))
+        position, quality, gap, camera_pixel, projector_pixel = formats.read_ply(path, CLOUD_COLUMNS)
+        return DiffuseCloud(position, camera_pixel, projector_pixel, gap, quality)
 
 
 def triangulate_direct(
@@ -103,6 +94,10 @@ _SCREEN_BIAS = 1 << 31
 _SCREEN_LIMIT = 1 << 30  # |x|, |y| bound that keeps every neighbour key unambiguous
 # 3x3 neighbourhood key offsets, dx outer, dy inner
 _NEIGHBOURS = np.array([(dx << _SCREEN_SHIFT) + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.int64)
+
+
+# screen.txt: one row per key, the best point of its integer projector pixel
+SCREEN_COLUMNS = ((("x_P", "y_P"), np.int64), formats.XYZ, ("quality", np.float64), ("gap", np.float64))
 
 
 def _screen_pixels(projector_pixels: np.ndarray) -> np.ndarray:
@@ -175,20 +170,8 @@ class VirtualScreen:
 
     def save_text(self, path) -> None:
         rows = self.rows
-        pixels = _screen_pixels(self.proj_pixel[rows])
-        formats.write_table(
-            path,
-            ["x_P", "y_P", "x", "y", "z", "quality", "gap"],
-            [
-                pixels[:, 0],
-                pixels[:, 1],
-                self.position[rows, 0],
-                self.position[rows, 1],
-                self.position[rows, 2],
-                self.quality[rows],
-                self.gap[rows],
-            ],
-        )
+        arrays = [_screen_pixels(self.proj_pixel[rows]), self.position[rows], self.quality[rows], self.gap[rows]]
+        formats.write_table(path, SCREEN_COLUMNS, arrays)
 
 
 def build_virtual_screen(cloud: DiffuseCloud) -> VirtualScreen:

@@ -1,13 +1,22 @@
 import dataclasses
 import re
 import struct
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eventscan import formats
-from eventscan.events import EventStream, GroundTruth
+from eventscan.decode import CORRESPONDENCE_COLUMNS, CorrespondenceSet
+from eventscan.deflectometry import RESIDUAL_COLUMNS
+from eventscan.events import EVENT_COLUMNS, TRUTH_COLUMNS, EventStream, GroundTruth, step_table
+from eventscan.pipeline import METRICS_COLUMNS, SPECULAR_COLUMNS
+from eventscan.separate import CLASSIFIED_COLUMNS, ClassifiedSet
+from eventscan.triangulate import CLOUD_COLUMNS, SCREEN_COLUMNS, DiffuseCloud
 from eventscan.geometry import PinholeModel
 from eventscan.scene import (
     Material,
@@ -59,7 +68,7 @@ def test_table_round_trip(tmp_path):
     path = tmp_path / "t.txt"
     a = np.array([1, 2, 3], dtype=np.int64)
     b = np.array([0.5, -1.25, 1e-17])
-    formats.write_table(path, ["a", "b"], [a, b])
+    formats.write_table(path, [("a", np.int64), ("b", np.float64)], [a, b])
     cols, data = formats.read_table(path, ["a", "b"])
     assert cols == ["a", "b"]
     assert np.array_equal(data[0].astype(np.int64), a)
@@ -171,7 +180,7 @@ def test_step_time_of_unknown_step_raises():
 
 def test_ply_round_trip(tmp_path):
     pts = np.array([[0.5, 1.5, 600.0], [-3.25, 0.0, 598.125]])
-    formats.write_ply(tmp_path / "c.ply", pts, extra={"quality": np.array([0.9, 1.0])})
+    formats.write_ply(tmp_path / "c.ply", [formats.XYZ, ("quality", float)], [pts, np.array([0.9, 1.0])])
     back, extras = formats.read_ply(tmp_path / "c.ply")
     assert np.array_equal(back, pts)
     assert np.array_equal(extras["quality"], [0.9, 1.0])
@@ -179,18 +188,20 @@ def test_ply_round_trip(tmp_path):
 
 def test_table_zero_rows_typed_without_warning(tmp_path):
     path = tmp_path / "t.txt"
-    formats.write_table(path, ["a", "b", "c"], [np.zeros(0, np.int64), np.zeros(0), np.zeros(0, bool)])
+    columns = [("a", np.int64), ("b", float), ("c", ("false", "true"))]
+    formats.write_table(path, columns, [np.zeros(0, np.int64), np.zeros(0), np.zeros(0, bool)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cols, data = formats.read_table(path, ["a", "b", "c"], [np.int64, float, ("false", "true")])
+        cols, data = formats.read_table(path, columns)
     assert cols == ["a", "b", "c"]
     assert [(d.dtype, d.shape) for d in data] == [(np.int64, (0,)), (np.float64, (0,)), (np.int8, (0,))]
 
 
 def test_table_one_row_typed(tmp_path):
     path = tmp_path / "t.txt"
-    formats.write_table(path, ["a", "b", "flag"], [np.array([7]), np.array([2.5]), np.array([True])], header="one")
-    _, (a, b, flag) = formats.read_table(path, ["a", "b", "flag"], [np.int32, float, ("false", "true")])
+    columns = [("a", np.int32), ("b", float), ("flag", ("false", "true"))]
+    formats.write_table(path, columns, [np.array([7]), np.array([2.5]), np.array([True])], header="one")
+    _, (a, b, flag) = formats.read_table(path, columns)
     assert a.dtype == np.int32 and a.tolist() == [7]
     assert b.tolist() == [2.5]
     assert flag.tolist() == [1]
@@ -199,8 +210,8 @@ def test_table_one_row_typed(tmp_path):
 def test_table_exact_float_round_trip(tmp_path):
     path = tmp_path / "t.txt"
     values = np.array([-0.0, np.nan, 1e-17, 5e-324, 1.7976931348623157e308])
-    formats.write_table(path, ["v"], [values])
-    _, (back,) = formats.read_table(path, ["v"], [float])
+    formats.write_table(path, [("v", float)], [values])
+    _, (back,) = formats.read_table(path, [("v", float)])
     assert back.dtype == np.float64
     assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
 
@@ -212,6 +223,18 @@ def test_event_times_parse_as_integers(tmp_path):
     back = EventStream.load_text(tmp_path / "e.txt")
     assert back.t.dtype == np.int64
     assert back.t.tolist() == t.tolist()
+
+
+def test_write_table_rejects_declaration_array_count_mismatch(tmp_path):
+    path = tmp_path / "t.txt"
+    col = np.arange(3)
+    with pytest.raises(ValueError):
+        formats.write_table(path, ["a", "b"], [col])
+    with pytest.raises(ValueError):
+        formats.write_table(path, [("a", np.int64)], [col, col])
+    with pytest.raises(ValueError, match="shape"):
+        formats.write_table(path, [(("a", "b"), np.int64)], [col])
+    assert not path.exists()
 
 
 def test_table_untyped_returns_strings(tmp_path):
@@ -226,31 +249,31 @@ def test_table_untyped_returns_strings(tmp_path):
 def test_table_malformed_raises_format_error(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# a b\n1 2\n3\n")
-    for types in (None, [np.int64, np.int64]):
+    for columns in (["a", "b"], [("a", np.int64), ("b", np.int64)]):
         with pytest.raises(formats.FormatError, match=re.escape(path.name)):
-            formats.read_table(path, ["a", "b"], types)
+            formats.read_table(path, columns)
     path.write_text("# a b\n1 2\n")
     with pytest.raises(formats.FormatError, match="missing column header"):
-        formats.read_table(path, ["a", "c"], [np.int64, np.int64])
+        formats.read_table(path, [("a", np.int64), ("c", np.int64)])
     path.write_text("# a b\n1 x\n")
     with pytest.raises(formats.FormatError, match=re.escape(path.name)):
-        formats.read_table(path, ["a", "b"], [np.int64, float])
+        formats.read_table(path, [("a", np.int64), ("b", float)])
 
 
 def test_table_unknown_name_raises_format_error(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# a flag\n1 true\n2 falsey\n")  # too long for the name field: must not truncate to 'false'
     with pytest.raises(formats.FormatError, match=re.escape(path.name) + ".*row 2"):
-        formats.read_table(path, ["a", "flag"], [np.int64, ("false", "true")])
+        formats.read_table(path, [("a", np.int64), ("flag", ("false", "true"))])
 
 
 def test_ply_zero_vertices_and_short_body(tmp_path):
     path = tmp_path / "c.ply"
-    formats.write_ply(path, np.zeros((0, 3)), extra={"quality": np.zeros(0)})
+    formats.write_ply(path, [formats.XYZ, ("quality", float)], [np.zeros((0, 3)), np.zeros(0)])
     vertices, extras = formats.read_ply(path)
     assert vertices.shape == (0, 3) and extras["quality"].shape == (0,)
     pts = np.array([[0.5, 1.5, 600.0], [-3.25, 0.0, 598.125]])
-    formats.write_ply(path, pts)
+    formats.write_ply(path, [formats.XYZ], [pts])
     path.write_text(path.read_text().replace("element vertex 2", "element vertex 3"))
     with pytest.raises(formats.FormatError, match=re.escape(path.name)):
         formats.read_ply(path)
@@ -344,3 +367,113 @@ def test_material_invariants():
         Material("shiny", 0.0, 0.5)
     with pytest.raises(ValueError):
         Material("glass")
+
+
+# --- every declared artifact round-trips ---------------------------------------
+
+EDGE_FLOATS = [np.nan, -0.0, 0.0, 5e-324, -5e-324, 1.8e308, -1.8e308, np.inf, -np.inf, 1e-17, 0.1, 1 / 3]
+TOKENS = ["direct", "true", "0.5", "-1e-17", "nan", "a_b", "x" * 12]
+
+
+def _field(rng, kind, n: int, width: int) -> np.ndarray:
+    """n random rows of one declared kind; every edge value appears once n allows."""
+    size = n * width
+    if isinstance(kind, tuple):
+        edge, values = np.arange(len(kind)), rng.integers(0, len(kind), size)
+        dtype = np.int8
+    elif np.dtype(kind).kind == "f":
+        edge, values = EDGE_FLOATS, rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+        dtype = np.float64
+    elif np.dtype(kind).kind == "i":
+        info = np.iinfo(kind)
+        edge, values = [info.min, info.max, 0, -1, 1], rng.integers(info.min, info.max, size, endpoint=True)
+        dtype = kind
+    else:
+        edge, values = TOKENS, rng.choice(TOKENS, size)
+        dtype = str
+    column = np.concatenate([np.asarray(edge, dtype=dtype), np.asarray(values, dtype=dtype)])[:size]
+    column = rng.permutation(column)
+    return column.reshape(n, width) if width > 1 else column
+
+
+def _valid_truth(arrays):
+    """A GroundTruth of ``arrays`` made loadable, which are fixed in place:
+    events numbered in order, rows with bounce <= 0 blank, one time per
+    (sweep, step)."""
+    _, bounce, surface, label, proj, on_epi, sweep, step, times = arrays
+    spurious = bounce <= 0
+    bounce[spurious], label[spurious], on_epi[spurious] = 0, -1, 0
+    surface[spurious], proj[spurious] = np.nan, np.nan
+    keys = sweep.astype(np.int64) * 2**32 + step
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    times = times[first][inverse.ravel()]
+    arrays[0], arrays[-1] = np.arange(len(bounce)), times
+    annotated = ~spurious
+    path = np.where(annotated, np.cumsum(annotated) - 1, -1)
+    return GroundTruth(
+        bounce[annotated], surface[annotated], label[annotated], proj[annotated], on_epi[annotated],
+        path, sweep, step, step_table(sweep, step, times),
+    )
+
+
+# file -> (declaration, object made of its arrays, save, load); None where no class reads it
+ARTIFACTS = {
+    "events.txt": (EVENT_COLUMNS, lambda a: EventStream(*a), EventStream.save_text, EventStream.load_text),
+    "ground_truth.txt": (TRUTH_COLUMNS, _valid_truth, GroundTruth.save_text, GroundTruth.load_text),
+    "correspondences.txt": (
+        CORRESPONDENCE_COLUMNS, lambda a: CorrespondenceSet(*a), CorrespondenceSet.save_text, CorrespondenceSet.load_text
+    ),
+    "classified.txt": (
+        CLASSIFIED_COLUMNS, lambda a: ClassifiedSet(CorrespondenceSet(*a[:4]), *a[4:]), ClassifiedSet.save_text,
+        ClassifiedSet.load_text,
+    ),
+    "diffuse.ply": (
+        CLOUD_COLUMNS, lambda a: DiffuseCloud(a[0], a[3], a[4], a[2], a[1]), DiffuseCloud.save_ply, DiffuseCloud.load_ply
+    ),
+    "screen.txt": (SCREEN_COLUMNS, None, None, None),
+    "residuals.txt": (RESIDUAL_COLUMNS, None, None, None),
+    "metrics.tsv": (METRICS_COLUMNS, None, None, None),
+    "specular.ply": (SPECULAR_COLUMNS, None, None, None),
+}
+
+
+def _assert_bit_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype.kind == w.dtype.kind
+        if w.dtype.kind == "f":
+            assert g.dtype == w.dtype and np.array_equal(g.view(np.uint64), w.view(np.uint64))
+        else:
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", list(ARTIFACTS))
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+@example(n=0, seed=0)
+@example(n=1, seed=0)
+@example(n=40, seed=1)
+def test_every_artifact_round_trips(name, n, seed):
+    columns, make, save, load = ARTIFACTS[name]
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for entry in columns:
+        names, kind = (entry, str) if isinstance(entry, str) else entry
+        arrays.append(_field(rng, kind, n, 1 if isinstance(names, str) else len(names)))
+    ply = name.endswith(".ply")
+    write = formats.write_ply if ply else formats.write_table
+    read = (lambda p: formats.read_ply(p, columns)) if ply else (lambda p: formats.read_table(p, columns)[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / ("a_" + name), Path(tmp) / ("b_" + name)
+        if make is None:
+            write(first, columns, arrays)
+        else:
+            value = make(arrays)
+            save(value, first)
+        back = read(first)
+        _assert_bit_equal(back, arrays)
+        if make is None:
+            write(second, columns, back)
+        else:
+            save(load(first), second)
+        assert first.read_bytes() == second.read_bytes()

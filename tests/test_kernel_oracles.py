@@ -146,7 +146,9 @@ class EventTruth:
         header = "labels: " + (" ".join(self.labels) if self.labels else "-")
         formats.write_table(
             path,
-            ["event", "bounce", "sx", "sy", "sz", "label", "px", "py", "on_epipolar", "sweep", "step", "step_time_us"],
+            [("event", np.int64), ("bounce", np.int16), ("sx", float), ("sy", float), ("sz", float), ("label", np.int32),
+             ("px", float), ("py", float), ("on_epipolar", ("false", "true")), ("sweep", np.int8), ("step", np.int32),
+             ("step_time_us", np.int64)],
             [
                 np.arange(len(self.bounce)), self.bounce,
                 self.surface_point[:, 0], self.surface_point[:, 1], self.surface_point[:, 2],

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import CONFIGS, REPO
 
+from eventscan import pipeline
 from eventscan.cli import main as cli_main
 from eventscan.pipeline import STAGES, ConfigError, PipelineConfig, StageError, load_config, run_pipeline
 
@@ -196,17 +197,44 @@ def test_diffuse_only_skips_separation_and_deflectometry(tmp_path):
     assert report.numbers["scan_span_us"] * 2 == 250000
 
 
-def test_stage_failure_writes_marker(tmp_path):
+def test_stage_failure_writes_marker(tmp_path, monkeypatch):
     bad_scene = tmp_path / "bad.scene"
     bad_scene.write_text("[camera]\nwidth = 4\n")
     cfg_path = write_cfg(tmp_path, f"scene = {bad_scene}\n")
     out = tmp_path / "out"
+    # a scene that does not parse is a configuration error: exit 2, nothing written
+    with pytest.raises(ConfigError):
+        run_pipeline(load_config(cfg_path), out)
+    for command in ("run", "simulate"):
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    # a fault while running is a stage failure: exit 3 and a FAILED marker
+    def broken_simulator(*args, **kwargs):
+        raise RuntimeError("simulator fault")
+
+    monkeypatch.setattr(pipeline, "simulate_scan", broken_simulator)
+    cfg_path = write_cfg(tmp_path, f"scene = {REPO/'scenes'/'plane.scene'}\n")
     with pytest.raises(StageError):
         run_pipeline(load_config(cfg_path), out)
     assert (out / "FAILED").exists()
     assert "simulate" in (out / "FAILED").read_text()
     rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out2")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("key, value", [("width", "abc"), ("fx", "1e3x")])
+def test_unparsable_scene_value_names_file_and_key(tmp_path, key, value):
+    lines = (REPO / "scenes" / "plane.scene").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
+    lines[at] = f"{key} = {value}"
+    scene = tmp_path / "bad.scene"
+    scene.write_text("\n".join(lines) + "\n")
+    cfg_path = write_cfg(tmp_path, f"scene = {scene}\n")
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=rf"bad\.scene.*\[camera\] key '{key}'"):
+        run_pipeline(load_config(cfg_path), out)
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_seed_changes_noise_and_manifest(tmp_path):

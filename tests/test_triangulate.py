@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from eventscan import decode
+from eventscan import decode, formats
 from eventscan.decode import CorrespondenceSet
 from eventscan.geometry import fundamental_from_models, rigid_transform_model, unit
 from eventscan.metrics import fit_sphere
 from eventscan.scene import Material, ScanSchedule, SceneObject, Sphere
 from eventscan.separate import ClassifiedSet, epipolar_classify, resolve_mixed_pixels
 from eventscan.simulate import simulate_scan
-from eventscan.triangulate import DiffuseCloud, build_virtual_screen, triangulate_direct
+from eventscan.triangulate import SCREEN_COLUMNS, DiffuseCloud, build_virtual_screen, triangulate_direct
 
 from conftest import small_rig
 
@@ -144,9 +144,7 @@ def test_screen_text_round_trippable(tmp_path):
     )
     screen = build_virtual_screen(cloud)
     screen.save_text(tmp_path / "screen.txt")
-    from eventscan import formats
-
-    cols, data = formats.read_table(tmp_path / "screen.txt", ["x_P", "y_P", "x", "y", "z", "quality", "gap"])
+    cols, data = formats.read_table(tmp_path / "screen.txt", SCREEN_COLUMNS)
     assert len(data[0]) == 2
 
 
@@ -156,3 +154,30 @@ def test_cloud_ply_round_trip(tmp_path, plane_cloud):
     assert np.array_equal(back.position, plane_cloud.position)
     assert np.array_equal(back.camera_pixel, plane_cloud.camera_pixel)
     assert np.array_equal(back.projector_pixel, plane_cloud.projector_pixel)
+
+
+def _cloud_ply_without(path, prop):
+    DiffuseCloud(
+        position=np.array([[0.0, 0, 600], [1.0, 2, 601]]),
+        camera_pixel=np.array([[10, 10], [11, 10]], np.int32),
+        projector_pixel=np.array([[400.2, 400.1], [10.0, 20.0]]),
+        gap=np.array([0.1, 0.0]),
+        quality=np.array([0.9, 0.5]),
+    ).save_ply(path)
+    vertices, extras = formats.read_ply(path)
+    kept = {name: values for name, values in extras.items() if name != prop}
+    formats.write_ply(path, [formats.XYZ] + [(name, float) for name in kept], [vertices, *kept.values()])
+
+
+@pytest.mark.parametrize("prop", ["gap", "quality"])
+def test_cloud_ply_without_gap_or_quality_raises(tmp_path, prop):
+    # these used to load silently as zeros / ones
+    _cloud_ply_without(tmp_path / "c.ply", prop)
+    with pytest.raises(formats.FormatError, match=rf"c\.ply: no property '{prop}'"):
+        DiffuseCloud.load_ply(tmp_path / "c.ply")
+
+
+def test_cloud_ply_without_camera_pixel_raises(tmp_path):
+    _cloud_ply_without(tmp_path / "c.ply", "x_C")
+    with pytest.raises(formats.FormatError, match=r"c\.ply: no property 'x_C'"):
+        DiffuseCloud.load_ply(tmp_path / "c.ply")
