@@ -7,7 +7,7 @@ uses a burst of laser-generated events a known offset before the scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -215,18 +215,7 @@ def zhang_intrinsics(
     errs = []
     for obs, R, t in zip(observations, rotations, translations):
         board3d = np.concatenate([obs.corners_board, np.zeros((len(obs.corners_board), 1))], axis=1)
-        posed = PinholeModel(
-            fx=model.fx,
-            fy=model.fy,
-            cx=model.cx,
-            cy=model.cy,
-            width=model.width,
-            height=model.height,
-            skew=model.skew,
-            rotation=R,
-            translation=t,
-        )
-        px, _ = project_points(posed, board3d)
+        px, _ = project_points(replace(model, rotation=R, translation=t), board3d)
         ref = obs.corners_camera if target == "camera" else obs.corners_projector
         errs.append(np.linalg.norm(px - ref, axis=1))
     mean_err = float(np.mean(np.concatenate(errs)))
@@ -266,18 +255,7 @@ def calibrate_rig(
         R_pc = U @ Vt
     t_pc = np.mean(t_acc, axis=0)
     camera = cam.model  # identity pose: world = camera frame
-    projector = PinholeModel(
-        fx=proj.model.fx,
-        fy=proj.model.fy,
-        cx=proj.model.cx,
-        cy=proj.model.cy,
-        width=projector_size[0],
-        height=projector_size[1],
-        skew=proj.model.skew,
-        rotation=R_pc,
-        translation=t_pc,
-    )
-    return camera, projector
+    return camera, replace(proj.model, rotation=R_pc, translation=t_pc)
 
 
 def detect_scan_start(events: EventStream, cfg: SyncConfig, min_burst_events: int = 10) -> int:

@@ -1,12 +1,15 @@
 """Decode an event stream into per-camera-pixel projector correspondences.
 
-Each event timestamp is mapped to a sweep window and a continuous sweep
-position ``(t - sweep_start) * steps / duration``; the integer part is the
-projector step index, the fraction is the sub-step residual carried by the
-timestamp. Per camera pixel, positions from repeated events are clustered
-(a shiny pixel sees both its own illumination and a mirrored one), each
-cluster is aggregated by its median, and vertical x horizontal cluster pairs
-become correspondences ``(x_P, y_P)``.
+``assign_sweeps`` labels the stream in place: ``SweepAssignments`` is a view
+on the ``EventStream`` it was given, with one sweep label and one continuous
+sweep position ``(t - sweep_start) * steps / duration`` per event (the
+integer part is the projector step, the fraction the sub-step residual
+carried by the timestamp); events outside every sweep window are labelled
+-1. Per camera pixel, positions from repeated events are clustered (a shiny
+pixel sees both its own illumination and a mirrored one), each cluster is
+aggregated by its median, and vertical x horizontal cluster pairs become
+correspondences ``(x_P, y_P)``; the single-sweep mode takes ``y_P`` from
+the epipolar line instead. Both modes share one clustering step.
 """
 
 from __future__ import annotations
@@ -19,65 +22,59 @@ from . import formats
 from .events import SWEEP_HORIZONTAL, SWEEP_VERTICAL, EventStream
 from .scene import ScanSchedule
 
-_KEY_SHIFT = 20  # pixel key packing: key = (y << _KEY_SHIFT) | x
+_KEY_SHIFT = 20
+
+
+def pack_pixels(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One int64 key per camera pixel, ``(y << _KEY_SHIFT) | x``: keys sort row-major."""
+    return (np.asarray(y, dtype=np.int64) << _KEY_SHIFT) | np.asarray(x, dtype=np.int64)
+
+
+def unpack_pixels(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, y) of each ``pack_pixels`` key."""
+    return key & ((1 << _KEY_SHIFT) - 1), key >> _KEY_SHIFT
 
 
 @dataclass
 class SweepAssignments:
-    """Per-event sweep labels for events inside sweep windows."""
+    """Sweep labels on a stream: one entry of each array per event of ``events``.
 
-    event_index: np.ndarray  # index into the source stream
-    x: np.ndarray
-    y: np.ndarray
-    polarity: np.ndarray
-    sweep: np.ndarray  # SWEEP_VERTICAL or SWEEP_HORIZONTAL
-    index: np.ndarray  # integer projector step
-    position: np.ndarray  # continuous sweep position in steps
-    residual_us: np.ndarray  # time offset within the step
-    steps_per_sweep: int = 0
-    discarded_recovery: int = 0
-    outside_window: int = 0
+    ``sweep`` is SWEEP_VERTICAL, SWEEP_HORIZONTAL, or -1 for an event outside
+    every sweep window (its ``position`` is 0). ``len()`` counts the events
+    inside a window.
+    """
+
+    events: EventStream  # the labelled stream itself, not a copy
+    sweep: np.ndarray  # int8
+    position: np.ndarray  # float64, continuous sweep position in steps
+    steps_per_sweep: int
+    discarded_recovery: int
+    outside_window: int
 
     def __len__(self) -> int:
-        return len(self.event_index)
+        return int(np.count_nonzero(self.sweep >= 0))
 
 
 def assign_sweeps(events: EventStream, schedule: ScanSchedule, scan_start_us: int, n_sweeps: int = 2) -> SweepAssignments:
-    """Label every event with its sweep and projector step.
+    """Label every event with its sweep and sweep position.
 
-    Events inside recovery windows are discarded and counted; events outside
-    the scan window entirely are counted as ``outside_window``.
+    Events inside recovery windows are counted as ``discarded_recovery``;
+    the other events outside every sweep window as ``outside_window``.
     """
     t = events.t
     steps = schedule.steps_per_sweep
     duration = schedule.sweep_duration_us
     sweep = np.full(len(t), -1, dtype=np.int8)
     position = np.zeros(len(t), dtype=np.float64)
-    in_recovery = np.zeros(len(t), dtype=bool)
+    recovery = 0
     for s in range(n_sweeps):
         start = scan_start_us + s * (duration + schedule.recovery_us)
         inside = (t >= start) & (t < start + duration)
         sweep[inside] = s
         position[inside] = (t[inside] - start) * steps / duration
-        rec = (t >= start + duration) & (t < start + duration + schedule.recovery_us)
-        in_recovery |= rec
-    keep = sweep >= 0
-    index = np.clip(np.floor(position[keep]).astype(np.int32), 0, steps - 1)
-    sweep_start = scan_start_us + sweep[keep].astype(np.int64) * (duration + schedule.recovery_us)
-    residual = t[keep] - (sweep_start + index * schedule.step_us)
-    return SweepAssignments(
-        event_index=np.where(keep)[0],
-        x=events.x[keep],
-        y=events.y[keep],
-        polarity=events.polarity[keep],
-        sweep=sweep[keep],
-        index=index,
-        position=position[keep],
-        residual_us=residual,
-        steps_per_sweep=steps,
-        discarded_recovery=int(in_recovery.sum()),
-        outside_window=int((~keep & ~in_recovery).sum()),
-    )
+        recovery += int(np.count_nonzero((t >= start + duration) & (t < start + duration + schedule.recovery_us)))
+    outside = len(t) - int(np.count_nonzero(sweep >= 0)) - recovery
+    return SweepAssignments(events, sweep, position, steps, recovery, outside)
 
 
 CORRESPONDENCE_COLUMNS = ((("x_C", "y_C"), np.int32), (("x_P", "y_P"), np.float64), ("support", np.int32), ("quality", np.float64))
@@ -121,8 +118,9 @@ def _empty_correspondences() -> CorrespondenceSet:
     return CorrespondenceSet(np.zeros((0, 2), np.int32), np.zeros((0, 2)), np.zeros(0, np.int32), np.zeros(0))
 
 
-def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    lens = (stops - starts).astype(np.int64)
+def _concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The indices of the ranges ``[starts[i], starts[i] + lens[i])``, concatenated."""
+    lens = lens.astype(np.int64)
     total = int(lens.sum())
     if total == 0:
         return np.zeros(0, dtype=np.int64)
@@ -156,20 +154,6 @@ def _sort_by_key(key: np.ndarray, *ties: np.ndarray) -> np.ndarray:
     return order
 
 
-def _select_timing_events(a: SweepAssignments, policy: str):
-    """Event selection per polarity policy, with -1 positions shifted back one step."""
-    if policy == "positive":
-        keep = a.polarity > 0
-    elif policy == "negative":
-        keep = a.polarity < 0
-    elif policy == "both":
-        keep = np.ones(len(a), dtype=bool)
-    else:
-        raise ValueError(f"unknown polarity policy {policy!r}")
-    position = np.where(a.polarity < 0, a.position - 1.0, a.position)
-    return keep, position
-
-
 @dataclass
 class _Clusters:
     """Contiguous position clusters per (pixel, sweep), ready for pairing."""
@@ -177,69 +161,73 @@ class _Clusters:
     pixel_key: np.ndarray
     sweep: np.ndarray
     median: np.ndarray
-    spread: np.ndarray
+    quality: np.ndarray  # 1 - spread / steps, at least 0
     size: np.ndarray
-    seg_start: np.ndarray  # ranges into sorted_event_index
-    seg_stop: np.ndarray
+    seg_start: np.ndarray  # cluster i is sorted_event_index[seg_start[i]:seg_start[i] + size[i]]
     sorted_event_index: np.ndarray
 
 
-def _cluster(a: SweepAssignments, keep: np.ndarray, position: np.ndarray, gap: float) -> _Clusters:
-    key = (a.y[keep].astype(np.int64) << _KEY_SHIFT) | a.x[keep].astype(np.int64)
-    sweep = a.sweep[keep].astype(np.int64)
-    pos = position[keep]
-    ev = a.event_index[keep]
+def _cluster(a: SweepAssignments, policy: str, vertical_only: bool = False) -> _Clusters:
+    """Cluster the timing events of each (pixel, sweep) by sweep position.
+
+    ``policy`` picks the events by polarity ("positive", "negative" or
+    "both"); a -1 event's position is moved back one step, onto the step
+    whose crossing it ends. Only in-window events count, and only the
+    vertical sweep's with ``vertical_only``. Sorted by (pixel, sweep,
+    position), a gap over ``max(2, 0.005 * steps)`` positions starts a new
+    cluster.
+    """
+    polarity = a.events.polarity
+    if policy == "positive":
+        keep = polarity > 0
+    elif policy == "negative":
+        keep = polarity < 0
+    elif policy == "both":
+        keep = np.ones(len(polarity), dtype=bool)
+    else:
+        raise ValueError(f"unknown polarity policy {policy!r}")
+    keep &= (a.sweep == SWEEP_VERTICAL) if vertical_only else (a.sweep >= 0)
+    ev = np.flatnonzero(keep)
+    key = pack_pixels(a.events.x[ev], a.events.y[ev])
+    sweep = a.sweep[ev]
+    pos = a.position[ev]
+    pos[polarity[ev] < 0] -= 1.0
     order = np.lexsort((pos, sweep, key))
     key, sweep, pos, ev = key[order], sweep[order], pos[order], ev[order]
-    n = len(key)
-    if n == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return _Clusters(z, z, np.zeros(0), np.zeros(0), z, z, z, z)
-    brk = np.ones(n, dtype=bool)
-    brk[1:] = (key[1:] != key[:-1]) | (sweep[1:] != sweep[:-1]) | (np.diff(pos) > gap)
-    starts = np.where(brk)[0]
-    stops = np.concatenate([starts[1:], [n]])
-    sizes = stops - starts
-    med_at = starts + (sizes - 1) // 2  # lower middle on ties
+    brk = np.ones(len(key), dtype=bool)
+    brk[1:] = (key[1:] != key[:-1]) | (sweep[1:] != sweep[:-1]) | (np.diff(pos) > max(2.0, 0.005 * a.steps_per_sweep))
+    starts = np.flatnonzero(brk)
+    sizes = np.diff(np.append(starts, len(key)))
     return _Clusters(
         pixel_key=key[starts],
         sweep=sweep[starts],
-        median=pos[med_at],
-        spread=pos[stops - 1] - pos[starts],
+        median=pos[starts + (sizes - 1) // 2],  # lower middle on ties
+        quality=np.maximum(0.0, 1.0 - (pos[starts + sizes - 1] - pos[starts]) / a.steps_per_sweep),
         size=sizes,
         seg_start=starts,
-        seg_stop=stops,
         sorted_event_index=ev,
     )
 
 
-def _build_set(cam_keys, proj, support, quality, seg_starts, seg_stops, sorted_event_index) -> CorrespondenceSet:
+def _build_set(cl: _Clusters, members: np.ndarray, proj: np.ndarray) -> CorrespondenceSet:
     """Assemble a canonical, deterministically ordered correspondence set.
 
-    ``seg_starts``/``seg_stops`` hold one or two (start, stop) ranges per row
-    into ``sorted_event_index``.
+    Row i joins the clusters ``members[i]`` (one per sweep used) of one
+    pixel, at projector pixel ``proj[i]``. Its support is the number of
+    events in those clusters and its quality that of the worst of them.
     """
-    cam_keys = np.asarray(cam_keys, dtype=np.int64)
-    proj = np.asarray(proj, dtype=np.float64).reshape(-1, 2)
-    order = _sort_by_key(cam_keys, proj[:, 1], proj[:, 0])
-    cam_keys = cam_keys[order]
-    proj = proj[order]
-    support = np.asarray(support, dtype=np.int32)[order]
-    quality = np.asarray(quality, dtype=np.float64)[order]
-    seg_starts = np.asarray(seg_starts, dtype=np.int64).reshape(len(order), -1)[order]
-    seg_stops = np.asarray(seg_stops, dtype=np.int64).reshape(len(order), -1)[order]
-    flat = sorted_event_index[_concat_ranges(seg_starts.ravel(), seg_stops.ravel())]
-    row_lens = (seg_stops - seg_starts).sum(axis=1)
-    offsets = np.concatenate([[0], np.cumsum(row_lens)]).astype(np.int64)
-    cam = np.stack([cam_keys & ((1 << _KEY_SHIFT) - 1), cam_keys >> _KEY_SHIFT], axis=1).astype(np.int32)
-    return CorrespondenceSet(cam, proj, support, quality, flat, offsets)
+    key = cl.pixel_key[members[:, 0]]
+    order = _sort_by_key(key, proj[:, 1], proj[:, 0])
+    key, members, proj = key[order], members[order], proj[order]
+    sizes = cl.size[members]
+    support = sizes.sum(axis=1)
+    flat = cl.sorted_event_index[_concat_ranges(cl.seg_start[members].ravel(), sizes.ravel())]
+    offsets = np.concatenate([[0], np.cumsum(support)]).astype(np.int64)
+    cam = np.stack(unpack_pixels(key), axis=1).astype(np.int32)
+    return CorrespondenceSet(cam, proj, support.astype(np.int32), cl.quality[members].min(axis=1), flat, offsets)
 
 
-def intersect_sweeps(
-    assignments: SweepAssignments,
-    polarity_policy: str = "positive",
-    cluster_gap: float | None = None,
-) -> CorrespondenceSet:
+def intersect_sweeps(assignments: SweepAssignments, polarity_policy: str = "positive") -> CorrespondenceSet:
     """Pair vertical and horizontal sweep detections into (x_P, y_P) links.
 
     A camera pixel whose events form several well-separated position clusters
@@ -250,14 +238,9 @@ def intersect_sweeps(
     pair. Clusters arrive sorted by pixel key, so the pixels seen in both
     sweeps are found by ``searchsorted`` on each sweep's runs of equal keys.
     """
-    steps = assignments.steps_per_sweep
-    if cluster_gap is None:
-        cluster_gap = max(2.0, 0.005 * steps)
-    keep, position = _select_timing_events(assignments, polarity_policy)
-    cl = _cluster(assignments, keep, position, gap=cluster_gap)
-
-    v_idx = np.where(cl.sweep == SWEEP_VERTICAL)[0]
-    h_idx = np.where(cl.sweep == SWEEP_HORIZONTAL)[0]
+    cl = _cluster(assignments, polarity_policy)
+    v_idx = np.flatnonzero(cl.sweep == SWEEP_VERTICAL)
+    h_idx = np.flatnonzero(cl.sweep == SWEEP_HORIZONTAL)
     if len(v_idx) == 0 or len(h_idx) == 0:
         return _empty_correspondences()
     # clusters are already grouped by pixel key within each sweep, so vkeys
@@ -266,9 +249,6 @@ def intersect_sweeps(
     h_lo, h_hi, hkeys = _runs(cl.pixel_key[h_idx])
     at = np.minimum(np.searchsorted(hkeys, vkeys), len(hkeys) - 1)
     in_both = hkeys[at] == vkeys
-    if not np.any(in_both):
-        return _empty_correspondences()
-    common = vkeys[in_both]
     v_lo, v_hi = v_lo[in_both], v_hi[in_both]
     h_lo, h_hi = h_lo[at[in_both]], h_hi[at[in_both]]
     nv = v_hi - v_lo
@@ -277,28 +257,13 @@ def intersect_sweeps(
     # every vertical x horizontal cluster pair of a pixel, ordered by pixel,
     # then vertical cluster, then horizontal cluster
     pairs = nv * nh
-    pixel = np.repeat(np.arange(len(common)), pairs)
+    pixel = np.repeat(np.arange(len(pairs)), pairs)
     j = _concat_ranges(np.zeros_like(pairs), pairs)  # pair index within its pixel
-    vi = v_idx[v_lo[pixel] + j // nh[pixel]]
-    hi = h_idx[h_lo[pixel] + j % nh[pixel]]
-    spread = np.maximum(cl.spread[vi], cl.spread[hi])
-    return _build_set(
-        common[pixel],
-        np.stack([cl.median[vi], cl.median[hi]], axis=1),
-        cl.size[vi] + cl.size[hi],
-        np.maximum(0.0, 1.0 - spread / steps),
-        np.stack([cl.seg_start[vi], cl.seg_start[hi]], axis=1),
-        np.stack([cl.seg_stop[vi], cl.seg_stop[hi]], axis=1),
-        cl.sorted_event_index,
-    )
+    members = np.stack([v_idx[v_lo[pixel] + j // nh[pixel]], h_idx[h_lo[pixel] + j % nh[pixel]]], axis=1)
+    return _build_set(cl, members, cl.median[members])
 
 
-def intersect_single_sweep(
-    assignments: SweepAssignments,
-    F: np.ndarray,
-    polarity_policy: str = "positive",
-    cluster_gap: float | None = None,
-) -> CorrespondenceSet:
+def intersect_single_sweep(assignments: SweepAssignments, F: np.ndarray, polarity_policy: str = "positive") -> CorrespondenceSet:
     """Diffuse-only decoding from the vertical sweep alone.
 
     The sweep gives x_P; y_P comes from the epipolar constraint: the
@@ -307,25 +272,9 @@ def intersect_single_sweep(
     so it may be 1. Pixels whose projector epipolar line is near-parallel to
     the columns are skipped (y_P unidentifiable from a vertical sweep).
     """
-    steps = assignments.steps_per_sweep
-    if cluster_gap is None:
-        cluster_gap = max(2.0, 0.005 * steps)
-    keep, position = _select_timing_events(assignments, polarity_policy)
-    keep = keep & (assignments.sweep == SWEEP_VERTICAL)
-    cl = _cluster(assignments, keep, position, gap=cluster_gap)
-    if len(cl.pixel_key) == 0:
-        return _empty_correspondences()
-    x_c = (cl.pixel_key & ((1 << _KEY_SHIFT) - 1)).astype(np.float64)
-    y_c = (cl.pixel_key >> _KEY_SHIFT).astype(np.float64)
-    lines = np.stack([x_c, y_c, np.ones_like(x_c)], axis=1) @ F  # rows: F^T p_C
+    cl = _cluster(assignments, polarity_policy, vertical_only=True)
+    x_c, y_c = unpack_pixels(cl.pixel_key)
+    lines = np.stack([x_c, y_c, np.ones(len(x_c))], axis=1) @ F  # rows: F^T p_C
     ok = np.abs(lines[:, 1]) > 1e-9 * np.hypot(lines[:, 0], lines[:, 1])
     y_p = np.where(ok, -(lines[:, 0] * cl.median + lines[:, 2]) / np.where(ok, lines[:, 1], 1.0), 0.0)
-    return _build_set(
-        cl.pixel_key[ok],
-        np.stack([cl.median[ok], y_p[ok]], axis=1),
-        cl.size[ok],
-        np.maximum(0.0, 1.0 - cl.spread[ok] / steps),
-        np.stack([cl.seg_start[ok]], axis=1),
-        np.stack([cl.seg_stop[ok]], axis=1),
-        cl.sorted_event_index,
-    )
+    return _build_set(cl, np.flatnonzero(ok)[:, None], np.stack([cl.median[ok], y_p[ok]], axis=1))

@@ -406,7 +406,6 @@ def iterative_shape(
 
     # normal-consistency outlier rejection, applied once
     normals, ok_n = defl_normals(t, m)
-    n_cam = normals @ R.T
     gx = np.gradient(zhat, axis=1)
     gy = np.gradient(zhat, axis=0)
     p, q, okp, _ = grad_field(t, m)

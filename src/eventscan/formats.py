@@ -292,7 +292,10 @@ def read_ply(path, columns=None):
         while line := f.readline():
             line = line.rstrip("\r\n")
             if line.startswith("element vertex"):
-                count = int(line.split()[-1])
+                try:
+                    count = int(line.split()[-1])
+                except ValueError:
+                    raise FormatError(f"{path}: malformed PLY header line {line!r}") from None
             elif line.startswith("property"):
                 props.append(line.split()[-1])
             elif line == "end_header":
@@ -339,11 +342,13 @@ def read_pfm(path) -> np.ndarray:
         magic = f.readline().strip()
         if magic not in (b"Pf", b"PF"):
             raise FormatError(f"{path}: not a PFM file")
-        w, h = (int(v) for v in f.readline().split())
-        scale = float(f.readline())
-        dtype = "<f4" if scale < 0 else ">f4"
         channels = 3 if magic == b"PF" else 1
-        data = np.frombuffer(f.read(), dtype=dtype, count=w * h * channels)
+        try:
+            w, h = (int(v) for v in f.readline().split())
+            scale = float(f.readline())
+            data = np.frombuffer(f.read(), dtype="<f4" if scale < 0 else ">f4", count=w * h * channels)
+        except ValueError as exc:
+            raise FormatError(f"{path}: malformed PFM file: {exc}") from None
     shape = (h, w, 3) if channels == 3 else (h, w)
     return data.reshape(shape)[::-1].astype(np.float32)
 

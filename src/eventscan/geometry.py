@@ -11,7 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -219,15 +219,4 @@ def rigid_transform_model(model: PinholeModel, R: np.ndarray, t: np.ndarray) -> 
     """Model observing a world rigidly moved by X -> R @ X + t."""
     R = np.asarray(R, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    return PinholeModel(
-        fx=model.fx,
-        fy=model.fy,
-        cx=model.cx,
-        cy=model.cy,
-        width=model.width,
-        height=model.height,
-        skew=model.skew,
-        rotation=model.rotation @ R.T,
-        translation=model.translation - model.rotation @ R.T @ t,
-        k1=model.k1,
-    )
+    return replace(model, rotation=model.rotation @ R.T, translation=model.translation - model.rotation @ R.T @ t)

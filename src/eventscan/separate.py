@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formats
-from .decode import CORRESPONDENCE_COLUMNS, CorrespondenceSet, _KEY_SHIFT, _sort_by_key
+from .decode import CORRESPONDENCE_COLUMNS, CorrespondenceSet, _sort_by_key, pack_pixels
 from .geometry import epipolar_distances
 
 DIRECT = 0
@@ -80,7 +80,7 @@ def resolve_mixed_pixels(classified: ClassifiedSet) -> ClassifiedSet:
     n = len(classified)
     if n == 0:
         return classified
-    key = (b.camera_pixel[:, 1].astype(np.int64) << _KEY_SHIFT) | b.camera_pixel[:, 0].astype(np.int64)
+    key = pack_pixels(b.camera_pixel[:, 0], b.camera_pixel[:, 1])
     label = classified.label.copy()
     is_direct = label == DIRECT
     # order directs best-first within each pixel; everything after the first

@@ -400,15 +400,16 @@ def simulate_scan(
             emit_pairs(pixels[sel], pp, bounce, Q, obj_idx[sel], on_epi)
             counts["two_bounce_pairs" if bounce == 2 else "higher_bounce_pairs"] += len(sel) * len(sweeps)
 
-        # Specular-first paths (laser hits a mirror before any diffuse
-        # surface); rejection fodder, generated only on request.
+        # Specular-first paths (the laser's mirror reflection off any surface
+        # that mirrors, shiny ones included); rejection fodder, generated
+        # only on request.
         if generate_higher_bounces:
             steps = schedule.steps_per_sweep
             kx, ky = np.meshgrid(np.arange(steps), np.arange(steps))
             ppix = np.stack([kx.ravel(), ky.ravel()], axis=1).astype(np.float64)
             pdirs = pixel_directions(projector, ppix)
             t1, n1, o1 = intersect_ray_batch(np.broadcast_to(projector.center, pdirs.shape), pdirs, objects)
-            start = np.where((o1 >= 0) & mirrors[np.clip(o1, 0, None)] & ~scatters[np.clip(o1, 0, None)])[0]
+            start = np.where((o1 >= 0) & mirrors[np.clip(o1, 0, None)])[0]
             chains = _mirror_chains(
                 objects,
                 projector.center + t1[start, None] * pdirs[start],

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_rig, wall_object
 
@@ -24,29 +26,29 @@ SCHED = ScanSchedule(steps_per_sweep=100, sweep_duration_us=10000, recovery_us=2
 
 def test_assign_window_start_is_vertical_index_zero():
     a = decode.assign_sweeps(make_events([0]), SCHED, 0, 2)
-    assert a.sweep[0] == SWEEP_VERTICAL and a.index[0] == 0
+    assert a.sweep[0] == SWEEP_VERTICAL and np.floor(a.position[0]) == 0
 
 
 def test_assign_horizontal_window_start():
     t = SCHED.sweep_duration_us + SCHED.recovery_us
     a = decode.assign_sweeps(make_events([t]), SCHED, 0, 2)
-    assert a.sweep[0] == SWEEP_HORIZONTAL and a.index[0] == 0
+    assert a.sweep[0] == SWEEP_HORIZONTAL and np.floor(a.position[0]) == 0
 
 
 def test_assign_recovery_and_outside_counted():
     ts = [10500, 25000, -5, 5000]  # recovery, after scan, before scan, inside
     a = decode.assign_sweeps(make_events(ts), SCHED, 0, 2)
-    assert len(a) == 1 and a.index[0] == 50
+    assert len(a) == 1 and a.sweep.tolist() == [-1, -1, -1, SWEEP_VERTICAL]
+    assert np.floor(a.position[3]) == 50
     assert a.discarded_recovery == 1
     assert a.outside_window == 2
 
 
 def test_assign_position_and_residual():
-    # t = 2345 -> position 23.45, index 23, residual within the step
+    # t = 2345 -> position 23.45: step 23, the fraction is the residual
     a = decode.assign_sweeps(make_events([2345]), SCHED, 0, 2)
-    assert a.index[0] == 23
+    assert np.floor(a.position[0]) == 23
     assert abs(a.position[0] - 23.45) < 1e-12
-    assert abs(a.residual_us[0] - 45.0) < 1e-9
 
 
 def test_intersect_definition_and_median():
@@ -61,6 +63,7 @@ def test_intersect_definition_and_median():
     assert corr.projector_pixel[0, 0] == 400.0  # median rule
     assert corr.projector_pixel[0, 1] == 200.0
     assert corr.support[0] == 4
+    assert corr.quality[0] == 1.0 - 2.0 / 801  # the vertical cluster spans 2 steps
     assert set(corr.events_of(0).tolist()) == {0, 1, 2, 3}
 
 
@@ -86,14 +89,18 @@ def test_decode_recovers_ground_truth_indices(plane_scan):
     res = plane_scan["result"]
     sched = plane_scan["schedule"]
     a = decode.assign_sweeps(res.events, sched, 0, 2)
-    gt = res.ground_truth.take(a.event_index)
+    assert a.events is res.events
+    event_index = np.flatnonzero(a.sweep >= 0)
+    gt = res.ground_truth.take(event_index)
+    sweep, position = a.sweep[event_index], a.position[event_index]
+    index = np.floor(position)
     pp = gt.projector_pixel[gt.path]
-    pos_true = np.where(a.sweep == SWEEP_VERTICAL, pp[:, 0], pp[:, 1])
-    onset = a.polarity > 0
+    pos_true = np.where(sweep == SWEEP_VERTICAL, pp[:, 0], pp[:, 1])
+    onset = res.events.polarity[event_index] > 0
     # timestamp rounding moves the position by at most one microsecond
     tol = sched.steps_per_sweep / sched.sweep_duration_us * 1.0 + 1e-9
-    assert np.max(np.abs(a.position[onset] - pos_true[onset])) <= tol
-    assert np.array_equal(a.index[onset], gt.step[onset])
+    assert np.max(np.abs(position[onset] - pos_true[onset])) <= tol
+    assert np.array_equal(index[onset], gt.step[onset])
 
 
 def test_decode_correspondences_match_ground_truth(plane_scan):
@@ -119,7 +126,8 @@ def test_decode_time_translation_invariance(plane_scan):
     a0 = decode.assign_sweeps(res.events, sched, 0, 2)
     shifted = EventStream(res.events.t + 7777, res.events.x, res.events.y, res.events.polarity)
     a1 = decode.assign_sweeps(shifted, sched, 7777, 2)
-    assert np.array_equal(a0.index, a1.index)
+    assert np.array_equal(a0.sweep, a1.sweep)
+    assert np.array_equal(np.floor(a0.position), np.floor(a1.position))
     assert np.allclose(a0.position, a1.position)
     c0 = decode.intersect_sweeps(a0)
     c1 = decode.intersect_sweeps(a1)
@@ -176,3 +184,45 @@ def test_single_sweep_epipolar_decoding():
     truth = np.stack([first[k] for k in key_corr])
     # y_P comes from the epipolar constraint and is accurate to sub-pixel
     assert np.percentile(np.abs(corr.projector_pixel[:, 1] - truth[:, 1]), 99) < 0.5
+
+
+# scan at 5000 us: sweeps [5000, 15000) and [17000, 27000), each followed by 2000 us of recovery
+RANDOM_SCHED = ScanSchedule(100, 10000, 2000, 5000)
+IN_WINDOW = st.one_of(st.integers(5000, 14999), st.integers(17000, 26999))
+IN_RECOVERY = st.one_of(st.integers(15000, 16999), st.integers(27000, 28999))
+OUTSIDE = st.one_of(st.integers(0, 4999), st.integers(29000, 40000))
+
+
+def event_rows(times):
+    return st.lists(st.tuples(times, st.integers(0, 2), st.integers(0, 2), st.sampled_from([1, 1, -1])), max_size=40)
+
+
+def events_of(rows):
+    return make_events(*zip(*rows)) if rows else EventStream.empty()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=event_rows(IN_WINDOW),
+    recovery=event_rows(IN_RECOVERY),
+    outside=event_rows(OUTSIDE),
+    policy=st.sampled_from(["positive", "negative", "both"]),
+)
+def test_stray_events_change_no_correspondence(rows, recovery, outside, policy):
+    rows = sorted(rows)
+    all_rows = rows + recovery + outside
+    order = np.argsort([r[0] for r in all_rows], kind="stable")  # event i of the stream is all_rows[order[i]]
+    base = events_of(rows)
+    stream = events_of([all_rows[i] for i in order])
+    a_base = decode.assign_sweeps(base, RANDOM_SCHED, 5000, 2)
+    a = decode.assign_sweeps(stream, RANDOM_SCHED, 5000, 2)
+    assert a.events is stream and a_base.events is base
+    assert len(a) == len(a_base) == len(rows)
+    assert (a.discarded_recovery, a.outside_window) == (len(recovery), len(outside))
+    F = fundamental_from_models(*small_rig(steps=100, cam_px=8))
+    for intersect in (decode.intersect_sweeps, lambda a, policy: decode.intersect_single_sweep(a, F, policy)):
+        want = intersect(a_base, policy)
+        got = intersect(a, policy)
+        for name in ("camera_pixel", "projector_pixel", "support", "quality", "event_offsets"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(order[got.event_ids], want.event_ids)

@@ -280,6 +280,9 @@ def test_ply_zero_vertices_and_short_body(tmp_path):
     path.write_text(path.read_text().replace("element vertex 3", "element vertex 2").replace("598.125", "598.125 1"))
     with pytest.raises(formats.FormatError, match=re.escape(path.name)):
         formats.read_ply(path)
+    path.write_text(path.read_text().replace("598.125 1", "598.125").replace("element vertex 2", "element vertex abc"))
+    with pytest.raises(formats.FormatError, match=re.escape(path.name)):
+        formats.read_ply(path)
 
 
 def test_event_binary_matches_struct_records(tmp_path):
@@ -314,6 +317,16 @@ def test_pfm_round_trip(tmp_path):
     mask = rng.random((5, 7)).astype(np.float32)
     formats.write_pfm(tmp_path / "m.pfm", mask)
     assert np.array_equal(formats.read_pfm(tmp_path / "m.pfm"), mask)
+
+
+@pytest.mark.parametrize("size_line", [b"x 2", b"7", b"7 5 3", b"7 6"])
+def test_pfm_malformed_size_line_names_the_file(tmp_path, size_line):
+    # "7 6" asks for one row more than the body holds
+    path = tmp_path / "n.pfm"
+    formats.write_pfm(path, np.zeros((5, 7), np.float32))
+    path.write_bytes(path.read_bytes().replace(b"7 5", size_line, 1))
+    with pytest.raises(formats.FormatError, match=re.escape(path.name)):
+        formats.read_pfm(path)
 
 
 def test_scene_file_round_trip(tmp_path):

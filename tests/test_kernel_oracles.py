@@ -490,12 +490,8 @@ def test_lookup_on_empty_screen_and_far_queries():
 # --- intersect_sweeps ------------------------------------------------------
 
 
-def intersect_sweeps_loop(assignments, polarity_policy="positive", cluster_gap=None):
-    steps = assignments.steps_per_sweep
-    if cluster_gap is None:
-        cluster_gap = max(2.0, 0.005 * steps)
-    keep, position = decode._select_timing_events(assignments, polarity_policy)
-    cl = decode._cluster(assignments, keep, position, gap=cluster_gap)
+def intersect_sweeps_loop(assignments, polarity_policy="positive"):
+    cl = decode._cluster(assignments, polarity_policy)
     v_idx = np.where(cl.sweep == SWEEP_VERTICAL)[0]
     h_idx = np.where(cl.sweep == SWEEP_HORIZONTAL)[0]
     if len(v_idx) == 0 or len(h_idx) == 0:
@@ -511,37 +507,19 @@ def intersect_sweeps_loop(assignments, polarity_policy="positive", cluster_gap=N
     h_hi = np.searchsorted(hkeys, common, side="right")
     nv = v_hi - v_lo
     nh = h_hi - h_lo
-    keys_out, proj_out, support_out, quality_out, segs_start, segs_stop = [], [], [], [], [], []
+    members_out, proj_out = [], []
     simple = (nv == 1) & (nh == 1)
     if np.any(simple):
         vi = v_idx[v_lo[simple]]
         hi = h_idx[h_lo[simple]]
-        keys_out.append(common[simple])
+        members_out.append(np.stack([vi, hi], axis=1))
         proj_out.append(np.stack([cl.median[vi], cl.median[hi]], axis=1))
-        support_out.append(cl.size[vi] + cl.size[hi])
-        spread = np.maximum(cl.spread[vi], cl.spread[hi])
-        quality_out.append(np.maximum(0.0, 1.0 - spread / steps))
-        segs_start.append(np.stack([cl.seg_start[vi], cl.seg_start[hi]], axis=1))
-        segs_stop.append(np.stack([cl.seg_stop[vi], cl.seg_stop[hi]], axis=1))
     for k in np.where(~simple)[0]:
         for vi in v_idx[v_lo[k] : v_hi[k]]:
             for hi in h_idx[h_lo[k] : h_hi[k]]:
-                keys_out.append(np.array([common[k]]))
+                members_out.append(np.array([[vi, hi]]))
                 proj_out.append(np.array([[cl.median[vi], cl.median[hi]]]))
-                support_out.append(np.array([cl.size[vi] + cl.size[hi]]))
-                spread = max(cl.spread[vi], cl.spread[hi])
-                quality_out.append(np.array([max(0.0, 1.0 - spread / steps)]))
-                segs_start.append(np.array([[cl.seg_start[vi], cl.seg_start[hi]]]))
-                segs_stop.append(np.array([[cl.seg_stop[vi], cl.seg_stop[hi]]]))
-    return decode._build_set(
-        np.concatenate(keys_out),
-        np.concatenate(proj_out),
-        np.concatenate(support_out),
-        np.concatenate(quality_out),
-        np.concatenate(segs_start),
-        np.concatenate(segs_stop),
-        cl.sorted_event_index,
-    )
+    return decode._build_set(cl, np.concatenate(members_out), np.concatenate(proj_out))
 
 
 SCHED = ScanSchedule(801, 80100, 5000)  # 100 us per step
@@ -619,7 +597,7 @@ def test_sort_by_key_is_lexsort(rows, presorted):
 
 def resolve_mixed_loop(classified):
     b = classified.base
-    key = (b.camera_pixel[:, 1].astype(np.int64) << decode._KEY_SHIFT) | b.camera_pixel[:, 0].astype(np.int64)
+    key = decode.pack_pixels(b.camera_pixel[:, 0], b.camera_pixel[:, 1])
     label = classified.label.copy()
     order = np.lexsort((classified.epipolar_distance, -b.quality, key))
     direct_rows = order[label[order] == DIRECT]

@@ -4,7 +4,7 @@ import pytest
 from conftest import small_rig, tilted_mirror, wall_object
 
 from eventscan.events import SWEEP_HORIZONTAL, SWEEP_VERTICAL
-from eventscan.geometry import epipolar_distances, fundamental_from_models, reflect_direction, unit
+from eventscan.geometry import epipolar_distances, fundamental_from_models, pixel_directions, reflect_direction, unit
 from eventscan.scene import Material, NoiseModel, Plane, ScanSchedule, SceneObject, Sphere, TriangleMesh
 from eventscan.simulate import intersect_ray_batch, simulate_scan
 
@@ -261,6 +261,21 @@ def test_higher_bounce_generation_flag():
     assert np.all(bounce[specular_first] == 2)
     pp = gt.projector_pixel[gt.path[specular_first]]
     assert np.array_equal(pp, np.round(pp))
+
+
+def test_specular_first_paths_start_on_shiny_surfaces():
+    # a shiny patch mirrors the laser onto the wall as well as scattering it
+    camera, projector = small_rig(steps=201)
+    shiny, _ = tilted_mirror(kind="shiny")
+    objects = [wall_object(), shiny]
+    res = simulate_scan(objects, camera, projector, ScanSchedule(201, 30000, 3000), generate_higher_bounces=True)
+    gt = res.ground_truth
+    specular_first = (gt.bounce == 2) & (gt.object_label == gt.labels.index("wall"))
+    assert specular_first.sum() > 0
+    assert np.isin(np.flatnonzero(specular_first), gt.path).all()
+    dirs = pixel_directions(projector, gt.projector_pixel[specular_first])
+    _, _, first_hit = intersect_ray_batch(np.broadcast_to(projector.center, dirs.shape), dirs, objects)
+    assert np.all(first_hit == objects.index(shiny))
 
 
 def test_two_mirror_chain_bounce_three():
