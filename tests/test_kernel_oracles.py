@@ -526,12 +526,33 @@ SCHED = ScanSchedule(801, 80100, 5000)  # 100 us per step
 H0 = SCHED.sweep_start(1)
 
 
+def assert_rows_match_provenance(a, corr):
+    """Each row's support and quality, worked out again from its own events.
+
+    Support is the number of events the row cites. Quality is
+    max(0, 1 - max spread / steps) over the row's sweeps, a sweep's spread
+    being the range of its events' positions (a -1 event moved back one
+    step). Every cited event lies in a window and on the row's pixel.
+    """
+    steps = a.steps_per_sweep
+    for i in range(len(corr)):
+        ev = corr.events_of(i)
+        assert corr.support[i] == len(ev)
+        assert (a.sweep[ev] >= 0).all()
+        assert (a.events.x[ev] == corr.camera_pixel[i, 0]).all() and (a.events.y[ev] == corr.camera_pixel[i, 1]).all()
+        pos = a.position[ev] - (a.events.polarity[ev] < 0)
+        spread = max(np.ptp(pos[a.sweep[ev] == s]) for s in np.unique(a.sweep[ev]))
+        assert corr.quality[i] == max(0.0, 1.0 - spread / steps)
+
+
 def assert_correspondences_match_loop(events, **kw):
     a = decode.assign_sweeps(events, SCHED, 0, 2)
     got = decode.intersect_sweeps(a, **kw)
     want = intersect_sweeps_loop(a, **kw)
     for name in ("camera_pixel", "projector_pixel", "support", "quality", "event_ids", "event_offsets"):
         assert_same(getattr(got, name), getattr(want, name))
+    # the oracle's support and quality come from the same _build_set as got's
+    assert_rows_match_provenance(a, got)
     return got
 
 
