@@ -12,7 +12,16 @@ of names from the tuple ``names``, held as int8 indices into it; and
 ``((name1, ..., namek), kind)`` an (N, k) field of k such columns.
 ``write_table``/``write_ply`` take the declaration and one array per entry;
 ``read_table``/``read_ply`` return one array per entry, parsed in one typed
-``np.loadtxt`` pass: integers never go through float. Every reader raises
+``np.loadtxt`` pass: integers never go through float.
+
+The writers share one path. Before the file is opened it checks every
+column (an integer column must hold integers, a names column codes in
+``[0, len(names))``, and all columns one length) and formats each distinct
+value of a column once: numbers keyed by ``np.unique`` (floats on their bit
+pattern, so ``-0.0`` stays ``-0``), names from their tuple, bare strings
+value by value. The body is then gathered from those texts by index and
+written a fixed block of rows at a time, so no whole-column list or whole
+body string is ever built. Every reader raises
 ``FormatError`` naming the file on a missing header or property, a wrong field
 count, an unparsable or unknown token, or a body that does not match its
 header.
@@ -162,33 +171,63 @@ def _column_names(columns) -> list[str]:
     return [name for names, _, _ in _entries(columns) for name in names]
 
 
-# %.17g round-trips float64 exactly
-_SPECS = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
+# rows per write of a text body: the body's text is only ever built one block at a time
+_BLOCK_ROWS = 1 << 13
 
 
-def _text_columns(columns, arrays):
-    """(percent format, python list) per column, one field converted at a time."""
-    for (names, kind, _), field in zip(_entries(columns), arrays, strict=True):
-        field = np.asarray(field)
-        if field.shape[1:] != ((len(names),) if len(names) > 1 else ()):
-            raise ValueError(f"columns {' '.join(names)} got an array of shape {field.shape}")
-        for col in field.T if len(names) > 1 else [field]:
-            if isinstance(kind, tuple):
-                yield "%s", np.take(np.array(kind, dtype=object), col).tolist()
-            else:
-                yield _SPECS[np.dtype(kind).kind], col.tolist()
+def _narrow(index: np.ndarray, count: int) -> np.ndarray:
+    """``index`` into ``count`` values, in the smallest unsigned type that holds it."""
+    return index.astype(np.min_scalar_type(max(count - 1, 0)))
+
+
+def _distinct_texts(path, name: str, kind, col: np.ndarray):
+    """(text of each distinct value, index of each row's value into it) for one column.
+
+    A bare string column is formatted value by value and its index is None:
+    row i reads text i. A float column is keyed on its bit pattern, because
+    ``-0.0 == 0.0`` but they print ``-0`` and ``0``.
+    """
+    where = f"{path}: column '{name}'"
+    if isinstance(kind, tuple):
+        if col.dtype.kind not in "biu" or (col.size and not 0 <= col.min() <= col.max() < len(kind)):
+            raise ValueError(f"{where} must hold integer codes in [0, {len(kind)})")
+        return np.array(kind, dtype=object), _narrow(col, len(kind))
+    if np.dtype(kind).kind == "U":
+        return np.array(["%s" % v for v in col.tolist()], dtype=object), None
+    floats = np.dtype(kind).kind == "f"
+    if col.dtype.kind not in ("biuf" if floats else "biu"):
+        raise ValueError(f"{where} is declared {np.dtype(kind)} but got {col.dtype} values")
+    key = np.ascontiguousarray(col, dtype=np.float64).view(np.uint64) if floats else col
+    distinct, index = np.unique(key, return_inverse=True)
+    values = distinct.view(np.float64) if floats else distinct
+    spec = "%.17g" if floats else "%d"  # %.17g round-trips float64 exactly
+    return np.array([spec % v for v in values.tolist()], dtype=object), _narrow(index, len(distinct))
 
 
 def _write_text(path, head, columns, arrays) -> None:
-    """The lines ``head(row count)``, then one line per row."""
-    specs = list(_text_columns(columns, arrays))
-    n = len(specs[0][1]) if specs else 0
-    if any(len(values) != n for _, values in specs):
-        raise ValueError("table columns must have equal length")
-    fmt = " ".join(s[0] for s in specs)
-    body = "\n".join(fmt % row for row in zip(*[s[1] for s in specs]))
+    """The lines ``head(row count)``, then one line per row.
+
+    Every column is checked and each of its distinct values formatted before
+    the file is opened; the body is then gathered and written ``_BLOCK_ROWS``
+    rows at a time.
+    """
+    texts, first = [], None  # first: (name, row count) of the first column
+    for (names, kind, _), field in zip(_entries(columns), arrays, strict=True):
+        field = np.asarray(field)
+        if field.shape[1:] != ((len(names),) if len(names) > 1 else ()):
+            raise ValueError(f"{path}: columns {' '.join(names)} got an array of shape {field.shape}")
+        first = first or (names[0], len(field))
+        if len(field) != first[1]:
+            raise ValueError(f"{path}: column '{names[0]}' has {len(field)} rows, column '{first[0]}' {first[1]}")
+        for name, col in zip(names, field.T if len(names) > 1 else [field]):
+            texts.append(_distinct_texts(path, name, kind, col))
+    n = first[1] if first else 0
     with open(path, "w") as f:
-        f.writelines(["\n".join(head(n)), "\n", body, "\n" if n else ""])
+        f.write("\n".join(head(n)) + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            cols = [(text[block] if index is None else text[index[block]]).tolist() for text, index in texts]
+            f.write("\n".join(map(" ".join, zip(*cols))) + "\n")
 
 
 def write_table(path, columns, arrays, header: str | None = None) -> None:

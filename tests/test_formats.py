@@ -237,6 +237,36 @@ def test_write_table_rejects_declaration_array_count_mismatch(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "columns, arrays, column",
+    [
+        ([("a", np.int64), ("b", np.int64)], [np.arange(2), np.array([1.7, 2.0])], "b"),  # would write 1
+        ([("a", np.int64), ("flag", ("false", "true"))], [np.arange(2), np.array([0, -1])], "flag"),  # would write true
+        ([("a", np.int64), ("flag", ("false", "true"))], [np.arange(2), np.array([1, 2])], "flag"),
+        ([("a", np.int64), (("b", "c"), float)], [np.arange(2), np.zeros((3, 2))], "b"),
+    ],
+    ids=["int_column_of_floats", "name_code_below_zero", "name_code_past_end", "unequal_lengths"],
+)
+def test_write_table_rejects_values_it_would_misprint(tmp_path, columns, arrays, column):
+    path = tmp_path / "t.txt"
+    with pytest.raises(ValueError, match=re.escape(str(path)) + f".*column '{column}'"):
+        formats.write_table(path, columns, arrays)
+    assert not path.exists()
+
+
+def test_table_writes_edge_floats_and_int64_limits(tmp_path):
+    path = tmp_path / "t.txt"
+    values = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308])
+    limits = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max] * 4)
+    columns = [("v", float), ("i", np.int64)]
+    formats.write_table(path, columns, [values, limits])
+    assert [line.split()[0] for line in path.read_text().splitlines()[1:]] == [
+        "0", "-0", "nan", "nan", "inf", "-inf", "4.9406564584124654e-324", "1.7976931348623157e+308"
+    ]
+    _, (_, back) = formats.read_table(path, columns)
+    assert back.dtype == np.int64 and back.tolist() == limits.tolist()
+
+
 def test_table_untyped_returns_strings(tmp_path):
     path = tmp_path / "m.tsv"
     formats.write_table(path, ["name", "value"], [np.array(["rmse", "count"]), np.array(["0.5", "3"])])

@@ -1,13 +1,16 @@
 """Array kernels against the code they replaced.
 
 Each oracle below is the implementation a kernel replaced: a per-row loop,
-a hash-based set operation, a full lexsort or the per-event ground-truth
-layout, kept verbatim in behaviour. The kernels must return the same arrays,
+a hash-based set operation, a full lexsort, the per-event ground-truth
+layout or the whole-column text writer, kept verbatim in behaviour. The kernels must return the same arrays,
 dtype included (and the same file bytes), on random inputs, on small
 simulated scans and on the edge cases named in each test.
 """
 
+import tempfile
 from dataclasses import dataclass, fields
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -650,3 +653,110 @@ def test_resolve_mixed_matches_loop(rows):
     label = np.array([DIRECT if d else INDIRECT for *_, d in rows], np.int8)
     classified = ClassifiedSet(corr, label, np.arange(n, dtype=np.float64) % 3)
     assert_same(resolve_mixed_pixels(classified).label, resolve_mixed_loop(classified))
+
+
+# --- formats._write_text --------------------------------------------------------
+
+
+def text_columns_loop(columns, arrays):
+    """(percent format, python list) per column, one field converted at a time."""
+    specs = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
+    for (names, kind, _), field in zip(formats._entries(columns), arrays, strict=True):
+        field = np.asarray(field)
+        if field.shape[1:] != ((len(names),) if len(names) > 1 else ()):
+            raise ValueError(f"columns {' '.join(names)} got an array of shape {field.shape}")
+        for col in field.T if len(names) > 1 else [field]:
+            if isinstance(kind, tuple):
+                yield "%s", np.take(np.array(kind, dtype=object), col).tolist()
+            else:
+                yield specs[np.dtype(kind).kind], col.tolist()
+
+
+def write_text_loop(path, head, columns, arrays) -> None:
+    """The lines ``head(row count)``, then one ``%`` call per row over whole-column lists."""
+    specs = list(text_columns_loop(columns, arrays))
+    n = len(specs[0][1]) if specs else 0
+    if any(len(values) != n for _, values in specs):
+        raise ValueError("table columns must have equal length")
+    fmt = " ".join(s[0] for s in specs)
+    body = "\n".join(fmt % row for row in zip(*[s[1] for s in specs]))
+    with open(path, "w") as f:
+        f.writelines(["\n".join(head(n)), "\n", body, "\n" if n else ""])
+
+
+def oracle_bytes(write, path, *args) -> bytes:
+    """The bytes ``write(path, *args)`` (write_table, write_ply or a save method) gives through the whole-column writer."""
+    with mock.patch.object(formats, "_write_text", write_text_loop):
+        write(path, *args)
+    return Path(path).read_bytes()
+
+
+B = formats._BLOCK_ROWS
+EDGE_FLOATS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1 / 3]
+NAMES = [("false", "true"), ("direct", "indirect", "rejected"), ("wall",)]
+INTS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64]
+
+
+@st.composite
+def column_values(draw, kind, size: int, rng) -> np.ndarray:
+    """``size`` values for one declared kind: drawn from a small pool (heavy
+    repeats), or for numbers sometimes one random value per row."""
+    if isinstance(kind, tuple):
+        codes = rng.integers(0, len(kind), size)
+        return codes.astype(bool) if len(kind) == 2 and draw(st.booleans()) else codes.astype(np.int8)
+    if kind is str:
+        pool = draw(st.lists(st.text("abc_.-019", min_size=1, max_size=5), min_size=1, max_size=6))
+        return np.array(pool)[rng.integers(0, len(pool), size)]
+    spread = draw(st.booleans())
+    if kind == np.float64:
+        # a float column also takes float32 and int64 arrays
+        dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
+        if spread:
+            return (rng.standard_normal(size) * 10.0 ** rng.integers(-20, 18, size)).astype(dtype)
+        values = {
+            np.float64: st.sampled_from(EDGE_FLOATS) | st.floats(),
+            np.float32: st.floats(width=32),
+            np.int64: st.integers(-(2**63), 2**63 - 1),
+        }[dtype]
+        pool = draw(st.lists(values, min_size=1, max_size=6))
+        return np.array(pool, dtype=dtype)[rng.integers(0, len(pool), size)]
+    info = np.iinfo(kind)
+    if spread:
+        return rng.integers(info.min, info.max, size, dtype=kind, endpoint=True)
+    pool = draw(st.lists(st.sampled_from([info.min, info.max, 0]) | st.integers(info.min, info.max), min_size=1, max_size=6))
+    return np.array(pool, dtype=kind)[rng.integers(0, len(pool), size)]
+
+
+@st.composite
+def declared_tables(draw):
+    """(declaration, one array per entry): int, float, names and bare string
+    columns and (N, k) fields, with a row count at and around the block size."""
+    n = draw(st.sampled_from([0, 1, B - 1, B, B + 1, 2 * B + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns, arrays = [], []
+    for e in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(INTS + [np.float64, str] + NAMES))
+        width = draw(st.integers(1, 3))
+        values = draw(column_values(kind, n * width, rng))
+        names = f"c{e}" if width == 1 else tuple(f"c{e}_{k}" for k in range(width))
+        columns.append(names if kind is str and width == 1 else (names, kind))
+        arrays.append(values if width == 1 else values.reshape(n, width))
+    return columns, arrays
+
+
+@ORACLE
+@given(table=declared_tables())
+def test_text_writers_match_whole_column_oracle(table):
+    columns, arrays = table
+    with tempfile.TemporaryDirectory() as tmp:
+        for write, text in ((formats.write_table, "labels: a b"), (formats.write_ply, "a comment")):
+            blocks = Path(tmp) / "blocks"
+            write(blocks, columns, arrays, text)
+            assert blocks.read_bytes() == oracle_bytes(write, Path(tmp) / "oracle", columns, arrays, text)
+
+
+def test_ground_truth_text_matches_whole_column_oracle(both_layouts):
+    _, res, _, _, tmp = both_layouts
+    res.ground_truth.save_text(tmp / "blocks.txt")
+    assert len(res.ground_truth) > B
+    assert (tmp / "blocks.txt").read_bytes() == oracle_bytes(res.ground_truth.save_text, tmp / "loop.txt")
