@@ -2,9 +2,10 @@
 
 Each oracle below is the implementation a kernel replaced: a per-row loop,
 a hash-based set operation, a full lexsort, the per-event ground-truth
-layout or the whole-column text writer, kept verbatim in behaviour. The kernels must return the same arrays,
-dtype included (and the same file bytes), on random inputs, on small
-simulated scans and on the edge cases named in each test.
+layout or the whole-column text writer, kept verbatim in behaviour. The
+kernels must return the same arrays, dtype included (and the same file
+bytes), on random inputs, on small simulated scans and on the edge cases
+named in each test.
 """
 
 import tempfile
