@@ -10,6 +10,13 @@ pixel sees both its own illumination and a mirrored one), each cluster is
 aggregated by its median, and vertical x horizontal cluster pairs become
 correspondences ``(x_P, y_P)``; the single-sweep mode takes ``y_P`` from
 the epipolar line instead. Both modes share one clustering step.
+
+Clustering orders the chosen events by (pixel key, sweep, position), the
+order of ``np.lexsort((position, sweep, pixel_key))``, from one packed int64
+key per event and a lexsort of only the events whose key is shared. Each
+pixel's clusters are then contiguous, its vertical ones first, so one pass
+over the runs of equal pixel keys pairs them. Event and cluster indices are
+int32 below 2**31 events.
 """
 
 from __future__ import annotations
@@ -119,13 +126,25 @@ def _empty_correspondences() -> CorrespondenceSet:
 
 
 def _concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The indices of the ranges ``[starts[i], starts[i] + lens[i])``, concatenated."""
-    lens = lens.astype(np.int64)
-    total = int(lens.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    return np.arange(total, dtype=np.int64) - np.repeat(offsets, lens) + np.repeat(starts, lens)
+    """The indices of the ranges ``[starts[i], starts[i] + lens[i])``, concatenated, as int64.
+
+    One int64 array holds the step from each index to the next (1 inside a
+    range, the jump to the next range's start at its first slot); its
+    cumulative sum is the answer.
+    """
+    nonempty = lens > 0
+    if not nonempty.all():
+        starts, lens = starts[nonempty], lens[nonempty]
+    steps = np.ones(int(lens.sum()), dtype=np.int64)
+    if len(steps) == 0:
+        return steps
+    steps[0] = starts[0]
+    # first slot of range i > 0: its start minus the last index of range i - 1
+    jump = starts[:-1] + lens[:-1]
+    np.subtract(starts[1:], jump, out=jump)
+    jump += 1
+    steps[np.cumsum(lens[:-1])] = jump
+    return np.cumsum(steps, out=steps)
 
 
 def _runs(sorted_keys: np.ndarray):
@@ -154,15 +173,28 @@ def _sort_by_key(key: np.ndarray, *ties: np.ndarray) -> np.ndarray:
     return order
 
 
+# Sweep labels are int8 and at least 0 where clustered: 7 bits hold any of them.
+_SWEEP_BITS = 7
+
+
+def _index_dtype(n: int) -> type:
+    """int32 when ``n`` and every index below it fit in it, else int64."""
+    return np.int32 if n < 2**31 else np.int64
+
+
 @dataclass
 class _Clusters:
-    """Contiguous position clusters per (pixel, sweep), ready for pairing."""
+    """Contiguous position clusters per (pixel, sweep), ready for pairing.
+
+    Clusters run in (pixel key, sweep, position) order, so each pixel's
+    clusters are contiguous, its vertical ones before its horizontal ones.
+    """
 
     pixel_key: np.ndarray
-    sweep: np.ndarray
+    sweep: np.ndarray  # int8
     median: np.ndarray
     quality: np.ndarray  # 1 - spread / steps, at least 0
-    size: np.ndarray
+    size: np.ndarray  # size, seg_start and sorted_event_index: _index_dtype of the stream length
     seg_start: np.ndarray  # cluster i is sorted_event_index[seg_start[i]:seg_start[i] + size[i]]
     sorted_event_index: np.ndarray
 
@@ -176,6 +208,13 @@ def _cluster(a: SweepAssignments, policy: str, vertical_only: bool = False) -> _
     vertical sweep's with ``vertical_only``. Sorted by (pixel, sweep,
     position), a gap over ``max(2, 0.005 * steps)`` positions starts a new
     cluster.
+
+    The order is ``np.lexsort((position, sweep, pixel_key))``: one stable
+    argsort of the packed key ``pixel_key << _SWEEP_BITS | sweep``, then a
+    lexsort by position of the events whose key is shared (``_sort_by_key``).
+    A stable argsort of the key alone would be enough only for a
+    time-sorted stream under a one-polarity policy, and nothing checks that
+    a stream read from a file is sorted.
     """
     polarity = a.events.polarity
     if policy == "positive":
@@ -187,26 +226,40 @@ def _cluster(a: SweepAssignments, policy: str, vertical_only: bool = False) -> _
     else:
         raise ValueError(f"unknown polarity policy {policy!r}")
     keep &= (a.sweep == SWEEP_VERTICAL) if vertical_only else (a.sweep >= 0)
-    ev = np.flatnonzero(keep)
-    key = pack_pixels(a.events.x[ev], a.events.y[ev])
-    sweep = a.sweep[ev]
+    index = _index_dtype(len(polarity))
+    ev = np.flatnonzero(keep).astype(index)
+    del keep
     pos = a.position[ev]
     pos[polarity[ev] < 0] -= 1.0
-    order = np.lexsort((pos, sweep, key))
-    key, sweep, pos, ev = key[order], sweep[order], pos[order], ev[order]
-    brk = np.ones(len(key), dtype=bool)
-    brk[1:] = (key[1:] != key[:-1]) | (sweep[1:] != sweep[:-1]) | (np.diff(pos) > max(2.0, 0.005 * a.steps_per_sweep))
-    starts = np.flatnonzero(brk)
-    sizes = np.diff(np.append(starts, len(key)))
-    return _Clusters(
-        pixel_key=key[starts],
-        sweep=sweep[starts],
-        median=pos[starts + (sizes - 1) // 2],  # lower middle on ties
-        quality=np.maximum(0.0, 1.0 - (pos[starts + sizes - 1] - pos[starts]) / a.steps_per_sweep),
-        size=sizes,
-        seg_start=starts,
-        sorted_event_index=ev,
-    )
+    key = pack_pixels(a.events.x[ev], a.events.y[ev])
+    key <<= _SWEEP_BITS
+    key |= a.sweep[ev]
+    order = _sort_by_key(key, pos)
+    key = key[order]
+    pos = pos[order]
+    ev = ev[order]
+    del order
+    n = len(key)
+    brk = np.ones(n, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=brk[1:])
+    # within one (pixel, sweep) only a position gap starts a cluster
+    same = np.flatnonzero(~brk[1:])
+    brk[same + 1] = pos[same + 1] - pos[same] > max(2.0, 0.005 * a.steps_per_sweep)
+    del same
+    starts = np.flatnonzero(brk).astype(index)
+    del brk
+    sizes = np.diff(starts, append=np.array([n], dtype=index))
+    head = key[starts]
+    del key
+    median = pos[starts + (sizes - 1) // 2]  # lower middle on ties
+    quality = pos[starts + sizes - 1]
+    quality -= pos[starts]
+    del pos
+    quality /= a.steps_per_sweep
+    np.maximum(0.0, np.subtract(1.0, quality, out=quality), out=quality)
+    sweep = (head & ((1 << _SWEEP_BITS) - 1)).astype(np.int8)
+    head >>= _SWEEP_BITS
+    return _Clusters(head, sweep, median, quality, sizes, starts, ev)
 
 
 def _build_set(cl: _Clusters, members: np.ndarray, proj: np.ndarray) -> CorrespondenceSet:
@@ -215,16 +268,47 @@ def _build_set(cl: _Clusters, members: np.ndarray, proj: np.ndarray) -> Correspo
     Row i joins the clusters ``members[i]`` (one per sweep used) of one
     pixel, at projector pixel ``proj[i]``. Its support is the number of
     events in those clusters and its quality that of the worst of them.
+    ``members`` and ``proj`` are reordered in place, one at a time, and
+    ``proj`` becomes the set's projector pixels.
     """
     key = cl.pixel_key[members[:, 0]]
     order = _sort_by_key(key, proj[:, 1], proj[:, 0])
-    key, members, proj = key[order], members[order], proj[order]
-    sizes = cl.size[members]
-    support = sizes.sum(axis=1)
-    flat = cl.sorted_event_index[_concat_ranges(cl.seg_start[members].ravel(), sizes.ravel())]
-    offsets = np.concatenate([[0], np.cumsum(support)]).astype(np.int64)
+    for column in (key, members, proj):
+        column[...] = column[order]
+    del order
     cam = np.stack(unpack_pixels(key), axis=1).astype(np.int32)
-    return CorrespondenceSet(cam, proj, support.astype(np.int32), cl.quality[members].min(axis=1), flat, offsets)
+    del key
+    quality = cl.quality[members].min(axis=1)
+    sizes = cl.size[members]
+    flat = _concat_ranges(cl.seg_start[members].ravel(), sizes.ravel())
+    flat[...] = cl.sorted_event_index[flat]
+    support = sizes.sum(axis=1)
+    del sizes
+    offsets = np.concatenate([[0], np.cumsum(support)]).astype(np.int64)
+    return CorrespondenceSet(cam, proj, support.astype(np.int32), quality, flat, offsets)
+
+
+def _vertical_horizontal_pairs(cl: _Clusters) -> tuple[np.ndarray, np.ndarray]:
+    """(members, projector pixels) of every vertical x horizontal cluster pair of a pixel.
+
+    Pairs run by pixel, then vertical cluster, then horizontal cluster.
+    """
+    # one run of clusters per pixel, its nv vertical clusters before its nh horizontal ones
+    lo, _, _ = _runs(cl.pixel_key)
+    index = cl.size.dtype
+    nv = np.add.reduceat(cl.sweep == SWEEP_VERTICAL, lo, dtype=index)
+    nh = np.add.reduceat(cl.sweep == SWEEP_HORIZONTAL, lo, dtype=index)
+    both = (nv > 0) & (nh > 0)
+    lo, nv, nh = lo[both].astype(index), nv[both], nh[both]
+    del both
+    pairs = nv.astype(np.int64) * nh
+    pixel = np.repeat(np.arange(len(pairs), dtype=index), pairs)
+    j = _concat_ranges(np.zeros_like(pairs), pairs)  # pair index within its pixel
+    del pairs
+    members = np.empty((len(j), 2), dtype=index)
+    members[:, 0] = lo[pixel] + j // nh[pixel]
+    members[:, 1] = lo[pixel] + nv[pixel] + j % nh[pixel]
+    return members, cl.median[members]
 
 
 def intersect_sweeps(assignments: SweepAssignments, polarity_policy: str = "positive") -> CorrespondenceSet:
@@ -235,32 +319,11 @@ def intersect_sweeps(assignments: SweepAssignments, polarity_policy: str = "posi
     correspondence per vertical x horizontal cluster pair; downstream
     separation resolves which survive. Per cluster the median position is
     used; quality is 1 - spread / steps, taken from the worse cluster of the
-    pair. Clusters arrive sorted by pixel key, so the pixels seen in both
-    sweeps are found by ``searchsorted`` on each sweep's runs of equal keys.
+    pair. Clusters arrive sorted by (pixel, sweep, position), so one pass
+    over the runs of equal pixel keys finds every pixel seen in both sweeps.
     """
     cl = _cluster(assignments, polarity_policy)
-    v_idx = np.flatnonzero(cl.sweep == SWEEP_VERTICAL)
-    h_idx = np.flatnonzero(cl.sweep == SWEEP_HORIZONTAL)
-    if len(v_idx) == 0 or len(h_idx) == 0:
-        return _empty_correspondences()
-    # clusters are already grouped by pixel key within each sweep, so vkeys
-    # and hkeys are sorted; their first-of-run entries are the unique keys
-    v_lo, v_hi, vkeys = _runs(cl.pixel_key[v_idx])
-    h_lo, h_hi, hkeys = _runs(cl.pixel_key[h_idx])
-    at = np.minimum(np.searchsorted(hkeys, vkeys), len(hkeys) - 1)
-    in_both = hkeys[at] == vkeys
-    v_lo, v_hi = v_lo[in_both], v_hi[in_both]
-    h_lo, h_hi = h_lo[at[in_both]], h_hi[at[in_both]]
-    nv = v_hi - v_lo
-    nh = h_hi - h_lo
-
-    # every vertical x horizontal cluster pair of a pixel, ordered by pixel,
-    # then vertical cluster, then horizontal cluster
-    pairs = nv * nh
-    pixel = np.repeat(np.arange(len(pairs)), pairs)
-    j = _concat_ranges(np.zeros_like(pairs), pairs)  # pair index within its pixel
-    members = np.stack([v_idx[v_lo[pixel] + j // nh[pixel]], h_idx[h_lo[pixel] + j % nh[pixel]]], axis=1)
-    return _build_set(cl, members, cl.median[members])
+    return _build_set(cl, *_vertical_horizontal_pairs(cl))
 
 
 def intersect_single_sweep(assignments: SweepAssignments, F: np.ndarray, polarity_policy: str = "positive") -> CorrespondenceSet:

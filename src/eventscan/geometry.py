@@ -21,11 +21,22 @@ class DegenerateGeometryError(ValueError):
 
 def unit(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """Normalize vectors along ``axis``; raises on zero-length input."""
-    v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v, axis=axis, keepdims=True)
+    return _normalize(np.array(v, dtype=np.float64), axis)
+
+
+def _norm_of_squares(v: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
+    """``np.linalg.norm(v, axis=axis)`` of a float64 array, the same bits, squaring ``v`` in place."""
+    v *= v
+    return np.sqrt(np.add.reduce(v, axis=axis, keepdims=keepdims))
+
+
+def _normalize(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``unit`` of a float64 array, divided in place."""
+    n = _norm_of_squares(v.copy(), axis, keepdims=True)
     if np.any(n < 1e-300):
         raise ValueError("cannot normalize zero-length vector")
-    return v / n
+    v /= n
+    return v
 
 
 def cross_matrix(t: np.ndarray) -> np.ndarray:
@@ -139,10 +150,13 @@ def pixel_directions(model: PinholeModel, pixels: np.ndarray) -> np.ndarray:
     px = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
     yd = (px[:, 1] - model.cy) / model.fy
     xd = (px[:, 0] - model.cx - model.skew * yd) / model.fx
+    del px
     xn, yn = _undistort(xd, yd, model.k1)
-    dirs_dev = np.stack([xn, yn, np.ones_like(xn)], axis=-1)
-    dirs_world = dirs_dev @ model.rotation
-    return unit(dirs_world)
+    del xd, yd
+    dirs = np.stack([xn, yn, np.ones_like(xn)], axis=-1)
+    del xn, yn
+    dirs = dirs @ model.rotation
+    return _normalize(dirs)
 
 
 def fundamental_from_models(camera: PinholeModel, projector: PinholeModel) -> np.ndarray:
@@ -185,6 +199,7 @@ def epipolar_distances(F: np.ndarray, projector_pixels: np.ndarray, camera_pixel
 def triangulate_ray_arrays(o1, d1, o2, d2):
     """Closest-segment midpoints for ray arrays.
 
+    The origins are (N, 3) arrays or single (3,) points shared by every ray.
     Returns (points (N, 3), gaps (N,), cross_norm (N,)). Near-parallel pairs
     give untrustworthy points; callers filter on cross_norm.
     """
@@ -192,20 +207,28 @@ def triangulate_ray_arrays(o1, d1, o2, d2):
     d1 = np.atleast_2d(d1)
     o2 = np.atleast_2d(o2)
     d2 = np.atleast_2d(d2)
+    cross_norm = _norm_of_squares(np.cross(d1, d2), axis=1)
     w = o1 - o2
     b = np.sum(d1 * d2, axis=1)
     d = np.sum(d1 * w, axis=1)
     e = np.sum(d2 * w, axis=1)
     denom = 1.0 - b * b
-    cross_norm = np.linalg.norm(np.cross(d1, d2), axis=1)
     safe = np.where(denom < 1e-300, 1.0, denom)
+    del denom
     s = (b * e - d) / safe
     t = (e - b * d) / safe
-    p1 = o1 + s[:, None] * d1
-    p2 = o2 + t[:, None] * d2
-    points = 0.5 * (p1 + p2)
-    gaps = np.linalg.norm(p1 - p2, axis=1)
-    return points, gaps, cross_norm
+    del b, d, e, safe
+    # p1 = o1 + s d1 and p2 = o2 + t d2, then their midpoint and their gap
+    p1 = s[:, None] * d1
+    p1 += o1
+    p2 = t[:, None] * d2
+    p2 += o2
+    del s, t, d1, d2
+    points = p1 + p2
+    points *= 0.5
+    p1 -= p2
+    del p2
+    return points, _norm_of_squares(p1, axis=1), cross_norm
 
 
 def reflect_direction(directions: np.ndarray, normals: np.ndarray) -> np.ndarray:

@@ -44,9 +44,13 @@ MAX_MIRROR_BOUNCES = 3
 def _intersect_plane(origins, dirs, plane: Plane):
     denom = dirs @ plane.normal
     safe = np.where(np.abs(denom) < 1e-12, 1.0, denom)
-    t = ((plane.point - origins) @ plane.normal) / safe
+    # one (N, 3) buffer: plane.point - origins, then the hit relative to plane.point
+    local = np.subtract(plane.point, origins)
+    t = (local @ plane.normal) / safe
     hit = (np.abs(denom) >= 1e-12) & (t > HIT_EPS_MM)
-    local = origins + t[:, None] * dirs - plane.point
+    np.multiply(t[:, None], dirs, out=local)
+    local += origins
+    local -= plane.point
     u_axis, v_axis = plane.basis
     inside = (np.abs(local @ u_axis) <= plane.extent[0]) & (np.abs(local @ v_axis) <= plane.extent[1])
     hit &= inside
@@ -126,11 +130,11 @@ def intersect_ray_batch(origins: np.ndarray, dirs: np.ndarray, objects: list[Sce
         else:
             raise TypeError(f"unknown shape {type(obj.shape).__name__}")
         closer = t < best_t
-        best_t = np.where(closer, t, best_t)
-        best_normal = np.where(closer[:, None], normals, best_normal)
-        best_obj = np.where(closer, i, best_obj)
+        np.copyto(best_t, t, where=closer)
+        np.copyto(best_normal, normals, where=closer[:, None])
+        best_obj[closer] = i
     flip = np.sum(best_normal * dirs, axis=1) > 0
-    best_normal = np.where(flip[:, None], -best_normal, best_normal)
+    np.negative(best_normal, out=best_normal, where=flip[:, None])
     return best_t, best_normal, best_obj
 
 

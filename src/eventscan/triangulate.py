@@ -64,15 +64,12 @@ def triangulate_direct(
     b = classified.base
     if len(rows) == 0:
         return DiffuseCloud(np.zeros((0, 3)), np.zeros((0, 2), np.int32), np.zeros((0, 2)), np.zeros(0), np.zeros(0))
-    cam_px = b.camera_pixel[rows].astype(np.float64)
     proj_px = b.projector_pixel[rows]
-    cam_dirs = pixel_directions(camera, cam_px)
-    proj_dirs = pixel_directions(projector, proj_px)
     points, gaps, cross = triangulate_ray_arrays(
-        np.broadcast_to(camera.center, cam_dirs.shape),
-        cam_dirs,
-        np.broadcast_to(projector.center, proj_dirs.shape),
-        proj_dirs,
+        camera.center,
+        pixel_directions(camera, b.camera_pixel[rows]),
+        projector.center,
+        pixel_directions(projector, proj_px),
     )
     stable = cross > 1e-9
     ok = stable & (gaps <= gap_max_mm)

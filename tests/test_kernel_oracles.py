@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_rig, tilted_mirror, wall_object
-from eventscan import decode, formats, simulate
+from eventscan import decode, formats, geometry, simulate
 from eventscan.decode import CorrespondenceSet
 from eventscan.events import SWEEP_HORIZONTAL, SWEEP_RASTER, SWEEP_VERTICAL, EventStream, GroundTruth
 from eventscan.metrics import truth_class_of
@@ -598,6 +598,203 @@ def test_intersect_disjoint_sweeps_is_empty():
 )
 def test_intersect_matches_loop(rows, policy):
     assert_correspondences_match_loop(stream([(s + t, x, y, p) for s, t, x, y, p in rows]), polarity_policy=policy)
+
+
+def cluster_lexsort(a, policy, vertical_only=False):
+    """decode._cluster as it was: a three-key lexsort, int64 indices, whole-length copies."""
+    polarity = a.events.polarity
+    if policy == "positive":
+        keep = polarity > 0
+    elif policy == "negative":
+        keep = polarity < 0
+    elif policy == "both":
+        keep = np.ones(len(polarity), dtype=bool)
+    else:
+        raise ValueError(f"unknown polarity policy {policy!r}")
+    keep &= (a.sweep == SWEEP_VERTICAL) if vertical_only else (a.sweep >= 0)
+    ev = np.flatnonzero(keep)
+    key = decode.pack_pixels(a.events.x[ev], a.events.y[ev])
+    sweep = a.sweep[ev]
+    pos = a.position[ev]
+    pos[polarity[ev] < 0] -= 1.0
+    order = np.lexsort((pos, sweep, key))
+    key, sweep, pos, ev = key[order], sweep[order], pos[order], ev[order]
+    brk = np.ones(len(key), dtype=bool)
+    brk[1:] = (key[1:] != key[:-1]) | (sweep[1:] != sweep[:-1]) | (np.diff(pos) > max(2.0, 0.005 * a.steps_per_sweep))
+    starts = np.flatnonzero(brk)
+    sizes = np.diff(np.append(starts, len(key)))
+    return decode._Clusters(
+        pixel_key=key[starts],
+        sweep=sweep[starts],
+        median=pos[starts + (sizes - 1) // 2],
+        quality=np.maximum(0.0, 1.0 - (pos[starts + sizes - 1] - pos[starts]) / a.steps_per_sweep),
+        size=sizes,
+        seg_start=starts,
+        sorted_event_index=ev,
+    )
+
+
+INDEX_FIELDS = ("size", "seg_start", "sorted_event_index")
+
+# gaps of 2, 4 and 5 steps around the 4.005-step cluster break of SCHED
+CLOSE_TIMES = [1000, 1000, 1200, 1400, 1800, 2300]
+
+
+@ORACLE
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.one_of(st.integers(0, 2 * 80100 + 2 * 5000), st.sampled_from(CLOSE_TIMES + [H0 + t for t in CLOSE_TIMES])),
+            st.integers(0, 2),
+            st.integers(0, 2),
+            st.sampled_from([1, -1]),
+        ),
+        max_size=60,
+    ),
+    time_sorted=st.booleans(),
+    policy=st.sampled_from(["positive", "negative", "both"]),
+    vertical_only=st.booleans(),
+)
+def test_cluster_order_and_fields_match_lexsort(rows, time_sorted, policy, vertical_only):
+    if time_sorted:
+        rows = sorted(rows, key=lambda r: r[0])
+    events = stream(rows)
+    a = decode.assign_sweeps(events, SCHED, 0, 2)
+    got = decode._cluster(a, policy, vertical_only)
+    want = cluster_lexsort(a, policy, vertical_only)
+    # sorted_event_index, the cluster order, is the oracle's np.lexsort((pos, sweep, key))
+    for f in fields(decode._Clusters):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        if f.name in INDEX_FIELDS:
+            assert g.dtype == decode._index_dtype(len(events)) and w.dtype == np.int64
+            g = g.astype(np.int64)
+        assert_same(g, w)
+
+
+def test_index_dtype_falls_back_to_int64_at_two_to_the_31():
+    assert decode._index_dtype(0) is np.int32
+    assert decode._index_dtype(2**31 - 1) is np.int32
+    assert decode._index_dtype(2**31) is np.int64
+    assert decode._index_dtype(2**40) is np.int64
+
+
+@pytest.mark.parametrize("policy", ["positive", "both"])
+def test_int64_indices_give_the_same_correspondences(policy):
+    rows = [(s + t, x, y, p) for s in (0, H0) for t in (100, 300, 50000) for x in range(3) for y in range(2) for p in (1, -1)]
+    a = decode.assign_sweeps(stream(rows), SCHED, 0, 2)
+    narrow = decode.intersect_sweeps(a, policy)
+    with mock.patch.object(decode, "_index_dtype", return_value=np.int64):
+        assert decode._cluster(a, policy).sorted_event_index.dtype == np.int64
+        wide = decode.intersect_sweeps(a, policy)
+    assert len(narrow) > 0
+    for name in ("camera_pixel", "projector_pixel", "support", "quality", "event_ids", "event_offsets"):
+        assert_same(getattr(narrow, name), getattr(wide, name))
+
+
+# --- _concat_ranges -----------------------------------------------------------
+
+
+def concat_ranges_loop(starts, lens):
+    return np.array([i for s, n in zip(starts, lens) for i in range(s, s + n)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("ranges", [[], [(5, 0)], [(7, 1)], [(3, 4)], [(0, 0), (4, 2), (9, 0), (1, 3), (2, 0)]])
+def test_concat_ranges_edge_cases(ranges):
+    for dtype in (np.int32, np.int64):
+        starts = np.array([r[0] for r in ranges], dtype=dtype)
+        lens = np.array([r[1] for r in ranges], dtype=dtype)
+        assert_same(decode._concat_ranges(starts, lens), concat_ranges_loop(starts, lens))
+
+
+@ORACLE
+@given(ranges=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 5)), max_size=40), wide=st.booleans())
+def test_concat_ranges_matches_loop(ranges, wide):
+    dtype = np.int64 if wide else np.int32
+    starts = np.array([r[0] for r in ranges], dtype=dtype)
+    lens = np.array([r[1] for r in ranges], dtype=dtype)
+    assert_same(decode._concat_ranges(starts, lens), concat_ranges_loop(starts, lens))
+
+
+# --- pixel_directions and triangulate_ray_arrays ------------------------------
+
+
+def pixel_directions_stack(model, pixels):
+    """geometry.pixel_directions as it was: normalised into a new array."""
+    px = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
+    yd = (px[:, 1] - model.cy) / model.fy
+    xd = (px[:, 0] - model.cx - model.skew * yd) / model.fx
+    xn, yn = geometry._undistort(xd, yd, model.k1)
+    dirs_world = np.stack([xn, yn, np.ones_like(xn)], axis=-1) @ model.rotation
+    n = np.linalg.norm(dirs_world, axis=-1, keepdims=True)
+    if np.any(n < 1e-300):
+        raise ValueError("cannot normalize zero-length vector")
+    return dirs_world / n
+
+
+def triangulate_ray_arrays_whole(o1, d1, o2, d2):
+    """geometry.triangulate_ray_arrays as it was: (N, 3) origins and whole-array temporaries."""
+    o1, d1, o2, d2 = (np.atleast_2d(v) for v in (o1, d1, o2, d2))
+    w = o1 - o2
+    b = np.sum(d1 * d2, axis=1)
+    d = np.sum(d1 * w, axis=1)
+    e = np.sum(d2 * w, axis=1)
+    denom = 1.0 - b * b
+    cross_norm = np.linalg.norm(np.cross(d1, d2), axis=1)
+    safe = np.where(denom < 1e-300, 1.0, denom)
+    s = (b * e - d) / safe
+    t = (e - b * d) / safe
+    p1 = o1 + s[:, None] * d1
+    p2 = o2 + t[:, None] * d2
+    return 0.5 * (p1 + p2), np.linalg.norm(p1 - p2, axis=1), cross_norm
+
+
+def skewed_model(rng, k1):
+    axis = geometry.unit(rng.normal(size=3))
+    angle = rng.uniform(-0.5, 0.5)
+    K = geometry.cross_matrix(axis)
+    R = np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * (K @ K)
+    return geometry.PinholeModel(
+        fx=rng.uniform(500, 2500), fy=rng.uniform(500, 2500), cx=rng.uniform(100, 500), cy=rng.uniform(100, 500),
+        width=640, height=640, skew=rng.uniform(-2, 2), rotation=R, translation=rng.uniform(-80, 80, 3), k1=k1,
+    )
+
+
+@ORACLE
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50), k1=st.sampled_from([0.0, -0.12, 0.08]), shared=st.booleans())
+def test_rays_match_whole_array_oracle(seed, n, k1, shared):
+    rng = np.random.default_rng(seed)
+    camera, projector = skewed_model(rng, k1), skewed_model(rng, -k1)
+    cam_px = np.stack([rng.integers(0, 640, n), rng.integers(0, 640, n)], axis=1).astype(np.int32)
+    proj_px = rng.uniform(-10, 650, (n, 2))
+    d1 = geometry.pixel_directions(camera, cam_px)
+    d2 = geometry.pixel_directions(projector, proj_px)
+    assert_same(d1, pixel_directions_stack(camera, cam_px))
+    assert_same(d2, pixel_directions_stack(projector, proj_px))
+    if shared:
+        o1, o2 = camera.center, projector.center
+    else:
+        o1, o2 = rng.uniform(-100, 100, (n, 3)), rng.uniform(-100, 100, (n, 3))
+    want = triangulate_ray_arrays_whole(np.broadcast_to(o1, d1.shape), d1, np.broadcast_to(o2, d2.shape), d2)
+    for g, w in zip(geometry.triangulate_ray_arrays(o1, d1, o2, d2), want):
+        assert_same(g, w)
+
+
+def test_ray_oracles_on_parallel_and_single_rays():
+    d = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]])
+    for o2 in (np.array([5.0, 0.0, 0.0]), np.array([[5.0, 0.0, 0.0], [1.0, 2.0, 3.0]])):
+        for g, w in zip(geometry.triangulate_ray_arrays(np.zeros(3), d, o2, d), triangulate_ray_arrays_whole(np.zeros((2, 3)), d, o2, d)):
+            assert_same(g, w)
+    single = geometry.triangulate_ray_arrays([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [5.0, 0.0, 0.0], [-0.6, 0.0, 0.8])
+    for g, w in zip(single, triangulate_ray_arrays_whole([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [5.0, 0.0, 0.0], [-0.6, 0.0, 0.8])):
+        assert_same(g, w)
+
+
+def test_pixel_directions_still_raise_on_zero_length():
+    model = geometry.PinholeModel(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
+    object.__setattr__(model, "rotation", np.zeros((3, 3)))  # past the orthonormality check
+    for directions in (geometry.pixel_directions, pixel_directions_stack):
+        with pytest.raises(ValueError, match="zero-length"):
+            directions(model, [[10.0, 20.0]])
 
 
 # --- resolve_mixed_pixels ---------------------------------------------------
