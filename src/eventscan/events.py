@@ -88,12 +88,14 @@ SWEEP_RASTER = 2
 # Per-path column -> value it reads as for a spurious event (path -1).
 UNANNOTATED = {"bounce": 0, "surface_point": np.nan, "object_label": -1, "projector_pixel": np.nan, "on_epipolar": False}
 
-# ground_truth.txt: one row per event; the five path columns in the order of UNANNOTATED
-TRUTH_COLUMNS = (
-    ("event", np.int64), ("bounce", np.int16), (("sx", "sy", "sz"), np.float64), ("label", np.int32),
+# ground_truth.txt: one row per light path, the columns of UNANNOTATED in its
+# order; the row number is the path index
+PATH_COLUMNS = (
+    ("bounce", np.int16), (("sx", "sy", "sz"), np.float64), ("label", np.int32),
     (("px", "py"), np.float64), ("on_epipolar", ("false", "true")),
-    ("sweep", np.int8), ("step", np.int32), ("step_time_us", np.int64),
 )
+# ground_truth_events.txt: one row per event; path -1 marks a spurious event
+EVENT_TRUTH_COLUMNS = (("path", np.int32), ("sweep", np.int8), ("step", np.int32), ("step_time_us", np.int64))
 
 
 def _step_key(sweep, step) -> np.ndarray:
@@ -187,26 +189,18 @@ class GroundTruth:
         """The events ``order`` selects, sharing this object's paths."""
         return replace(self, path=self.path[order], sweep=self.sweep[order], step=self.step[order])
 
-    def save_text(self, path) -> None:
-        """One row per event, with its path's annotation written out."""
-
-        def columns():
-            # expanded one path column at a time, so only one is alive at once
-            yield np.arange(len(self))
-            for name in UNANNOTATED:
-                yield self.per_event(name)
-            yield from (self.sweep, self.step, self.step_time_us)
-
+    def save_text(self, path, events_path) -> None:
+        """One row per light path to ``path``, one row per event to ``events_path``."""
         header = "labels: " + (" ".join(self.labels) if self.labels else "-")
-        formats.write_table(path, TRUTH_COLUMNS, columns(), header=header)
+        formats.write_table(path, PATH_COLUMNS, [getattr(self, name) for name in UNANNOTATED], header=header)
+        formats.write_table(events_path, EVENT_TRUTH_COLUMNS, [self.path, self.sweep, self.step, self.step_time_us])
 
     @staticmethod
-    def load_text(path) -> "GroundTruth":
-        """Each annotated row (bounce > 0) becomes its own path.
+    def load_text(path, events_path) -> "GroundTruth":
+        """The ``GroundTruth`` that ``save_text`` wrote.
 
-        A row with bounce 0 is a spurious event and must carry no annotation,
-        and every row of one (sweep, step) must carry one step time;
-        otherwise FormatError.
+        FormatError for a path with bounce < 1, an event whose path is outside
+        [-1, number of paths), or one (sweep, step) with two step times.
         """
         labels: tuple = ()
         with open(path) as f:
@@ -214,25 +208,17 @@ class GroundTruth:
         if first.startswith("# labels:"):
             rest = first[len("# labels:") :].split()
             labels = tuple(rest) if rest != ["-"] else ()
-        _, (_, bounce, surface, label, proj, on_epi, sweep, step, times) = formats.read_table(path, TRUTH_COLUMNS)
-        annotated = bounce > 0
-        blank = (bounce == 0) & (label == -1) & (on_epi == 0) & np.isnan(surface).all(axis=1) & np.isnan(proj).all(axis=1)
-        stray = np.flatnonzero(~annotated & ~blank)
-        if len(stray):
-            raise formats.FormatError(f"{path}: row {stray[0] + 1} has bounce {bounce[stray[0]]} but an annotation")
+        _, paths = formats.read_table(path, PATH_COLUMNS)
+        bounce = paths[0]
+        bad = np.flatnonzero(bounce < 1)
+        if len(bad):
+            raise formats.FormatError(f"{path}: row {bad[0] + 1} has bounce {bounce[bad[0]]}; a light path has bounce >= 1")
+        _, (path_of, sweep, step, times) = formats.read_table(events_path, EVENT_TRUTH_COLUMNS)
+        bad = np.flatnonzero((path_of < -1) | (path_of >= len(bounce)))
+        if len(bad):
+            raise formats.FormatError(f"{events_path}: row {bad[0] + 1} has path {path_of[bad[0]]}, outside [-1, {len(bounce)})")
         try:
             table = step_table(sweep, step, times)
         except ValueError as exc:
-            raise formats.FormatError(f"{path}: {exc}") from None
-        return GroundTruth(
-            bounce[annotated],
-            surface[annotated],
-            label[annotated],
-            proj[annotated],
-            on_epi[annotated],
-            np.where(annotated, np.cumsum(annotated) - 1, -1),
-            sweep,
-            step,
-            table,
-            labels,
-        )
+            raise formats.FormatError(f"{events_path}: {exc}") from None
+        return GroundTruth(*paths, path_of, sweep, step, table, labels)

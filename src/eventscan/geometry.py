@@ -117,6 +117,8 @@ def _distort(xn: np.ndarray, yn: np.ndarray, k1: float):
 
 def _undistort(xd: np.ndarray, yd: np.ndarray, k1: float):
     # Fixed-point inversion; 8 iterations is ample for |k1 r^2| << 1.
+    if k1 == 0:
+        return xd, yd  # each iteration would divide by exactly 1.0
     xn, yn = xd, yd
     for _ in range(8):
         r2 = xn * xn + yn * yn
@@ -196,6 +198,20 @@ def epipolar_distances(F: np.ndarray, projector_pixels: np.ndarray, camera_pixel
     return np.abs(lines[:, 0] * cam[:, 0] + lines[:, 1] * cam[:, 1] + lines[:, 2])
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of (N, 3) float64 arrays, the same bits, into one new array.
+
+    The same multiply and subtract steps as numpy's, without copying either input.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    scratch = np.empty(len(out))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[:, j], b[:, k], out=out[:, i])
+        np.multiply(a[:, k], b[:, j], out=scratch)
+        out[:, i] -= scratch
+    return out
+
+
 def triangulate_ray_arrays(o1, d1, o2, d2):
     """Closest-segment midpoints for ray arrays.
 
@@ -207,7 +223,7 @@ def triangulate_ray_arrays(o1, d1, o2, d2):
     d1 = np.atleast_2d(d1)
     o2 = np.atleast_2d(o2)
     d2 = np.atleast_2d(d2)
-    cross_norm = _norm_of_squares(np.cross(d1, d2), axis=1)
+    cross_norm = _norm_of_squares(_cross(d1, d2), axis=1)
     w = o1 - o2
     b = np.sum(d1 * d2, axis=1)
     d = np.sum(d1 * w, axis=1)

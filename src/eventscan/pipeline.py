@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 import typing
 from dataclasses import asdict, dataclass, field, fields
@@ -71,8 +72,8 @@ def _has_type(value, hint) -> bool:
 @dataclass
 class PipelineConfig:
     """One run's parameters. Each field is a config key: its name, type,
-    default and allowed values are the whole config schema. A scene override
-    left at ``None`` keeps the scene file's value."""
+    default and allowed values are the whole config schema. Every float must
+    be finite. A scene override left at ``None`` keeps the scene file's value."""
 
     scene: str
     calibration: str = "from-scene"
@@ -82,7 +83,7 @@ class PipelineConfig:
     gap_max_mm: float = _check(1.0, "> 0", lambda v: v > 0)
     init_depth: str | float = _check("auto", "a number or 'auto'", lambda v: not isinstance(v, str) or v == "auto")
     deflect_max_iter: int = _check(50, ">= 1", lambda v: v >= 1)
-    deflect_tol_mm: float = 0.01
+    deflect_tol_mm: float = _check(0.01, "> 0", lambda v: v > 0)
     polarity_policy: str = _one_of("positive", "positive", "negative", "both")
     fit_diffuse: str = _one_of("none", "none", "plane", "sphere")
     fit_specular: str = _one_of("none", "none", "plane", "sphere")
@@ -104,6 +105,8 @@ class PipelineConfig:
             value, hint = getattr(self, f.name), hints[f.name]
             if not _has_type(value, hint):
                 raise ConfigError(f"{f.name} must be of type {getattr(hint, '__name__', hint)}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
             if value is not None and "ok" in f.metadata and not f.metadata["ok"](value):
                 raise ConfigError(f"{f.name} must be {f.metadata['rule']}, got {value!r}")
 
@@ -266,7 +269,10 @@ class Artifact(NamedTuple):
 STORE = {
     "events": Artifact("simulate", ("events.txt",), lambda p, ev: ev.save_text(p[0]), lambda p: EventStream.load_text(p[0])),
     "events_bin": Artifact("simulate", ("events.bin",), lambda p, ev: ev.save_binary(p[0]), None),
-    "truth": Artifact("simulate", ("ground_truth.txt",), lambda p, gt: gt.save_text(p[0]), lambda p: GroundTruth.load_text(p[0])),
+    # one row per light path, then one row per event
+    "truth": Artifact(
+        "simulate", ("ground_truth.txt", "ground_truth_events.txt"), lambda p, gt: gt.save_text(*p), lambda p: GroundTruth.load_text(*p)
+    ),
     "rig": Artifact("simulate", ("rig.calib",), lambda p, rig: save_calibration_bundle(p[0], *rig), lambda p: load_calibration_bundle(p[0])),
     "scan": Artifact("simulate", ("scan.txt",), _save_scan, _load_scan),
     "correspondences": Artifact(

@@ -296,6 +296,9 @@ def _apply_noise(stream: EventStream, gt: GroundTruth, noise: NoiseModel, camera
         counts["dropped"] = int((~keep).sum())
     stream = EventStream(t[keep], stream.x[keep], stream.y[keep], stream.polarity[keep])
     gt = gt.take(keep)
+    if counts["dropped"]:
+        # step_times keeps only the (sweep, step) pairs that still have an event
+        gt.step_times = step_table(gt.sweep, gt.step, gt.step_time_us)
     if noise.spurious_rate > 0:
         t0, t1 = span
         expected = noise.spurious_rate * max(t1 - t0, 1) * (camera.width * camera.height / 1e6)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from eventscan import formats
 from eventscan.decode import CORRESPONDENCE_COLUMNS, CorrespondenceSet
 from eventscan.deflectometry import RESIDUAL_COLUMNS
-from eventscan.events import EVENT_COLUMNS, TRUTH_COLUMNS, EventStream, GroundTruth, step_table
+from eventscan.events import EVENT_COLUMNS, EVENT_TRUTH_COLUMNS, PATH_COLUMNS, EventStream, GroundTruth, step_table
 from eventscan.pipeline import METRICS_COLUMNS, SPECULAR_COLUMNS
 from eventscan.separate import CLASSIFIED_COLUMNS, ClassifiedSet
 from eventscan.triangulate import CLOUD_COLUMNS, SCREEN_COLUMNS, DiffuseCloud
@@ -105,6 +105,20 @@ def test_event_sort_order():
     assert s.x.tolist() == [1, 0, 0, 1]
 
 
+def assert_same_value(got, want):
+    """Equal in every field, recursing into dataclasses; arrays equal in dtype, shape and bits."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want)
+        for f in dataclasses.fields(want):
+            assert_same_value(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        bits = {"f": np.uint64, "b": np.uint8}.get(want.dtype.kind)
+        assert np.array_equal(got.view(bits) if bits else got, want.view(bits) if bits else want)
+    else:
+        assert got == want
+
+
 def test_ground_truth_round_trip(tmp_path):
     gt = GroundTruth(
         bounce=np.array([1, 2]),
@@ -118,16 +132,17 @@ def test_ground_truth_round_trip(tmp_path):
         step_times=np.array([[-1, -1, -1], [0, 10, 100], [1, 20, 200]]),
         labels=("wall", "mirror"),
     )
-    gt.save_text(tmp_path / "gt.txt")
-    back = GroundTruth.load_text(tmp_path / "gt.txt")
-    assert back.labels == ("wall", "mirror")
-    assert np.array_equal(back.bounce, gt.bounce)
-    assert np.array_equal(back.path, gt.path)
-    assert np.allclose(back.surface_point, gt.surface_point)
+    gt.save_text(tmp_path / "gt.txt", tmp_path / "gt_events.txt")
+    assert (tmp_path / "gt.txt").read_text().splitlines()[:3] == [
+        "# labels: wall mirror",
+        "# bounce sx sy sz label px py on_epipolar",
+        "1 1 2 3 0 10.5 20.25 false",
+    ]
+    assert (tmp_path / "gt_events.txt").read_text() == "# path sweep step step_time_us\n0 0 10 100\n1 1 20 200\n-1 -1 -1 -1\n"
+    back = GroundTruth.load_text(tmp_path / "gt.txt", tmp_path / "gt_events.txt")
+    assert_same_value(back, gt)
     assert np.isnan(back.per_event("surface_point")[2]).all()
-    assert np.array_equal(back.on_epipolar, gt.on_epipolar)
     assert np.array_equal(back.step_time_us, [100, 200, -1])
-    assert np.array_equal(back.step_time_us, gt.step_time_us)
 
 
 def two_path_truth():
@@ -145,31 +160,42 @@ def two_path_truth():
     )
 
 
+def saved_two_path_truth(tmp_path):
+    paths = tmp_path / "gt.txt", tmp_path / "gt_events.txt"
+    two_path_truth().save_text(*paths)
+    return paths
+
+
 def test_ground_truth_rejects_unknown_on_epipolar(tmp_path):
-    path = tmp_path / "gt.txt"
-    two_path_truth().save_text(path)
-    path.write_text(path.read_text().replace(" true ", " yes "))
-    with pytest.raises(formats.FormatError, match=re.escape(path.name) + ".*on_epipolar"):
-        GroundTruth.load_text(path)
+    paths = saved_two_path_truth(tmp_path)
+    paths[0].write_text(paths[0].read_text().replace(" true\n", " yes\n"))
+    with pytest.raises(formats.FormatError, match=re.escape(paths[0].name) + ".*on_epipolar"):
+        GroundTruth.load_text(*paths)
 
 
 @pytest.mark.parametrize(
-    "old, new, match",
+    "file, old, new, match",
     [
-        ("\n1 2 ", "\n1 0 ", "row 2 has bounce 0 but an annotation"),  # unannotated row with a surface point
-        ("\n1 2 ", "\n1 -2 ", "row 2 has bounce -2"),
-        (" 1 2 20\n", " 0 1 20\n", "two step times"),  # one (sweep, step) with two times
+        (0, "\n2 1 ", "\n0 1 ", "gt.txt: row 2 has bounce 0"),  # a light path has bounced at least once
+        (0, "\n2 1 ", "\n-2 1 ", "gt.txt: row 2 has bounce -2"),
+        (1, "\n1 1 2 ", "\n2 1 2 ", r"gt_events.txt: row 2 has path 2, outside \[-1, 2\)"),
+        (1, "\n1 1 2 ", "\n-2 1 2 ", r"gt_events.txt: row 2 has path -2, outside \[-1, 2\)"),
+        (1, "\n1 1 2 20", "\n1 0 1 20", "gt_events.txt: one .* has two step times"),
+        (0, "# bounce sx sy sz label px py on_epipolar\n", "", "gt.txt: missing column header"),
+        (1, "# path sweep step step_time_us\n", "", "gt_events.txt: missing column header"),
+    ],
+    ids=[
+        "path-bounce-0", "path-bounce-negative", "event-path-past-end", "event-path-below-minus-1", "two-step-times",
+        "path-header-missing", "event-header-missing",
     ],
 )
-def test_ground_truth_rejects_rows_it_cannot_keep(tmp_path, old, new, match):
-    # each of these would not come back as the same bytes after load -> save
-    path = tmp_path / "gt.txt"
-    two_path_truth().save_text(path)
-    text = path.read_text()
+def test_ground_truth_rejects_rows_it_cannot_keep(tmp_path, file, old, new, match):
+    paths = saved_two_path_truth(tmp_path)
+    text = paths[file].read_text()
     assert text.count(old) == 1
-    path.write_text(text.replace(old, new))
+    paths[file].write_text(text.replace(old, new))
     with pytest.raises(formats.FormatError, match=match):
-        GroundTruth.load_text(path)
+        GroundTruth.load_text(*paths)
 
 
 def test_step_time_of_unknown_step_raises():
@@ -441,42 +467,36 @@ def _field(rng, kind, n: int, width: int) -> np.ndarray:
 
 def _valid_truth(arrays):
     """A GroundTruth of ``arrays`` made loadable, which are fixed in place:
-    events numbered in order, rows with bounce <= 0 blank, one time per
-    (sweep, step)."""
-    _, bounce, surface, label, proj, on_epi, sweep, step, times = arrays
-    spurious = bounce <= 0
-    bounce[spurious], label[spurious], on_epi[spurious] = 0, -1, 0
-    surface[spurious], proj[spurious] = np.nan, np.nan
+    every path bounces at least once, every event's path is in [-1, paths)
+    and each (sweep, step) has one time."""
+    bounce, surface, label, proj, on_epi, path, sweep, step, times = arrays
+    np.maximum(bounce, 1, out=bounce)
+    path %= len(bounce) + 1
+    path -= 1
     keys = sweep.astype(np.int64) * 2**32 + step
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    times = times[first][inverse.ravel()]
-    arrays[0], arrays[-1] = np.arange(len(bounce)), times
-    annotated = ~spurious
-    path = np.where(annotated, np.cumsum(annotated) - 1, -1)
-    return GroundTruth(
-        bounce[annotated], surface[annotated], label[annotated], proj[annotated], on_epi[annotated],
-        path, sweep, step, step_table(sweep, step, times),
-    )
+    times[:] = times[first][inverse.ravel()]
+    return GroundTruth(bounce, surface, label, proj, on_epi, path, sweep, step, step_table(sweep, step, times))
 
 
-# file -> (declaration, object made of its arrays, save, load); None where no class reads it
+# artifact -> (one declaration per file, object made of the files' arrays, save, load); None where no class reads it
 ARTIFACTS = {
-    "events.txt": (EVENT_COLUMNS, lambda a: EventStream(*a), EventStream.save_text, EventStream.load_text),
-    "ground_truth.txt": (TRUTH_COLUMNS, _valid_truth, GroundTruth.save_text, GroundTruth.load_text),
+    "events.txt": ((EVENT_COLUMNS,), lambda a: EventStream(*a), EventStream.save_text, EventStream.load_text),
+    "ground_truth.txt": ((PATH_COLUMNS, EVENT_TRUTH_COLUMNS), _valid_truth, GroundTruth.save_text, GroundTruth.load_text),
     "correspondences.txt": (
-        CORRESPONDENCE_COLUMNS, lambda a: CorrespondenceSet(*a), CorrespondenceSet.save_text, CorrespondenceSet.load_text
+        (CORRESPONDENCE_COLUMNS,), lambda a: CorrespondenceSet(*a), CorrespondenceSet.save_text, CorrespondenceSet.load_text
     ),
     "classified.txt": (
-        CLASSIFIED_COLUMNS, lambda a: ClassifiedSet(CorrespondenceSet(*a[:4]), *a[4:]), ClassifiedSet.save_text,
+        (CLASSIFIED_COLUMNS,), lambda a: ClassifiedSet(CorrespondenceSet(*a[:4]), *a[4:]), ClassifiedSet.save_text,
         ClassifiedSet.load_text,
     ),
     "diffuse.ply": (
-        CLOUD_COLUMNS, lambda a: DiffuseCloud(a[0], a[3], a[4], a[2], a[1]), DiffuseCloud.save_ply, DiffuseCloud.load_ply
+        (CLOUD_COLUMNS,), lambda a: DiffuseCloud(a[0], a[3], a[4], a[2], a[1]), DiffuseCloud.save_ply, DiffuseCloud.load_ply
     ),
-    "screen.txt": (SCREEN_COLUMNS, None, None, None),
-    "residuals.txt": (RESIDUAL_COLUMNS, None, None, None),
-    "metrics.tsv": (METRICS_COLUMNS, None, None, None),
-    "specular.ply": (SPECULAR_COLUMNS, None, None, None),
+    "screen.txt": ((SCREEN_COLUMNS,), None, None, None),
+    "residuals.txt": ((RESIDUAL_COLUMNS,), None, None, None),
+    "metrics.tsv": ((METRICS_COLUMNS,), None, None, None),
+    "specular.ply": ((SPECULAR_COLUMNS,), None, None, None),
 }
 
 
@@ -497,26 +517,33 @@ def _assert_bit_equal(got, want):
 @example(n=1, seed=0)
 @example(n=40, seed=1)
 def test_every_artifact_round_trips(name, n, seed):
-    columns, make, save, load = ARTIFACTS[name]
+    declarations, make, save, load = ARTIFACTS[name]
     rng = np.random.default_rng(seed)
     arrays = []
-    for entry in columns:
-        names, kind = (entry, str) if isinstance(entry, str) else entry
-        arrays.append(_field(rng, kind, n, 1 if isinstance(names, str) else len(names)))
+    for columns in declarations:
+        arrays.append([])
+        for entry in columns:
+            names, kind = (entry, str) if isinstance(entry, str) else entry
+            arrays[-1].append(_field(rng, kind, n, 1 if isinstance(names, str) else len(names)))
     ply = name.endswith(".ply")
     write = formats.write_ply if ply else formats.write_table
-    read = (lambda p: formats.read_ply(p, columns)) if ply else (lambda p: formats.read_table(p, columns)[1])
+    read = (lambda p, c: formats.read_ply(p, c)) if ply else (lambda p, c: formats.read_table(p, c)[1])
     with tempfile.TemporaryDirectory() as tmp:
-        first, second = Path(tmp) / ("a_" + name), Path(tmp) / ("b_" + name)
+        first = [Path(tmp) / f"a{i}_{name}" for i in range(len(declarations))]
+        second = [Path(tmp) / f"b{i}_{name}" for i in range(len(declarations))]
         if make is None:
-            write(first, columns, arrays)
+            (columns,) = declarations
+            write(first[0], columns, arrays[0])
         else:
-            value = make(arrays)
-            save(value, first)
-        back = read(first)
-        _assert_bit_equal(back, arrays)
+            value = make([a for file_arrays in arrays for a in file_arrays])
+            save(value, *first)
+        for path, columns, file_arrays in zip(first, declarations, arrays):
+            _assert_bit_equal(read(path, columns), file_arrays)
         if make is None:
-            write(second, columns, back)
+            write(second[0], columns, read(first[0], columns))
         else:
-            save(load(first), second)
-        assert first.read_bytes() == second.read_bytes()
+            back = load(*first)
+            assert_same_value(back, value)
+            save(back, *second)
+        for a, b in zip(first, second):
+            assert a.read_bytes() == b.read_bytes()

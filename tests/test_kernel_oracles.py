@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import small_rig, tilted_mirror, wall_object
 from eventscan import decode, formats, geometry, simulate
 from eventscan.decode import CorrespondenceSet
-from eventscan.events import SWEEP_HORIZONTAL, SWEEP_RASTER, SWEEP_VERTICAL, EventStream, GroundTruth
+from eventscan.events import SWEEP_HORIZONTAL, SWEEP_RASTER, SWEEP_VERTICAL, UNANNOTATED, EventStream, GroundTruth
 from eventscan.metrics import truth_class_of
 from eventscan.scene import NoiseModel, ScanSchedule
 from eventscan.separate import DIRECT, INDIRECT, REJECTED, ClassifiedSet, resolve_mixed_pixels
@@ -146,22 +146,6 @@ class EventTruth:
     def concatenate(self, other):
         return EventTruth(*(np.concatenate([getattr(self, f.name), getattr(other, f.name)]) for f in fields(self) if f.name != "labels"), self.labels)
 
-    def save_text(self, path):
-        header = "labels: " + (" ".join(self.labels) if self.labels else "-")
-        formats.write_table(
-            path,
-            [("event", np.int64), ("bounce", np.int16), ("sx", float), ("sy", float), ("sz", float), ("label", np.int32),
-             ("px", float), ("py", float), ("on_epipolar", ("false", "true")), ("sweep", np.int8), ("step", np.int32),
-             ("step_time_us", np.int64)],
-            [
-                np.arange(len(self.bounce)), self.bounce,
-                self.surface_point[:, 0], self.surface_point[:, 1], self.surface_point[:, 2],
-                self.object_label, self.projector_pixel[:, 0], self.projector_pixel[:, 1], self.on_epipolar,
-                self.sweep, self.step, self.step_time_us,
-            ],
-            header=header,
-        )
-
 
 class EventTruthEmitter:
     """simulate._Emitter's interface, copying each path's annotation onto every event."""
@@ -243,6 +227,7 @@ SCANS = {
     "noise": (NOISY, {}),
     "higher_bounces": (None, {"generate_higher_bounces": True}),
     "raster": (NOISY, {"mode": "raster"}),
+    "single": (NOISY, {"mode": "single"}),
 }
 
 
@@ -274,16 +259,31 @@ def test_scans_cover_every_kind_of_row(both_layouts):
         assert res.counts["dropped"] > 0 and (bounce == 0).sum() == res.counts["spurious"] > 0
 
 
+def assert_same_bits(got, want):
+    """assert_same, with floats compared on their bit patterns (NaN included)."""
+    assert_same(*(a.view(np.uint64) if a.dtype == np.float64 else a for a in (np.asarray(got), np.asarray(want))))
+
+
+def saved_and_loaded(truth, tmp):
+    paths = tmp / "paths.txt", tmp / "path_events.txt"
+    truth.save_text(*paths)
+    return paths, GroundTruth.load_text(*paths)
+
+
 def test_ground_truth_text_matches_per_event_oracle(both_layouts):
     _, res, oracle, _, tmp = both_layouts
     for name in ("t", "x", "y", "polarity"):
         assert_same(getattr(res.events, name), getattr(oracle.events, name))
-    res.ground_truth.save_text(tmp / "paths.txt")
-    oracle.ground_truth.save_text(tmp / "events.txt")
-    assert (tmp / "paths.txt").read_bytes() == (tmp / "events.txt").read_bytes()
+    _, back = saved_and_loaded(res.ground_truth, tmp)
+    # what the one-row-per-event file held: every event's annotation written out
+    for name in UNANNOTATED:
+        assert_same_bits(back.per_event(name), getattr(oracle.ground_truth, name))
+    for name in ("sweep", "step", "step_time_us"):
+        assert_same(getattr(back, name), getattr(oracle.ground_truth, name))
+    assert back.labels == oracle.ground_truth.labels
     # each light path is held once, not once per event; counts are pairs per sweep
     pairs = sum(res.counts[k] for k in ("direct_pairs", "two_bounce_pairs", "higher_bounce_pairs"))
-    assert len(res.ground_truth.bounce) == pairs // (1 if res.mode == "raster" else 2)
+    assert len(res.ground_truth.bounce) == pairs // (2 if res.mode == "dual" else 1)
 
 
 def test_truth_class_matches_loop_on_simulated_scans(both_layouts):
@@ -300,13 +300,18 @@ def test_truth_class_matches_loop_on_simulated_scans(both_layouts):
 
 def test_ground_truth_text_round_trips_to_same_bytes(both_layouts):
     name, res, _, _, tmp = both_layouts
-    first, second = tmp / "first.txt", tmp / "second.txt"
-    res.ground_truth.save_text(first)
-    back = GroundTruth.load_text(first)
-    back.save_text(second)
-    assert second.read_bytes() == first.read_bytes()
-    if name != "higher_bounces":  # NaN rows and path -1 rows are in the file
-        assert (back.path == -1).any() and b" nan nan nan -1 nan nan false " in first.read_bytes()
+    first, back = saved_and_loaded(res.ground_truth, tmp)
+    assert back.labels == res.ground_truth.labels
+    for field in fields(GroundTruth):
+        if field.name != "labels":
+            assert_same_bits(getattr(back, field.name), getattr(res.ground_truth, field.name))
+    second = tmp / "second.txt", tmp / "second_events.txt"
+    back.save_text(*second)
+    for a, b in zip(first, second):
+        assert a.read_bytes() == b.read_bytes()
+    if name != "higher_bounces":  # spurious events and NaN-free path rows are in the files
+        assert (back.path == -1).any() and b"\n-1 -1 -1 -1\n" in first[1].read_bytes()
+        assert b"nan" not in first[0].read_bytes()
 
 
 # --- EventStream.sort_order -------------------------------------------------
@@ -718,12 +723,34 @@ def test_concat_ranges_matches_loop(ranges, wide):
 # --- pixel_directions and triangulate_ray_arrays ------------------------------
 
 
+def undistort_loop(xd, yd, k1):
+    """geometry._undistort as it was: 8 fixed-point iterations whatever ``k1`` is."""
+    xn, yn = xd, yd
+    for _ in range(8):
+        r2 = xn * xn + yn * yn
+        f = 1.0 + k1 * r2
+        xn = xd / f
+        yn = yd / f
+    return xn, yn
+
+
+@ORACLE
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 50), k1=st.sampled_from([0.0, -0.0, -0.12, 0.08, 1e-9]))
+def test_undistort_matches_loop(seed, n, k1):
+    rng = np.random.default_rng(seed)
+    xd, yd = rng.uniform(-0.6, 0.6, n), rng.uniform(-0.6, 0.6, n)
+    xd[: n // 4] = -0.0
+    # bit patterns, so a zero must keep its sign too
+    for got, want in zip(geometry._undistort(xd, yd, k1), undistort_loop(xd, yd, k1)):
+        assert_same(got.view(np.uint64), want.view(np.uint64))
+
+
 def pixel_directions_stack(model, pixels):
     """geometry.pixel_directions as it was: normalised into a new array."""
     px = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
     yd = (px[:, 1] - model.cy) / model.fy
     xd = (px[:, 0] - model.cx - model.skew * yd) / model.fx
-    xn, yn = geometry._undistort(xd, yd, model.k1)
+    xn, yn = undistort_loop(xd, yd, model.k1)
     dirs_world = np.stack([xn, yn, np.ones_like(xn)], axis=-1) @ model.rotation
     n = np.linalg.norm(dirs_world, axis=-1, keepdims=True)
     if np.any(n < 1e-300):
@@ -955,6 +982,9 @@ def test_text_writers_match_whole_column_oracle(table):
 
 def test_ground_truth_text_matches_whole_column_oracle(both_layouts):
     _, res, _, _, tmp = both_layouts
-    res.ground_truth.save_text(tmp / "blocks.txt")
+    blocks, loop = (tmp / "blocks.txt", tmp / "blocks_events.txt"), (tmp / "loop.txt", tmp / "loop_events.txt")
+    res.ground_truth.save_text(*blocks)
     assert len(res.ground_truth) > B
-    assert (tmp / "blocks.txt").read_bytes() == oracle_bytes(res.ground_truth.save_text, tmp / "loop.txt")
+    oracle_bytes(res.ground_truth.save_text, *loop)
+    for a, b in zip(blocks, loop):
+        assert a.read_bytes() == b.read_bytes()

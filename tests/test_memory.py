@@ -1,28 +1,38 @@
-"""Transient memory of decode and triangulation, per row, under tracemalloc.
+"""Transient memory of decode, triangulation and ground-truth I/O, per row, under tracemalloc.
 
-The budgets hold the whole-length temporaries of ``intersect_sweeps`` and
-``triangulate_direct`` down. Measured on these inputs (numpy allocations are
-traced): ``intersect_sweeps`` peaks at 94 B per clustered event (190 B with
-the three-key lexsort and int64 indices it replaced) and
-``triangulate_direct`` at 152 B per point (312 B with (N, 3) origin arrays
-and new arrays for every step).
+The budgets hold the whole-length temporaries of ``intersect_sweeps``,
+``triangulate_direct`` and ``GroundTruth.save_text``/``load_text`` down.
+Measured on these inputs (numpy allocations are traced):
+
+- ``intersect_sweeps`` peaks at 94 B per clustered event (190 B with the
+  three-key lexsort and int64 indices it replaced);
+- ``triangulate_direct`` at 144 B per point (152 B with ``np.cross``, which
+  copies both direction arrays; 312 B with (N, 3) origin arrays and new
+  arrays for every step);
+- ``GroundTruth.save_text`` at 111 B and ``load_text`` at 62 B per event,
+  four events per light path (226 B and 159 B when the file had one row per
+  event, each with its path's annotation written out).
 """
 
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
 from conftest import small_rig
 from eventscan import decode
 from eventscan.decode import CorrespondenceSet
-from eventscan.events import EventStream
+from eventscan.events import EventStream, GroundTruth
 from eventscan.geometry import pixel_directions, project_points
 from eventscan.scene import ScanSchedule
 from eventscan.separate import DIRECT, ClassifiedSet
 from eventscan.triangulate import triangulate_direct
 
 INTERSECT_BYTES_PER_EVENT = 120
-TRIANGULATE_BYTES_PER_POINT = 190
+TRIANGULATE_BYTES_PER_POINT = 180
+TRUTH_SAVE_BYTES_PER_EVENT = 140
+TRUTH_LOAD_BYTES_PER_EVENT = 80
 
 SCHED = ScanSchedule(801, 80100, 5000)
 
@@ -73,3 +83,26 @@ def test_triangulate_direct_transient_bytes_per_point():
     cloud, peak = peak_bytes(triangulate_direct, ClassifiedSet(corr, np.full(n, DIRECT, np.int8), np.zeros(n)), camera, projector, 1.0)
     assert len(cloud) == n
     assert peak / n <= TRIANGULATE_BYTES_PER_POINT
+
+
+def four_events_per_path(n_paths, rng):
+    """Ground truth of a dual scan: each path gives an ON and an OFF event in both sweeps."""
+    steps = SCHED.steps_per_sweep
+    step_times = np.stack([np.repeat([0, 1], steps), np.tile(np.arange(steps), 2), np.arange(2 * steps) * 100], axis=1)
+    return GroundTruth(
+        np.ones(n_paths), rng.uniform(-100, 100, (n_paths, 3)), rng.integers(0, 2, n_paths),
+        rng.uniform(0, steps, (n_paths, 2)), rng.random(n_paths) < 0.01,
+        path=np.tile(np.arange(n_paths), 4), sweep=np.repeat([0, 0, 1, 1], n_paths),
+        step=rng.integers(0, steps, 4 * n_paths), step_times=step_times, labels=("wall", "mirror"),
+    )
+
+
+def test_ground_truth_text_transient_bytes_per_event():
+    gt = four_events_per_path(50_000, np.random.default_rng(2))  # 200,000 events
+    with tempfile.TemporaryDirectory() as tmp:
+        files = Path(tmp) / "ground_truth.txt", Path(tmp) / "ground_truth_events.txt"
+        _, save_peak = peak_bytes(gt.save_text, *files)
+        back, load_peak = peak_bytes(GroundTruth.load_text, *files)
+    assert len(back) == len(gt) == 200_000 and len(back.bounce) == 50_000
+    assert save_peak / len(gt) <= TRUTH_SAVE_BYTES_PER_EVENT
+    assert load_peak / len(gt) <= TRUTH_LOAD_BYTES_PER_EVENT

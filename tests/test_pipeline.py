@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -51,11 +52,27 @@ def test_workers_key_is_unknown(tmp_path):
         ("deflect_max_iter", "0"),
         ("jitter_us", "-1.0"),
         ("spurious_rate", "-0.5"),
+        ("deflect_tol_mm", "0"),
     ],
 )
 def test_bad_config_value_rejected_before_writing(tmp_path, key, value):
     p = write_cfg(tmp_path, f"scene = {REPO/'scenes'/'plane.scene'}\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=key):
+        load_config(p)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(p), "--out", str(out)]) == 2
+    assert cli_main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+FLOAT_KEYS = [name for name, hint in typing.get_type_hints(PipelineConfig).items() if float in (typing.get_args(hint) or (hint,))]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_rejected_before_writing(tmp_path, key, value):
+    p = write_cfg(tmp_path, f"scene = {REPO/'scenes'/'plane.scene'}\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"{key} must be finite, got {value}"):
         load_config(p)
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(p), "--out", str(out)]) == 2
@@ -102,6 +119,7 @@ def test_full_run_artifacts(mirror_run):
     expected = [
         "events.txt",
         "ground_truth.txt",
+        "ground_truth_events.txt",
         "rig.calib",
         "scan.txt",
         "correspondences.txt",
