@@ -24,6 +24,13 @@ from .geometry import PinholeModel, pixel_directions
 from .separate import INDIRECT, ClassifiedSet
 from .triangulate import DiffuseCloud, VirtualScreen
 
+# diffuse points within this many pixels of the specular region set the default init depth
+INIT_MARGIN_PX = 20
+# half-width, in log depth, of the anchor search window around the init depth
+ANCHOR_RANGE = 0.35
+# cells whose normal-consistency residual is this many sigma off the mean are rejected
+SIGMA_REJECT = 6.0
+
 
 class EmptyRegionError(ValueError):
     """No cells survive masking; nothing to integrate."""
@@ -84,11 +91,10 @@ class NormalMap:
     mask: np.ndarray  # (H, W) bool
     origin: tuple  # (x0, y0)
 
-    def save_pfm(self, path, mask_path=None) -> None:
+    def save_pfm(self, path, mask_path) -> None:
         img = np.where(self.mask[:, :, None], self.normals, 0.0).astype(np.float32)
         formats.write_pfm(path, img)
-        if mask_path is not None:
-            formats.write_pfm(mask_path, self.mask.astype(np.float32))
+        formats.write_pfm(mask_path, self.mask.astype(np.float32))
 
 
 RESIDUAL_COLUMNS = (("iteration", np.int64), ("max_step_mm", np.float64))
@@ -201,11 +207,11 @@ def rasterize_correspondences(binding: DeflectometryCorrespondences):
     return screen, weight, mask, (x0, y0)
 
 
-def default_init_depth(binding: DeflectometryCorrespondences, camera: PinholeModel, cloud: DiffuseCloud, margin_px: int = 20):
+def default_init_depth(binding: DeflectometryCorrespondences, camera: PinholeModel, cloud: DiffuseCloud):
     """Median camera-ray depth of diffuse points near the specular region.
 
     Falls back to the median depth of the whole diffuse cloud when no points
-    lie within ``margin_px`` of the region.
+    lie within ``INIT_MARGIN_PX`` of the region.
     """
     if len(cloud) == 0:
         raise ValueError("cannot derive init depth from an empty diffuse cloud")
@@ -215,10 +221,10 @@ def default_init_depth(binding: DeflectometryCorrespondences, camera: PinholeMod
     y0, y1 = px[:, 1].min(), px[:, 1].max()
     cp = cloud.camera_pixel
     near = (
-        (cp[:, 0] >= x0 - margin_px)
-        & (cp[:, 0] <= x1 + margin_px)
-        & (cp[:, 1] >= y0 - margin_px)
-        & (cp[:, 1] <= y1 + margin_px)
+        (cp[:, 0] >= x0 - INIT_MARGIN_PX)
+        & (cp[:, 0] <= x1 + INIT_MARGIN_PX)
+        & (cp[:, 1] >= y0 - INIT_MARGIN_PX)
+        & (cp[:, 1] <= y1 + INIT_MARGIN_PX)
     )
     pool = depths[near] if np.any(near) else depths
     return float(np.median(pool))
@@ -243,8 +249,6 @@ def iterative_shape(
     max_iter: int = 50,
     tol_mm: float = 0.01,
     cloud: DiffuseCloud | None = None,
-    sigma_reject: float = 6.0,
-    anchor_range: float = 0.35,
 ):
     """Alternate bisector normals and gradient integration until the shape settles.
 
@@ -252,14 +256,14 @@ def iterative_shape(
     current depths, (2) perspective log-depth integration via the
     Frankot-Chellappa engine, (3) the additive constant is re-anchored by
     minimizing the non-integrability (curl) of the raw bisector field; the
-    search is confined to ``anchor_range`` in log depth around
+    search is confined to ``ANCHOR_RANGE`` in log depth around
     ``init_depth``. The curl fixes the standoff only where its coarse
     landscape has an interior well (flat mirrors, recovered from inits
     within +-20%); otherwise the mean depth stays at ``init_depth``, so on
     strongly curved mirrors the recovered shape follows the init prior
     (the specular sphere's radius errs by 19% at x0.8 and 207% at x1.2).
     Before returning, cells whose normal-consistency residual falls outside
-    the ``sigma_reject`` sigma interval are rejected and the shape is
+    the ``SIGMA_REJECT`` sigma interval are rejected and the shape is
     re-integrated once.
 
     Returns (SurfaceEstimate, NormalMap); the estimate is flagged
@@ -318,8 +322,8 @@ def iterative_shape(
     # the initial depth; the window stays put across iterations, which keeps
     # the search from chasing the shallow far-from-truth tail of the curl
     # landscape
-    anchor_lo = np.log(init_depth * float(np.mean(alpha[mask]))) - anchor_range
-    anchor_hi = anchor_lo + 2.0 * anchor_range
+    anchor_lo = np.log(init_depth * float(np.mean(alpha[mask]))) - ANCHOR_RANGE
+    anchor_hi = anchor_lo + 2.0 * ANCHOR_RANGE
 
     def integrate_once(t_cur, m_cur, anchor: str):
         p, q, ok, _ = grad_field(t_cur, m_cur)
@@ -415,7 +419,7 @@ def iterative_shape(
         res = np.sqrt((p - gx) ** 2 + (q - gy) ** 2)
         mu = float(np.mean(res[interior]))
         sd = float(np.std(res[interior]))
-        outlier = interior & (np.abs(res - mu) > sigma_reject * max(sd, 1e-15))
+        outlier = interior & (np.abs(res - mu) > SIGMA_REJECT * max(sd, 1e-15))
         rejected_fraction = float(outlier.sum()) / float(m.sum())
         if np.any(outlier):
             # re-integrate once without the outliers; the anchoring constant

@@ -186,8 +186,16 @@ class GroundTruth:
         return self.step_times[at, 2]
 
     def take(self, order: np.ndarray) -> "GroundTruth":
-        """The events ``order`` selects, sharing this object's paths."""
-        return replace(self, path=self.path[order], sweep=self.sweep[order], step=self.step[order])
+        """The events ``order`` selects, sharing this object's paths.
+
+        A selection of another length than the stream rebuilds ``step_times``
+        to the (sweep, step) pairs its events have, as ``load_text`` would; one
+        of the same length is taken to be a reordering and keeps the table.
+        """
+        out = replace(self, path=self.path[order], sweep=self.sweep[order], step=self.step[order])
+        if len(out) != len(self):
+            out.step_times = step_table(out.sweep, out.step, out.step_time_us)
+        return out
 
     def save_text(self, path, events_path) -> None:
         """One row per light path to ``path``, one row per event to ``events_path``."""

@@ -100,12 +100,6 @@ class Section:
     def get_float(self, key: str) -> float:
         return self._parse(key, float)
 
-    def get_bool(self, key: str) -> bool:
-        v = self.get_str(key)
-        if v not in ("true", "false"):
-            raise FormatError(f"section [{self.name}] key '{key}': expected true/false, got {v!r}")
-        return v == "true"
-
     def get_floats(self, key: str, n: int | None = None) -> np.ndarray:
         arr = self._parse(key, lambda text: np.array([float(p) for p in text.split()]))
         if n is not None and arr.size != n:
@@ -392,6 +386,9 @@ def read_pfm(path) -> np.ndarray:
     return data.reshape(shape)[::-1].astype(np.float32)
 
 
+# No stage writes or reads binary events. perfbench/tracing.py wraps these
+# two functions and EventStream.save_binary/load_binary by name, so they stay
+# until the benchmark harness stops naming them.
 # u64 t, u16 x, u16 y, i8 polarity, 3 pad bytes: 16 bytes, little-endian
 _EVENT_RECORD = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("polarity", "i1"), ("pad", "V3")])
 

@@ -19,6 +19,13 @@ class DegenerateGeometryError(ValueError):
     """Rig configuration does not define the requested entity (e.g. zero baseline)."""
 
 
+def require_finite(**values) -> None:
+    """ValueError naming the first of ``values`` (scalars or arrays) that holds NaN or an infinity."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def unit(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """Normalize vectors along ``axis``; raises on zero-length input."""
     return _normalize(np.array(v, dtype=np.float64), axis)
@@ -79,6 +86,8 @@ class PinholeModel:
     def __post_init__(self):
         object.__setattr__(self, "rotation", _readonly(self.rotation))
         object.__setattr__(self, "translation", _readonly(self.translation))
+        require_finite(fx=self.fx, fy=self.fy, cx=self.cx, cy=self.cy, skew=self.skew, k1=self.k1,
+                       rotation=self.rotation, translation=self.translation)
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):

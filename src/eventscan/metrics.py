@@ -8,13 +8,16 @@ surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .decode import CorrespondenceSet
 from .events import GroundTruth
 from .separate import DIRECT, INDIRECT, ClassifiedSet
+
+# Gauss-Newton refinement steps of the sphere fit
+GN_STEPS = 10
 
 
 class DegenerateFitError(ValueError):
@@ -29,8 +32,6 @@ class FitReport:
     center: np.ndarray | None = None  # sphere center
     radius: float | None = None  # sphere radius, mm
     rmse: float = 0.0
-    inlier_count: int = 0
-    rejected_fraction: float = 0.0
 
     def residuals(self, points: np.ndarray) -> np.ndarray:
         """Signed geometric residuals of points against the fitted shape."""
@@ -59,11 +60,10 @@ def fit_plane(points: np.ndarray) -> FitReport:
         point=centroid,
         normal=normal,
         rmse=float(np.sqrt(np.mean(res * res))),
-        inlier_count=len(points),
     )
 
 
-def fit_sphere(points: np.ndarray, gn_steps: int = 10) -> FitReport:
+def fit_sphere(points: np.ndarray) -> FitReport:
     """Algebraic sphere fit refined by Gauss-Newton on geometric distance."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[0] < 4:
@@ -78,7 +78,7 @@ def fit_sphere(points: np.ndarray, gn_steps: int = 10) -> FitReport:
     sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     center = sol[:3]
     radius = float(np.sqrt(max(sol[3] + center @ center, 1e-12)))
-    for _ in range(gn_steps):
+    for _ in range(GN_STEPS):
         diff = points - center
         dist = np.linalg.norm(diff, axis=1)
         dist = np.where(dist < 1e-12, 1e-12, dist)
@@ -97,7 +97,6 @@ def fit_sphere(points: np.ndarray, gn_steps: int = 10) -> FitReport:
         center=center,
         radius=radius,
         rmse=float(np.sqrt(np.mean(res * res))),
-        inlier_count=len(points),
     )
 
 
@@ -111,14 +110,12 @@ def precision(points: np.ndarray, fit: FitReport) -> float:
 
 @dataclass
 class ClassificationReport:
-    """Correspondence-level confusion against simulator bounce counts."""
+    """Correspondence-level precision and recall against simulator bounce counts."""
 
     precision_direct: float
     recall_direct: float
     precision_indirect: float
     recall_indirect: float
-    confusion: dict = field(default_factory=dict)  # (truth, predicted) -> count
-    misses_indirect: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
 
 def truth_class_of(correspondences: CorrespondenceSet, truth: GroundTruth) -> np.ndarray:
@@ -149,7 +146,7 @@ def classification_score(classified: ClassifiedSet, truth: GroundTruth) -> Class
 
     Every REJECTED entry is scored as an INDIRECT prediction, whatever its
     truth, so a rejected entry whose truth is direct counts as a
-    direct -> indirect miss (``confusion[(0, 1)]``): it lowers
+    direct -> indirect miss: it lowers
     ``recall_direct`` and ``precision_indirect``. Entries that no annotated
     event supports (truth -1) are left out.
     """
@@ -171,12 +168,9 @@ def classification_score(classified: ClassifiedSet, truth: GroundTruth) -> Class
     def _ratio(num, den):
         return float(num) / float(den) if den else 1.0
 
-    report = ClassificationReport(
+    return ClassificationReport(
         precision_direct=_ratio(confusion[(0, 0)], confusion[(0, 0)] + confusion[(1, 0)]),
         recall_direct=_ratio(confusion[(0, 0)], confusion[(0, 0)] + confusion[(0, 1)]),
         precision_indirect=_ratio(confusion[(1, 1)], confusion[(1, 1)] + confusion[(0, 1)]),
         recall_indirect=_ratio(confusion[(1, 1)], confusion[(1, 1)] + confusion[(1, 0)]),
-        confusion=confusion,
-        misses_indirect=np.where(keep)[0][(t == INDIRECT) & (p == DIRECT)],
     )
-    return report

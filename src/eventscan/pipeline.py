@@ -32,7 +32,7 @@ from .events import EventStream, GroundTruth
 from .geometry import fundamental_from_models
 from .scene import NoiseModel, ScanSchedule, SceneFile, load_calibration_bundle, load_scene, save_calibration_bundle
 from .separate import DIRECT, INDIRECT, ClassifiedSet, epipolar_classify, resolve_mixed_pixels
-from .simulate import simulate_scan
+from .simulate import check_pixelation, simulate_scan
 from .triangulate import DiffuseCloud, build_virtual_screen, triangulate_direct
 
 MANIFEST = "manifest.json"
@@ -87,7 +87,6 @@ class PipelineConfig:
     polarity_policy: str = _one_of("positive", "positive", "negative", "both")
     fit_diffuse: str = _one_of("none", "none", "plane", "sphere")
     fit_specular: str = _one_of("none", "none", "plane", "sphere")
-    binary_events: bool = False
     higher_bounces: bool = False
     steps: int | None = _check(None, ">= 2", lambda v: v >= 2)
     sweep_us: int | None = _check(None, "> 0", lambda v: v > 0)
@@ -174,17 +173,17 @@ def load_run_scene(cfg: PipelineConfig) -> SceneFile:
     """The scene as the run simulates it: the rig from ``calibration`` and the
     config's schedule and noise overrides applied.
 
-    A scene or calibration file that cannot be read is a ConfigError naming
-    it. The simulator identifies sweep steps with projector pixels, so a
-    schedule whose steps differ from the projector's pixelation is one too.
+    A scene or calibration file that cannot be read, or that holds a value
+    its constructor rejects (a non-finite number, say), is a ConfigError
+    naming it. So is a schedule that ``check_pixelation`` rejects.
     """
     scene = _read_input(load_scene, cfg.scene)
     camera, projector = (scene.camera, scene.projector) if cfg.calibration == "from-scene" else _read_input(load_calibration_bundle, cfg.calibration)
     schedule, noise = _apply_overrides(scene.schedule, scene.noise, cfg)
-    if projector.width != schedule.steps_per_sweep or projector.height != schedule.steps_per_sweep:
-        raise ConfigError(
-            f"steps {schedule.steps_per_sweep} must equal the projector pixelation {projector.width}x{projector.height}"
-        )
+    try:
+        check_pixelation(projector, schedule)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return SceneFile(camera, projector, schedule, noise, scene.objects)
 
 
@@ -268,7 +267,6 @@ class Artifact(NamedTuple):
 # Every file a run directory holds apart from the manifest and the FAILED marker.
 STORE = {
     "events": Artifact("simulate", ("events.txt",), lambda p, ev: ev.save_text(p[0]), lambda p: EventStream.load_text(p[0])),
-    "events_bin": Artifact("simulate", ("events.bin",), lambda p, ev: ev.save_binary(p[0]), None),
     # one row per light path, then one row per event
     "truth": Artifact(
         "simulate", ("ground_truth.txt", "ground_truth_events.txt"), lambda p, gt: gt.save_text(*p), lambda p: GroundTruth.load_text(*p)
@@ -311,15 +309,12 @@ def stage_simulate(cfg: PipelineConfig, out: Path, scene: SceneFile) -> dict:
     mode = "single" if cfg.mode == "diffuse-only" else "dual"
     result = simulate_scan(scene.objects, *rig, scene.schedule, scene.noise, mode=mode, generate_higher_bounces=cfg.higher_bounces)
     n_sweeps = 1 if mode == "single" else 2
-    made = {
+    return _keep(out, {
         "events": result.events,
         "truth": result.ground_truth,
         "rig": rig,
         "scan": ScanMeta(scene.schedule, cfg.mode, n_sweeps, result.scan_span_us, result.counts, result.warnings),
-    }
-    if cfg.binary_events:
-        made["events_bin"] = result.events
-    return _keep(out, made)
+    })
 
 
 def stage_decode(cfg: PipelineConfig, out: Path, events: EventStream, scan: ScanMeta, rig) -> dict:

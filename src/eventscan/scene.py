@@ -1,8 +1,9 @@
 """Declarative scene description: objects, materials, rig, scan schedule, noise.
 
-A scene file is a sectioned key-value document (see formats.py) and round
-trips losslessly. It carries everything one simulation run needs: the two
-device models, the sweep schedule, the noise model and the object list.
+A scene file is a sectioned key-value document (see formats.py). It carries
+everything one simulation run needs: the two device models, the sweep
+schedule, the noise model and the object list. Every float in it must be
+finite; the constructors below reject NaN and infinities.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import formats
 from .formats import FormatError, Section
-from .geometry import PinholeModel, unit
+from .geometry import PinholeModel, require_finite, unit
 
 DIFFUSE = "diffuse"
 SPECULAR = "specular"
@@ -29,6 +30,7 @@ class Material:
     def __post_init__(self):
         if self.kind not in (DIFFUSE, SPECULAR, SHINY):
             raise ValueError(f"unknown material kind {self.kind!r}")
+        require_finite(albedo=self.diffuse_albedo, strength=self.specular_strength)
         if not (0.0 <= self.diffuse_albedo <= 1.0 and 0.0 <= self.specular_strength <= 1.0):
             raise ValueError("albedo and strength must lie in [0, 1]")
         if self.kind == DIFFUSE and self.specular_strength != 0.0:
@@ -68,6 +70,7 @@ class Plane:
     extent: np.ndarray  # (half_u, half_v) in mm
 
     def __post_init__(self):
+        require_finite(point=self.point, normal=self.normal, extent=self.extent)
         object.__setattr__(self, "point", np.asarray(self.point, dtype=np.float64))
         object.__setattr__(self, "normal", unit(np.asarray(self.normal, dtype=np.float64)))
         object.__setattr__(self, "extent", np.asarray(self.extent, dtype=np.float64))
@@ -86,6 +89,7 @@ class Sphere:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
+        require_finite(center=self.center, radius=self.radius)
         if self.radius <= 0:
             raise ValueError("sphere radius must be positive")
 
@@ -98,6 +102,7 @@ class TriangleMesh:
     def __post_init__(self):
         object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3))
         object.__setattr__(self, "faces", np.asarray(self.faces, dtype=np.int64).reshape(-1, 3))
+        require_finite(vertices=self.vertices)
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
             raise ValueError("mesh faces index invalid vertices")
 
@@ -160,6 +165,11 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(
+            timestamp_jitter_sigma_us=self.timestamp_jitter_sigma_us,
+            spurious_rate=self.spurious_rate,
+            drop_probability=self.drop_probability,
+        )
         if self.timestamp_jitter_sigma_us < 0 or self.spurious_rate < 0:
             raise ValueError("noise rates must be >= 0")
         if not (0.0 <= self.drop_probability <= 1.0):
@@ -231,31 +241,6 @@ def load_calibration_bundle(path) -> tuple[PinholeModel, PinholeModel]:
     return _model_from_section(by_name["camera"]), _model_from_section(by_name["projector"])
 
 
-def _object_section(obj: SceneObject) -> Section:
-    sec = Section("object")
-    sec.set("label", obj.label)
-    sec.set("material", obj.material.kind)
-    sec.set("albedo", obj.material.diffuse_albedo)
-    sec.set("strength", obj.material.specular_strength)
-    shape = obj.shape
-    if isinstance(shape, Plane):
-        sec.set("shape", "plane")
-        sec.set("point", shape.point)
-        sec.set("normal", shape.normal)
-        sec.set("extent", shape.extent)
-    elif isinstance(shape, Sphere):
-        sec.set("shape", "sphere")
-        sec.set("center", shape.center)
-        sec.set("radius", shape.radius)
-    elif isinstance(shape, TriangleMesh):
-        sec.set("shape", "mesh")
-        sec.set("vertices", shape.vertices)
-        sec.set("faces", shape.faces.ravel())
-    else:
-        raise TypeError(f"unknown shape {type(shape).__name__}")
-    return sec
-
-
 def _object_from_section(sec: Section) -> SceneObject:
     material = Material(
         kind=sec.get_str("material"),
@@ -274,27 +259,6 @@ def _object_from_section(sec: Section) -> SceneObject:
     else:
         raise FormatError(f"unknown shape kind {kind!r}")
     return SceneObject(shape, material, sec.get_str("label"))
-
-
-def save_scene(path, scene: SceneFile) -> None:
-    sections = [
-        _model_section("camera", scene.camera),
-        _model_section("projector", scene.projector),
-    ]
-    sched = Section("schedule")
-    sched.set("steps_per_sweep", scene.schedule.steps_per_sweep)
-    sched.set("sweep_duration_us", scene.schedule.sweep_duration_us)
-    sched.set("recovery_us", scene.schedule.recovery_us)
-    sched.set("scan_start_us", scene.schedule.scan_start_us)
-    sections.append(sched)
-    noise = Section("noise")
-    noise.set("timestamp_jitter_sigma_us", scene.noise.timestamp_jitter_sigma_us)
-    noise.set("spurious_rate", scene.noise.spurious_rate)
-    noise.set("drop_probability", scene.noise.drop_probability)
-    noise.set("seed", scene.noise.seed)
-    sections.append(noise)
-    sections.extend(_object_section(o) for o in scene.objects)
-    formats.write_sections(path, sections, header="eventscan scene description")
 
 
 def load_scene(path) -> SceneFile:

@@ -296,9 +296,6 @@ def _apply_noise(stream: EventStream, gt: GroundTruth, noise: NoiseModel, camera
         counts["dropped"] = int((~keep).sum())
     stream = EventStream(t[keep], stream.x[keep], stream.y[keep], stream.polarity[keep])
     gt = gt.take(keep)
-    if counts["dropped"]:
-        # step_times keeps only the (sweep, step) pairs that still have an event
-        gt.step_times = step_table(gt.sweep, gt.step, gt.step_time_us)
     if noise.spurious_rate > 0:
         t0, t1 = span
         expected = noise.spurious_rate * max(t1 - t0, 1) * (camera.width * camera.height / 1e6)
@@ -327,6 +324,17 @@ def _apply_noise(stream: EventStream, gt: GroundTruth, noise: NoiseModel, camera
     return stream, gt, counts
 
 
+def check_pixelation(projector: PinholeModel, schedule: ScanSchedule) -> None:
+    """ValueError unless the projector is ``steps_per_sweep`` pixels square.
+
+    The simulator identifies sweep steps with projector pixels: the projector
+    is pixelated by its timing bins.
+    """
+    steps = schedule.steps_per_sweep
+    if projector.width != steps or projector.height != steps:
+        raise ValueError(f"steps {steps} must equal the projector pixelation {projector.width}x{projector.height}")
+
+
 def simulate_scan(
     objects: list[SceneObject],
     camera: PinholeModel,
@@ -348,13 +356,7 @@ def simulate_scan(
         raise ValueError(f"unknown scan mode {mode!r}")
     if not objects:
         raise ValueError("scene is empty")
-    if projector.width != schedule.steps_per_sweep or projector.height != schedule.steps_per_sweep:
-        # sweep steps are identified with projector pixels (the projector is
-        # pixelated by its timing bins)
-        raise ValueError(
-            f"projector pixelation {projector.width}x{projector.height} must equal "
-            f"steps_per_sweep {schedule.steps_per_sweep}"
-        )
+    check_pixelation(projector, schedule)
     labels = [o.label for o in objects]
     F = fundamental_from_models(camera, projector)
     emitter = _Emitter(schedule, labels)

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import small_rig, wall_object
+
 from eventscan import formats
 from eventscan.decode import CORRESPONDENCE_COLUMNS, CorrespondenceSet
 from eventscan.deflectometry import RESIDUAL_COLUMNS
@@ -17,20 +19,18 @@ from eventscan.events import EVENT_COLUMNS, EVENT_TRUTH_COLUMNS, PATH_COLUMNS, E
 from eventscan.pipeline import METRICS_COLUMNS, SPECULAR_COLUMNS
 from eventscan.separate import CLASSIFIED_COLUMNS, ClassifiedSet
 from eventscan.triangulate import CLOUD_COLUMNS, SCREEN_COLUMNS, DiffuseCloud
+from eventscan.simulate import simulate_scan
 from eventscan.geometry import PinholeModel
 from eventscan.scene import (
     Material,
     NoiseModel,
     Plane,
     ScanSchedule,
-    SceneFile,
-    SceneObject,
     Sphere,
     TriangleMesh,
     load_calibration_bundle,
     load_scene,
     save_calibration_bundle,
-    save_scene,
 )
 
 
@@ -47,7 +47,7 @@ def test_section_document_round_trip(tmp_path):
     assert back[0].get_int("count") == 7
     assert back[0].get_str("name") == "hello world"
     assert np.array_equal(back[0].get_floats("vec", 3), [1.5, -2.0, 1e-9])
-    assert back[0].get_bool("flag") is True
+    assert back[0].get_str("flag") == "true"
     assert back[1].get_int("count") == 8
 
 
@@ -143,6 +143,20 @@ def test_ground_truth_round_trip(tmp_path):
     assert_same_value(back, gt)
     assert np.isnan(back.per_event("surface_point")[2]).all()
     assert np.array_equal(back.step_time_us, [100, 200, -1])
+
+
+def test_ground_truth_subset_round_trips_with_its_step_times(tmp_path):
+    camera, projector = small_rig(steps=101, cam_px=64)
+    noise = NoiseModel(timestamp_jitter_sigma_us=0.0, spurious_rate=0.05, seed=3)
+    gt = simulate_scan([wall_object()], camera, projector, ScanSchedule(101, 10000, 1000), noise).ground_truth
+    assert (gt.path == -1).any()
+    # a reordering of every event keeps the table itself, not a rebuilt copy
+    assert np.shares_memory(gt.take(np.arange(len(gt))[::-1]).step_times, gt.step_times)
+    sub = gt.take(np.arange(len(gt) // 2))  # events are in time order: the later steps drop out
+    assert len(sub.step_times) < len(gt.step_times)
+    paths = tmp_path / "gt.txt", tmp_path / "gt_events.txt"
+    sub.save_text(*paths)
+    assert_same_value(GroundTruth.load_text(*paths), sub)
 
 
 def two_path_truth():
@@ -385,36 +399,86 @@ def test_pfm_malformed_size_line_names_the_file(tmp_path, size_line):
         formats.read_pfm(path)
 
 
-def test_scene_file_round_trip(tmp_path):
-    cam = PinholeModel(fx=1200.0, fy=1210.0, cx=160.0, cy=161.0, width=320, height=320, skew=0.25, k1=-0.01)
-    proj = PinholeModel(fx=900.0, fy=901.0, cx=400.5, cy=400.5, width=801, height=801,
-                        rotation=np.eye(3), translation=np.array([1.0, 2.0, 3.0]))
-    scene = SceneFile(
-        camera=cam,
-        projector=proj,
-        schedule=ScanSchedule(801, 30000, 5000, 100),
-        noise=NoiseModel(12.5, 1e-4, 0.125, 42),
-        objects=[
-            SceneObject(Plane([0, 0, 600.0], [0, 0, -1.0], [100.0, 120.0]), Material("diffuse", 0.8), "wall"),
-            SceneObject(Sphere([1.0, 2.0, 500.0], 25.4), Material("specular", 0.0, 1.0), "ball"),
-            SceneObject(
-                TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0.0]], [[0, 1, 2]]),
-                Material("shiny", 0.5, 0.5),
-                "wedge",
-            ),
-        ],
-    )
-    save_scene(tmp_path / "s.scene", scene)
+SCENE_TEXT = """\
+[camera]
+width = 320
+height = 320
+fx = 1200.0
+fy = 1210.0
+cx = 160.0
+cy = 161.0
+skew = 0.25
+k1 = -0.01
+rotation = 1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0
+translation = 0.0 0.0 0.0
+
+[projector]
+width = 801
+height = 801
+fx = 900.0
+fy = 901.0
+cx = 400.5
+cy = 400.5
+rotation = 1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0
+translation = 1.0 2.0 3.0
+
+[schedule]
+steps_per_sweep = 801
+sweep_duration_us = 30000
+recovery_us = 5000
+scan_start_us = 100
+
+[noise]
+timestamp_jitter_sigma_us = 12.5
+spurious_rate = 0.0001
+drop_probability = 0.125
+seed = 42
+
+[object]
+label = wall
+material = diffuse
+albedo = 0.8
+shape = plane
+point = 0.0 0.0 600.0
+normal = 0.0 0.0 -1.0
+extent = 100.0 120.0
+
+[object]
+label = ball
+material = specular
+albedo = 0.0
+strength = 1.0
+shape = sphere
+center = 1.0 2.0 500.0
+radius = 25.4
+
+[object]
+label = wedge
+material = shiny
+albedo = 0.5
+strength = 0.5
+shape = mesh
+vertices = 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0 0.0
+faces = 0 1 2
+"""
+
+
+def test_scene_file_loads_every_object_kind(tmp_path):
+    (tmp_path / "s.scene").write_text(SCENE_TEXT)
     back = load_scene(tmp_path / "s.scene")
-    assert back.camera.fx == cam.fx and back.camera.k1 == cam.k1 and back.camera.skew == cam.skew
-    assert back.schedule == scene.schedule
-    assert back.noise == scene.noise
+    assert back.camera.fx == 1200.0 and back.camera.k1 == -0.01 and back.camera.skew == 0.25
+    assert back.projector.skew == 0.0 and back.projector.k1 == 0.0
+    assert np.array_equal(back.projector.translation, [1.0, 2.0, 3.0])
+    assert back.schedule == ScanSchedule(801, 30000, 5000, 100)
+    assert back.noise == NoiseModel(12.5, 1e-4, 0.125, 42)
     assert [o.label for o in back.objects] == ["wall", "ball", "wedge"]
-    assert isinstance(back.objects[2].shape, TriangleMesh)
-    assert np.allclose(back.objects[1].shape.center, [1, 2, 500])
-    # second round trip is byte-identical
-    save_scene(tmp_path / "s2.scene", back)
-    assert (tmp_path / "s.scene").read_bytes() == (tmp_path / "s2.scene").read_bytes()
+    assert [o.material for o in back.objects] == [
+        Material("diffuse", 0.8), Material("specular", 0.0, 1.0), Material("shiny", 0.5, 0.5)
+    ]
+    wall, ball, wedge = (o.shape for o in back.objects)
+    assert isinstance(wall, Plane) and np.array_equal(wall.extent, [100.0, 120.0])
+    assert isinstance(ball, Sphere) and np.array_equal(ball.center, [1, 2, 500]) and ball.radius == 25.4
+    assert isinstance(wedge, TriangleMesh) and wedge.faces.tolist() == [[0, 1, 2]]
 
 
 def test_calibration_bundle_round_trip(tmp_path):
@@ -425,6 +489,26 @@ def test_calibration_bundle_round_trip(tmp_path):
     c2, p2 = load_calibration_bundle(tmp_path / "rig.calib")
     assert c2.fx == cam.fx and c2.skew == cam.skew
     assert np.array_equal(p2.translation, proj.translation)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda v: Sphere([0.0, v, 500.0], 10.0), "center"),
+        (lambda v: Sphere([0.0, 0.0, 500.0], v), "radius"),
+        (lambda v: Plane([0.0, 0.0, v], [0.0, 0.0, -1.0], [1.0, 1.0]), "point"),
+        (lambda v: TriangleMesh([[0, 0, 0], [1, v, 0], [0, 1, 0]], [[0, 1, 2]]), "vertices"),
+        (lambda v: Material("diffuse", v), "albedo"),
+        (lambda v: NoiseModel(timestamp_jitter_sigma_us=v), "timestamp_jitter_sigma_us"),
+        (lambda v: NoiseModel(spurious_rate=v), "spurious_rate"),
+        (lambda v: PinholeModel(fx=1.0, fy=1.0, cx=1.0, cy=1.0, width=4, height=4, translation=[0.0, v, 0.0]), "translation"),
+        (lambda v: PinholeModel(fx=1.0, fy=1.0, cx=1.0, cy=1.0, width=4, height=4, rotation=np.diag([v, 1.0, 1.0])), "rotation"),
+    ],
+)
+def test_scene_constructors_reject_non_finite(make, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make(value)
 
 
 def test_material_invariants():

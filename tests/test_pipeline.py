@@ -255,6 +255,42 @@ def test_unparsable_scene_value_names_file_and_key(tmp_path, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("camera", "fx"),
+        ("camera", "skew"),
+        ("camera", "k1"),
+        ("camera", "rotation"),
+        ("projector", "translation"),
+        ("noise", "timestamp_jitter_sigma_us"),
+        ("noise", "spurious_rate"),
+        ("noise", "drop_probability"),
+        ("object", "point"),
+        ("object", "normal"),
+        ("object", "extent"),
+        ("object", "albedo"),
+    ],
+)
+def test_non_finite_scene_value_rejected_before_writing(tmp_path, section, key, value):
+    # the first number of [section] key becomes value
+    lines = (REPO / "scenes" / "plane.scene").read_text().splitlines()
+    start = lines.index(f"[{section}]")
+    at = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} ="))
+    numbers = lines[at].split("=", 1)[1].split()
+    lines[at] = f"{key} = " + " ".join([value] + numbers[1:])
+    scene = tmp_path / "bad.scene"
+    scene.write_text("\n".join(lines) + "\n")
+    cfg_path = write_cfg(tmp_path, f"scene = {scene}\n")
+    with pytest.raises(ConfigError, match=rf"bad\.scene: {key} must be finite"):
+        pipeline.load_run_scene(load_config(cfg_path))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_seed_changes_noise_and_manifest(tmp_path):
     body = f"scene = {REPO/'scenes'/'plane.scene'}\njitter_us = 40.0\nfit_diffuse = plane\n"
     p = write_cfg(tmp_path, body)
