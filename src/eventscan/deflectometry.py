@@ -30,6 +30,9 @@ INIT_MARGIN_PX = 20
 ANCHOR_RANGE = 0.35
 # cells whose normal-consistency residual is this many sigma off the mean are rejected
 SIGMA_REJECT = 6.0
+# coarse curl samples across the anchor window, and golden-section steps inside a well
+ANCHOR_PROBES = 29
+GOLDEN_STEPS = 40
 
 
 class EmptyRegionError(ValueError):
@@ -61,7 +64,7 @@ def bind_screen(classified: ClassifiedSet, screen: VirtualScreen) -> Deflectomet
     b = classified.base
     if len(rows) == 0:
         return DeflectometryCorrespondences(np.zeros((0, 2), np.int32), np.zeros((0, 3)), np.zeros(0))
-    points, found = screen.lookup_many(b.projector_pixel[rows], interpolate=True)
+    points, found = screen.lookup_many(b.projector_pixel[rows])
     return DeflectometryCorrespondences(
         camera_pixel=b.camera_pixel[rows][found],
         screen_point=points[found],
@@ -127,13 +130,16 @@ class SurfaceEstimate:
 
 def curl_rms(p: np.ndarray, q: np.ndarray, mask: np.ndarray) -> float:
     """RMS of the discrete curl over interior masked cells; 0 when integrable."""
-    dpdy = np.gradient(p, axis=0)
-    dqdx = np.gradient(q, axis=1)
     interior = _interior(mask)
     if not np.any(interior):
         return 0.0
-    r = (dpdy - dqdx)[interior]
-    return float(np.sqrt(np.mean(r * r)))
+    return float(np.sqrt(_curl_ms(p, q, interior)))
+
+
+def _curl_ms(p: np.ndarray, q: np.ndarray, sel: np.ndarray) -> float:
+    """Mean square of the discrete curl dp/dy - dq/dx over the cells ``sel``."""
+    r = (np.gradient(p, axis=0) - np.gradient(q, axis=1))[sel]
+    return float(np.mean(r * r))
 
 
 def _interior(mask: np.ndarray) -> np.ndarray:
@@ -181,6 +187,17 @@ def integrate_gradients(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return z - float(np.mean(z))
 
 
+def _integrate_padded(p: np.ndarray, q: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """``integrate_gradients`` with every cell outside ``ok`` set to the mean gradient.
+
+    A hard zero pad on a ragged mask, or in a rejected hole, tilts or dents
+    the integrated shape.
+    """
+    if not np.any(ok):
+        raise EmptyRegionError("all cells degenerate during integration")
+    return integrate_gradients(np.where(ok, p, float(np.mean(p[ok]))), np.where(ok, q, float(np.mean(q[ok]))))
+
+
 def rasterize_correspondences(binding: DeflectometryCorrespondences):
     """Scatter bound correspondences onto a 1 px grid.
 
@@ -189,7 +206,7 @@ def rasterize_correspondences(binding: DeflectometryCorrespondences):
     origin).
     """
     if len(binding) == 0:
-        raise EmptyRegionError("no bound correspondences")
+        raise EmptyRegionError(f"no bound correspondences ({binding.uncovered} without a screen entry)")
     px = binding.camera_pixel
     x0, y0 = int(px[:, 0].min()), int(px[:, 1].min())
     w = int(px[:, 0].max()) - x0 + 1
@@ -242,6 +259,41 @@ def _log_depth_gradients(n_cam: np.ndarray, u: np.ndarray, v: np.ndarray, camera
     return p, q, ok
 
 
+def _golden_section(f, a, b):
+    """Midpoint of the bracket on [a, b] after ``GOLDEN_STEPS`` golden-section steps on ``f``."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c1 = b - invphi * (b - a)
+    c2 = a + invphi * (b - a)
+    f1, f2 = f(c1), f(c2)
+    for _ in range(GOLDEN_STEPS):
+        if f1 <= f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - invphi * (b - a)
+            f1 = f(c1)
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + invphi * (b - a)
+            f2 = f(c2)
+    return 0.5 * (a + b)
+
+
+def _curl_well(curl, lo: float, hi: float):
+    """The log-depth constant at the interior well of ``curl`` on [lo, hi]; None without one.
+
+    An interior minimum of the ``ANCHOR_PROBES``-point coarse landscape with
+    prominence over both window edges identifies the true standoff (flat-ish
+    surfaces). On strongly curved regions the far side of the ambiguity
+    family is asymptotically integrable, the landscape turns monotone toward
+    an edge, and the constant is unidentifiable from a single view.
+    """
+    coarse = np.linspace(lo, hi, ANCHOR_PROBES)
+    vals = np.array([curl(c) for c in coarse])
+    k = int(np.argmin(vals))
+    if 2 <= k <= len(coarse) - 3 and vals[0] >= 1.5 * vals[k] and vals[-1] >= 1.5 * vals[k]:
+        return _golden_section(curl, coarse[k - 1], coarse[k + 1])
+    return None
+
+
 def iterative_shape(
     binding: DeflectometryCorrespondences,
     camera: PinholeModel,
@@ -268,15 +320,15 @@ def iterative_shape(
 
     Returns (SurfaceEstimate, NormalMap); the estimate is flagged
     non-converged if ``max_iter`` passes without the maximum depth step
-    dropping below ``tol_mm``.
+    dropping below ``tol_mm``. An empty binding is an EmptyRegionError.
     """
+    screen, _, mask, origin = rasterize_correspondences(binding)
     if init_depth is None:
         if cloud is None:
             raise ValueError("init_depth or a diffuse cloud for its default is required")
         init_depth = default_init_depth(binding, camera, cloud)
     if init_depth <= 0:
         raise ValueError("init_depth must be positive")
-    screen, _, mask, origin = rasterize_correspondences(binding)
     h, w = mask.shape
     yy, xx = np.mgrid[0:h, 0:w]
     u = (xx + origin[0]).astype(np.float64)
@@ -289,34 +341,27 @@ def iterative_shape(
     view_sign = np.sign(np.mean(alpha[mask])) or 1.0
     alpha = alpha * view_sign  # guard: rays always march forward in camera z
 
-    def defl_normals(t, m):
-        S = center + t[:, :, None] * dirs
-        vdir = -dirs
-        sdir = screen - S
-        norm = np.linalg.norm(sdir, axis=2)
-        ok = m & (norm > 1e-9)
-        sdir = sdir / np.where(ok, norm, 1.0)[:, :, None]
-        normals, good = bisector_normals(vdir, sdir)
-        return normals, ok & good
+    def bisector_field(t, m):
+        """Bisector field at depths ``t`` on cells ``m``: (p, q, ok, normals, ok_normals).
 
-    def grad_field(t, m):
-        normals, ok = defl_normals(t, m)
-        n_cam = normals @ R.T
-        p, q, ok2 = _log_depth_gradients(n_cam, u, v, camera, ok)
-        return p, q, ok & ok2, normals
+        ``normals`` are the mirror normals, valid on ``ok_normals``; ``p``,
+        ``q`` are the ln Z gradients they imply, valid on ``ok``, and
+        ``ok`` lies within ``ok_normals``, which lies within ``m``.
+        """
+        sdir = screen - (center + t[:, :, None] * dirs)
+        norm = np.linalg.norm(sdir, axis=2)
+        ok_normals = m & (norm > 1e-9)
+        sdir = sdir / np.where(ok_normals, norm, 1.0)[:, :, None]
+        normals, good = bisector_normals(-dirs, sdir)
+        ok_normals &= good
+        p, q, ok = _log_depth_gradients(normals @ R.T, u, v, camera, ok_normals)
+        return p, q, ok, normals, ok_normals
 
     t = np.where(mask, float(init_depth), 0.0)
-    history: list[float] = []
-    converged = False
     m = mask.copy()
-    zhat = np.zeros((h, w))
-    iterations = 0
-
-    single_cell = int(m.sum()) < 2
-    if single_cell:
-        normals, _ = defl_normals(t, m)
+    if int(m.sum()) < 2:
         est = SurfaceEstimate(t, m, origin, iterations=1, residual_history=[0.0], converged=True)
-        return est, NormalMap(normals, m, origin)
+        return est, NormalMap(bisector_field(t, m)[3], m, origin)
 
     # the anchoring constant is searched inside a fixed trust window around
     # the initial depth; the window stays put across iterations, which keeps
@@ -324,82 +369,34 @@ def iterative_shape(
     # landscape
     anchor_lo = np.log(init_depth * float(np.mean(alpha[mask]))) - ANCHOR_RANGE
     anchor_hi = anchor_lo + 2.0 * ANCHOR_RANGE
-
-    def integrate_once(t_cur, m_cur, anchor: str):
-        p, q, ok, _ = grad_field(t_cur, m_cur)
-        if not np.any(ok):
-            raise EmptyRegionError("all cells degenerate during integration")
-        # pad outside the region with the mean gradient; a hard zero pad on a
-        # ragged mask tilts the integrated shape
-        pz = np.where(ok, p, float(np.mean(p[ok])))
-        qz = np.where(ok, q, float(np.mean(q[ok])))
-        zhat = integrate_gradients(pz, qz)
-        zhat = np.where(ok, zhat, 0.0)
-        zhat[ok] -= np.mean(zhat[ok])
-        interior = _interior(ok)
-        if not np.any(interior):
-            interior = ok
-
-        def non_integrability(c):
-            # curl of the raw bisector field at the anchored depths; it
-            # vanishes at the true standoff
-            t_c = np.exp(zhat + c) / alpha
-            pc, qc, okc, _ = grad_field(t_c, ok)
-            sel = interior & okc
-            if not np.any(sel):
-                return np.inf
-            r = (np.gradient(pc, axis=0) - np.gradient(qc, axis=1))[sel]
-            return float(np.mean(r * r))
-
-        mode = anchor
-        c_best = float(np.log(np.mean(t_cur[ok] * alpha[ok])))
-        if anchor in ("curl", "probe"):
-            coarse = np.linspace(anchor_lo, anchor_hi, 29)
-            vals = np.array([non_integrability(c) for c in coarse])
-            k = int(np.argmin(vals))
-            # An interior minimum with prominence over both window edges
-            # identifies the true standoff (flat-ish surfaces). On strongly
-            # curved regions the far side of the ambiguity family is
-            # asymptotically integrable, the landscape turns monotone toward
-            # an edge, and the constant is unidentifiable from a single view:
-            # keep the mean anchored at the init prior.
-            well = (
-                2 <= k <= len(coarse) - 3
-                and vals[0] >= 1.5 * vals[k]
-                and vals[-1] >= 1.5 * vals[k]
-            )
-            if well:
-                mode = "curl"
-                a = coarse[k - 1]
-                b = coarse[k + 1]
-                invphi = (np.sqrt(5.0) - 1.0) / 2.0
-                c1 = b - invphi * (b - a)
-                c2 = a + invphi * (b - a)
-                f1, f2 = non_integrability(c1), non_integrability(c2)
-                for _ in range(40):
-                    if f1 <= f2:
-                        b, c2, f2 = c2, c1, f1
-                        c1 = b - invphi * (b - a)
-                        f1 = non_integrability(c1)
-                    else:
-                        a, c1, f1 = c1, c2, f2
-                        c2 = a + invphi * (b - a)
-                        f2 = non_integrability(c2)
-                c_best = 0.5 * (a + b)
-            else:
-                mode = "mean"
-        t_new = np.exp(zhat + c_best) / alpha
-        return np.where(ok, t_new, 0.0), ok, zhat, mode
-
+    history: list[float] = []
+    converged = False
+    iterations, zhat = 0, np.zeros((h, w))
     # two mean-anchored iterations relax the constant-depth start onto a
-    # consistent shape; the anchoring mode is then probed once and locked
-    anchor = "mean"
+    # consistent shape; the third probes the curl, and later iterations
+    # search it only if that probe found a well
+    curl_well = False
     for iterations in range(1, max_iter + 1):
-        if iterations == 3:
-            anchor = "probe"
-        t_new, ok, zhat, mode = integrate_once(t, m, anchor)
-        if anchor == "probe":
-            anchor = mode
+        p, q, ok, _, _ = bisector_field(t, m)
+        zhat = np.where(ok, _integrate_padded(p, q, ok), 0.0)
+        zhat[ok] -= np.mean(zhat[ok])
+        c = float(np.log(np.mean(t[ok] * alpha[ok])))
+        if iterations == 3 or curl_well:
+            interior = _interior(ok)
+            if not np.any(interior):
+                interior = ok
+
+            def curl(const):
+                # curl of the raw bisector field at the anchored depths; it
+                # vanishes at the true standoff
+                pc, qc, okc, _, _ = bisector_field(np.exp(zhat + const) / alpha, ok)
+                sel = interior & okc
+                return _curl_ms(pc, qc, sel) if np.any(sel) else np.inf
+
+            c_well = _curl_well(curl, anchor_lo, anchor_hi)
+            if c_well is not None:
+                c, curl_well = c_well, True
+        t_new = np.exp(zhat + c) / alpha
         step = float(np.max(np.abs(t_new[ok] - t[ok])))
         history.append(step)
         t = np.where(ok, t_new, t)
@@ -409,37 +406,28 @@ def iterative_shape(
             break
 
     # normal-consistency outlier rejection, applied once
-    normals, ok_n = defl_normals(t, m)
-    gx = np.gradient(zhat, axis=1)
-    gy = np.gradient(zhat, axis=0)
-    p, q, okp, _ = grad_field(t, m)
-    interior = _interior(m & ok_n & okp)
+    p, q, ok, normals, ok_normals = bisector_field(t, m)
+    interior = _interior(ok)
     rejected_fraction = 0.0
     if np.any(interior):
-        res = np.sqrt((p - gx) ** 2 + (q - gy) ** 2)
+        res = np.sqrt((p - np.gradient(zhat, axis=1)) ** 2 + (q - np.gradient(zhat, axis=0)) ** 2)
         mu = float(np.mean(res[interior]))
         sd = float(np.std(res[interior]))
         outlier = interior & (np.abs(res - mu) > SIGMA_REJECT * max(sd, 1e-15))
         rejected_fraction = float(outlier.sum()) / float(m.sum())
         if np.any(outlier):
             # re-integrate once without the outliers; the anchoring constant
-            # is already settled, so only preserve the surviving cells' mean.
-            # Rejected holes are padded with the surviving mean gradient so
-            # they do not dent the transform.
-            m = m & ~outlier
-            p2, q2, ok2, _ = grad_field(t, m)
-            pad_p = float(np.mean(p2[ok2]))
-            pad_q = float(np.mean(q2[ok2]))
-            z2 = integrate_gradients(np.where(ok2, p2, pad_p), np.where(ok2, q2, pad_q))
-            mean_lnz = float(np.mean(np.log(t[ok2] * alpha[ok2])))
-            z2 = z2 + (mean_lnz - np.mean(z2[ok2]))
-            t = np.where(ok2, np.exp(z2) / alpha, t)
-            m = ok2
-            zhat = np.where(ok2, z2 - mean_lnz, 0.0)
-            normals, ok_n = defl_normals(t, m)
+            # is already settled, so only preserve the surviving cells' mean
+            p, q, ok, _, _ = bisector_field(t, m & ~outlier)
+            z = _integrate_padded(p, q, ok)
+            mean_lnz = float(np.mean(np.log(t[ok] * alpha[ok])))
+            z = z + (mean_lnz - np.mean(z[ok]))
+            t = np.where(ok, np.exp(z) / alpha, t)
+            p, q, _, normals, ok_normals = bisector_field(t, ok)
 
-    m = m & ok_n
-    p, q, _, _ = grad_field(t, m)
+    # the result keeps the cells with a normal; p and q are valid only on
+    # cells inside them, so the field need not be evaluated again on them
+    m = ok_normals
     est = SurfaceEstimate(
         depth=np.where(m, t, 0.0),
         mask=m,

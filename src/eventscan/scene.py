@@ -8,6 +8,7 @@ finite; the constructors below reject NaN and infinities.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,19 +207,32 @@ def _model_section(name: str, m: PinholeModel) -> Section:
     return sec
 
 
+@contextmanager
+def _naming(sec: Section):
+    """A value that a constructor rejects becomes a FormatError naming ``sec``,
+    as one that does not parse already is."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(f"section [{sec.name}]: {exc}") from None
+
+
 def _model_from_section(sec: Section) -> PinholeModel:
-    return PinholeModel(
-        fx=sec.get_float("fx"),
-        fy=sec.get_float("fy"),
-        cx=sec.get_float("cx"),
-        cy=sec.get_float("cy"),
-        width=sec.get_int("width"),
-        height=sec.get_int("height"),
-        skew=sec.get_float("skew") if "skew" in sec else 0.0,
-        rotation=sec.get_floats("rotation", 9).reshape(3, 3),
-        translation=sec.get_floats("translation", 3),
-        k1=sec.get_float("k1") if "k1" in sec else 0.0,
-    )
+    with _naming(sec):
+        return PinholeModel(
+            fx=sec.get_float("fx"),
+            fy=sec.get_float("fy"),
+            cx=sec.get_float("cx"),
+            cy=sec.get_float("cy"),
+            width=sec.get_int("width"),
+            height=sec.get_int("height"),
+            skew=sec.get_float("skew") if "skew" in sec else 0.0,
+            rotation=sec.get_floats("rotation", 9).reshape(3, 3),
+            translation=sec.get_floats("translation", 3),
+            k1=sec.get_float("k1") if "k1" in sec else 0.0,
+        )
 
 
 def save_calibration_bundle(path, camera: PinholeModel, projector: PinholeModel) -> None:
@@ -267,28 +281,29 @@ def load_scene(path) -> SceneFile:
     noise = NoiseModel(timestamp_jitter_sigma_us=0.0)
     objects: list[SceneObject] = []
     for sec in formats.read_sections(path):
-        if sec.name == "camera":
-            camera = _model_from_section(sec)
-        elif sec.name == "projector":
-            projector = _model_from_section(sec)
-        elif sec.name == "schedule":
-            schedule = ScanSchedule(
-                steps_per_sweep=sec.get_int("steps_per_sweep"),
-                sweep_duration_us=sec.get_int("sweep_duration_us"),
-                recovery_us=sec.get_int("recovery_us"),
-                scan_start_us=sec.get_int("scan_start_us") if "scan_start_us" in sec else 0,
-            )
-        elif sec.name == "noise":
-            noise = NoiseModel(
-                timestamp_jitter_sigma_us=sec.get_float("timestamp_jitter_sigma_us"),
-                spurious_rate=sec.get_float("spurious_rate"),
-                drop_probability=sec.get_float("drop_probability"),
-                seed=sec.get_int("seed"),
-            )
-        elif sec.name == "object":
-            objects.append(_object_from_section(sec))
-        else:
-            raise FormatError(f"{path}: unknown section [{sec.name}]")
+        with _naming(sec):
+            if sec.name == "camera":
+                camera = _model_from_section(sec)
+            elif sec.name == "projector":
+                projector = _model_from_section(sec)
+            elif sec.name == "schedule":
+                schedule = ScanSchedule(
+                    steps_per_sweep=sec.get_int("steps_per_sweep"),
+                    sweep_duration_us=sec.get_int("sweep_duration_us"),
+                    recovery_us=sec.get_int("recovery_us"),
+                    scan_start_us=sec.get_int("scan_start_us") if "scan_start_us" in sec else 0,
+                )
+            elif sec.name == "noise":
+                noise = NoiseModel(
+                    timestamp_jitter_sigma_us=sec.get_float("timestamp_jitter_sigma_us"),
+                    spurious_rate=sec.get_float("spurious_rate"),
+                    drop_probability=sec.get_float("drop_probability"),
+                    seed=sec.get_int("seed"),
+                )
+            elif sec.name == "object":
+                objects.append(_object_from_section(sec))
+            else:
+                raise FormatError(f"{path}: unknown section [{sec.name}]")
     if camera is None or projector is None:
         raise FormatError(f"{path}: scene needs [camera] and [projector] sections")
     if not objects:

@@ -222,9 +222,27 @@ class _Emitter:
         return stream, gt
 
 
-def _camera_pixel_grid(camera: PinholeModel):
-    xs, ys = np.meshgrid(np.arange(camera.width), np.arange(camera.height))
+def _pixel_grid(model: PinholeModel):
+    """Every pixel of ``model``, row-major (x fastest), as float (N, 2)."""
+    xs, ys = np.meshgrid(np.arange(model.width), np.arange(model.height))
     return np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+
+
+def _grid_hits(model: PinholeModel, objects: list[SceneObject]):
+    """Cast one ray per pixel of ``model``: (pixels, unit rays) + ``intersect_ray_batch``'s hits.
+
+    ``_pixel_grid`` is its own function so its temporaries are gone before the cast.
+    """
+    pixels = _pixel_grid(model)
+    dirs = pixel_directions(model, pixels)
+    return (pixels, dirs) + intersect_ray_batch(np.broadcast_to(model.center, dirs.shape), dirs, objects)
+
+
+def _material_masks(objects: list[SceneObject]):
+    """Per object, whether it scatters and whether it mirrors; a last False entry is read by index -1 (a miss)."""
+    scatters = np.array([o.material.scatters for o in objects] + [False])
+    mirrors = np.array([o.material.mirrors for o in objects] + [False])
+    return scatters, mirrors
 
 
 def _line_of_sight(model: PinholeModel, points: np.ndarray, objects: list[SceneObject], *, snap: bool):
@@ -262,8 +280,8 @@ def _mirror_chains(objects, points, dirs, normals, device: PinholeModel, *, snap
     ``_line_of_sight``); ``rows`` index the starting rays. Rays that land on
     a pure mirror carry on to the next step. The first step yields bounce 2.
     """
-    scatters = np.array([o.material.scatters for o in objects])
-    pure_mirrors = np.array([o.material.mirrors and not o.material.scatters for o in objects])
+    scatters, mirrors = _material_masks(objects)
+    pure_mirrors = mirrors & ~scatters
     rows = np.arange(len(points))
     for bounce in range(2, 2 + steps):
         if len(rows) == 0:
@@ -271,13 +289,12 @@ def _mirror_chains(objects, points, dirs, normals, device: PinholeModel, *, snap
         rd = reflect_direction(dirs, normals)
         ro = points + rd * HIT_EPS_MM
         t, normals, obj = intersect_ray_batch(ro, rd, objects)
-        found = obj >= 0
-        land = found & scatters[np.clip(obj, 0, None)]
+        land = scatters[obj]
         if np.any(land):
             X = ro[land] + t[land, None] * rd[land]
             px, seen = _line_of_sight(device, X, objects, snap=snap)
             yield rows[land][seen], X[seen], px[seen], obj[land][seen], bounce
-        chain = found & pure_mirrors[np.clip(obj, 0, None)]
+        chain = pure_mirrors[obj]
         points = ro[chain] + t[chain, None] * rd[chain]
         dirs, normals, rows = rd[chain], normals[chain], rows[chain]
 
@@ -365,38 +382,32 @@ def simulate_scan(
 
     sweeps = [SWEEP_VERTICAL] if mode == "single" else [SWEEP_VERTICAL, SWEEP_HORIZONTAL]
 
-    def emit_pairs(cam_px, pp, bounce, points, label, on_epi):
+    def emit_pairs(count, cam_px, pp, bounce, points, label, on_epi):
+        counts[count] += len(pp) * len(sweeps)
         path = emitter.add_paths(bounce, points, label, pp, on_epi)
         for sweep in sweeps:
             pos = pp[:, 0] if sweep == SWEEP_VERTICAL else pp[:, 1]
             emitter.emit(sweep, cam_px, pos, path)
 
+    scatters, mirrors = _material_masks(objects)
     if mode in ("dual", "single"):
-        pixels = _camera_pixel_grid(camera)
-        center = camera.center
-        dirs = pixel_directions(camera, pixels)
-        origins = np.broadcast_to(center, dirs.shape)
-        t_hit, normals, obj_idx = intersect_ray_batch(origins, dirs, objects)
-        hit = obj_idx >= 0
-        scatters = np.array([o.material.scatters for o in objects])
-        mirrors = np.array([o.material.mirrors for o in objects])
+        pixels, dirs, t_hit, normals, obj_idx = _grid_hits(camera, objects)
 
         # Direct channel: diffuse/shiny points lit by the laser.
-        direct = hit & scatters[np.clip(obj_idx, 0, None)]
+        direct = scatters[obj_idx]
         if np.any(direct):
-            P = center + t_hit[direct, None] * dirs[direct]
+            P = camera.center + t_hit[direct, None] * dirs[direct]
             pp, lit = _line_of_sight(projector, P, objects, snap=False)
             sel = np.where(direct)[0][lit]
             P, pp = P[lit], pp[lit]
-            counts["direct_pairs"] += len(sel) * len(sweeps)
-            emit_pairs(pixels[sel], pp, 1, P, obj_idx[sel], np.zeros(len(sel), dtype=bool))
+            emit_pairs("direct_pairs", pixels[sel], pp, 1, P, obj_idx[sel], np.zeros(len(sel), dtype=bool))
 
         # Indirect channel: follow mirror reflections from specular pixels
         # back to the diffuse point that acts as the screen.
-        start = np.where(hit & mirrors[np.clip(obj_idx, 0, None)])[0]
+        start = np.where(mirrors[obj_idx])[0]
         chains = _mirror_chains(
             objects,
-            center + t_hit[start, None] * dirs[start],
+            camera.center + t_hit[start, None] * dirs[start],
             dirs[start],
             normals[start],
             projector,
@@ -406,19 +417,15 @@ def simulate_scan(
         for rows, Q, pp, _, bounce in chains:
             sel = start[rows]
             on_epi = epipolar_distances(F, pp, pixels[sel]) <= ON_EPIPOLAR_TAU_PX
-            emit_pairs(pixels[sel], pp, bounce, Q, obj_idx[sel], on_epi)
-            counts["two_bounce_pairs" if bounce == 2 else "higher_bounce_pairs"] += len(sel) * len(sweeps)
+            count = "two_bounce_pairs" if bounce == 2 else "higher_bounce_pairs"
+            emit_pairs(count, pixels[sel], pp, bounce, Q, obj_idx[sel], on_epi)
 
         # Specular-first paths (the laser's mirror reflection off any surface
         # that mirrors, shiny ones included); rejection fodder, generated
         # only on request.
         if generate_higher_bounces:
-            steps = schedule.steps_per_sweep
-            kx, ky = np.meshgrid(np.arange(steps), np.arange(steps))
-            ppix = np.stack([kx.ravel(), ky.ravel()], axis=1).astype(np.float64)
-            pdirs = pixel_directions(projector, ppix)
-            t1, n1, o1 = intersect_ray_batch(np.broadcast_to(projector.center, pdirs.shape), pdirs, objects)
-            start = np.where((o1 >= 0) & mirrors[np.clip(o1, 0, None)])[0]
+            ppix, pdirs, t1, n1, o1 = _grid_hits(projector, objects)
+            start = np.where(mirrors[o1])[0]
             chains = _mirror_chains(
                 objects,
                 projector.center + t1[start, None] * pdirs[start],
@@ -431,31 +438,22 @@ def simulate_scan(
             for rows, D, cam_px, landed, bounce in chains:
                 pp = ppix[start[rows]]
                 on_epi = epipolar_distances(F, pp, cam_px) <= ON_EPIPOLAR_TAU_PX
-                emit_pairs(cam_px, pp, bounce, D, landed, on_epi)
-                counts["higher_bounce_pairs"] += len(rows) * len(sweeps)
+                emit_pairs("higher_bounce_pairs", cam_px, pp, bounce, D, landed, on_epi)
         scan_span = schedule.total_us(len(sweeps))
     else:
         # Explicit point raster: one projector pixel at a time, each held for
-        # one step; total scan time steps^2 * step_us versus 2 * steps * step_us.
-        steps = schedule.steps_per_sweep
-        ky, kx = np.meshgrid(np.arange(steps), np.arange(steps), indexing="ij")
-        # raster order: all columns of row 0, then row 1, ...
-        ppix = np.stack([kx.ravel(), ky.ravel()], axis=1).astype(np.float64)
-        raster_step = np.arange(len(ppix), dtype=np.int64)
-        pdirs = pixel_directions(projector, ppix)
-        porig = np.broadcast_to(projector.center, pdirs.shape)
-        t1, _, o1 = intersect_ray_batch(porig, pdirs, objects)
-        scatters = np.array([o.material.scatters for o in objects])
-        landed = (o1 >= 0) & scatters[np.clip(o1, 0, None)]
-        D = porig[landed] + t1[landed, None] * pdirs[landed]
+        # one step, in pixel order (all columns of row 0, then row 1, ...);
+        # total scan time steps^2 * step_us versus 2 * steps * step_us.
+        ppix, pdirs, t1, _, o1 = _grid_hits(projector, objects)
+        landed = scatters[o1]
+        D = projector.center + t1[landed, None] * pdirs[landed]
         cam_pix, seen = _line_of_sight(camera, D, objects, snap=True)
         sel = np.where(landed)[0][seen]
         if len(sel):
-            pix = cam_pix[seen]
             counts["direct_pairs"] += len(sel)
             path = emitter.add_paths(1, D[seen], o1[sel], ppix[sel], np.zeros(len(sel), dtype=bool))
-            emitter.emit(SWEEP_RASTER, pix, ppix[sel][:, 0], path, raster_step=raster_step[sel])
-        scan_span = int(round(steps * steps * schedule.step_us))
+            emitter.emit(SWEEP_RASTER, cam_pix[seen], ppix[sel][:, 0], path, raster_step=sel)
+        scan_span = int(round(schedule.steps_per_sweep**2 * schedule.step_us))
 
     stream, gt = emitter.result()
     if len(stream) == 0:

@@ -135,15 +135,15 @@ class VirtualScreen:
         hit = self.keys[at] == keys
         return hit, np.where(hit, self.rows[at], -1)
 
-    def lookup_many(self, projector_pixels: np.ndarray, interpolate: bool = False):
+    def lookup_many(self, projector_pixels: np.ndarray):
         """Vectorized lookup; returns (points (N, 3), found (N,)).
 
-        With ``interpolate`` a local affine model is fit through the 3x3
-        neighborhood entries (at their true continuous sweep positions) and
-        evaluated at the query, which removes most of the grid-quantization
-        error on smooth screens; single-entry lookup is the fallback.
-        ``found`` always reflects the rounded bin, so coverage accounting is
-        unchanged.
+        A local affine model is fit through the 3x3 neighborhood entries (at
+        their true continuous sweep positions) and evaluated at the query,
+        which removes most of the grid-quantization error on smooth screens;
+        with fewer than 4 entries there, the single entry is the fallback.
+        ``found`` reflects the rounded bin, so coverage accounting does not
+        depend on the fit.
         """
         qp = np.atleast_2d(np.asarray(projector_pixels, dtype=np.float64))
         # a query beyond the key range can match no entry, nor can its neighbours
@@ -151,8 +151,6 @@ class VirtualScreen:
         found, row = self._find(_screen_keys(pp))
         points = np.zeros((len(pp), 3))
         points[found] = self.position[row[found]]
-        if not interpolate:
-            return points, found
         queries = np.flatnonzero(found)
         near, near_row = self._find(_screen_keys(pp[queries])[:, None] + _NEIGHBOURS)
         for i, ok, rows in zip(queries, near, near_row):

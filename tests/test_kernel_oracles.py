@@ -372,7 +372,7 @@ def screen_entries_loop(cloud):
     return entries
 
 
-def lookup_many_loop(entries, position, proj_pixel, projector_pixels, interpolate):
+def lookup_many_loop(entries, position, proj_pixel, projector_pixels):
     qp = np.atleast_2d(np.asarray(projector_pixels, dtype=np.float64))
     pp = np.floor(qp + 0.5).astype(np.int64)
     points = np.zeros((len(pp), 3))
@@ -383,8 +383,6 @@ def lookup_many_loop(entries, position, proj_pixel, projector_pixels, interpolat
             continue
         found[i] = True
         points[i] = position[row]
-        if not interpolate:
-            continue
         rows = [
             r
             for dx in (-1, 0, 1)
@@ -451,16 +449,15 @@ def test_screen_ties_and_rounding():
         ),
         max_size=40,
     ),
-    interpolate=st.booleans(),
 )
-def test_screen_and_lookup_match_loop(cells, interpolate):
+def test_screen_and_lookup_match_loop(cells):
     n = len(cells)
     pix = np.array([[x + fx, y + fy] for x, y, fx, fy, _, _ in cells]).reshape(n, 2)
     cloud = make_cloud(pix, [c[4] for c in cells], [c[5] for c in cells], seed=n)
     screen, entries = assert_screen_matches_loop(cloud)
     queries = np.array([[x + 0.3, y - 0.2] for x in range(-6, 7) for y in range(-6, 7)])
-    got = screen.lookup_many(queries, interpolate=interpolate)
-    want = lookup_many_loop(entries, cloud.position, cloud.projector_pixel, queries, interpolate)
+    got = screen.lookup_many(queries)
+    want = lookup_many_loop(entries, cloud.position, cloud.projector_pixel, queries)
     for g, w in zip(got, want):
         assert_same(g, w)
 
@@ -480,16 +477,15 @@ def test_lookup_with_zero_to_nine_neighbours():
         if (int(x), int(y)) in entries
     } | {0}
     assert counts == set(range(10))
-    for interpolate in (False, True):
-        got = screen.lookup_many(queries, interpolate=interpolate)
-        want = lookup_many_loop(entries, cloud.position, cloud.projector_pixel, queries, interpolate)
-        for g, w in zip(got, want):
-            assert_same(g, w)
+    got = screen.lookup_many(queries)
+    want = lookup_many_loop(entries, cloud.position, cloud.projector_pixel, queries)
+    for g, w in zip(got, want):
+        assert_same(g, w)
 
 
 def test_lookup_on_empty_screen_and_far_queries():
     screen = build_virtual_screen(make_cloud(np.zeros((0, 2)), [], []))
-    points, found = screen.lookup_many([[3.0, 4.0]], interpolate=True)
+    points, found = screen.lookup_many([[3.0, 4.0]])
     assert not found.any() and not points.any()
     screen = build_virtual_screen(make_cloud([[0.0, 0.0]], [1.0], [0.0]))
     points, found = screen.lookup_many([[1e12, 0.0], [-1e12, -1e12], [0.2, 0.1]])

@@ -5,12 +5,14 @@ import subprocess
 import sys
 import typing
 
+import numpy as np
 import pytest
 
 from conftest import CONFIGS, REPO
 
 from eventscan import pipeline
 from eventscan.cli import main as cli_main
+from eventscan.events import EventStream, GroundTruth
 from eventscan.pipeline import STAGES, ConfigError, PipelineConfig, StageError, load_config, run_pipeline
 
 
@@ -178,6 +180,76 @@ def test_staged_skips_what_run_skips(config, chain, tmp_path):
     assert_same_files(tmp_path / "run", run_staged(CONFIGS / config, tmp_path, chain))
 
 
+@pytest.fixture(scope="module")
+def mirror_stream(mirror_run):
+    _, _, out = mirror_run
+    truth = GroundTruth.load_text(out / "ground_truth.txt", out / "ground_truth_events.txt")
+    return out, EventStream.load_text(out / "events.txt"), truth
+
+
+def degenerate_event_ids(case, events, truth):
+    """Rows of the plane_mirror stream that make up one degenerate stream."""
+    bounce = truth.per_event("bounce")
+
+    def light_at_pixel(i):
+        return np.flatnonzero((events.x == events.x[i]) & (events.y == events.y[i]) & (bounce == bounce[i]))
+
+    direct = light_at_pixel(np.flatnonzero(bounce == 1)[0])
+    indirect = light_at_pixel(np.flatnonzero(bounce == 2)[0])
+    if case in ("recovery_only", "one_direct_pixel"):
+        return direct
+    if case == "one_indirect_pixel":
+        return indirect
+    if case == "no_indirect_light":
+        block = (np.abs(events.x - events.x[direct[0]]) < 8) & (np.abs(events.y - events.y[direct[0]]) < 8)
+        return np.flatnonzero(block & (bounce == 1))
+    # one indirect pixel and the direct pixel farthest from its screen
+    # point in projector pixels, so the screen holds no entry for it
+    lit = np.flatnonzero(bounce == 1)
+    proj = truth.per_event("projector_pixel")
+    far = lit[np.argmax(np.linalg.norm(proj[lit] - proj[indirect[0]], axis=1))]
+    return np.concatenate([light_at_pixel(far), indirect])
+
+
+# what the FAILED marker names for the degenerate streams that cannot finish:
+# their one indirect correspondence has no screen entry to bind to
+DEGENERATE_FAILURES = {
+    "one_indirect_pixel": "stage = deflect\nerror = no bound correspondences (1 without a screen entry)\n",
+    "uncovered_indirect": "stage = deflect\nerror = no bound correspondences (1 without a screen entry)\n",
+}
+
+
+@pytest.mark.parametrize(
+    "case", ["recovery_only", "one_direct_pixel", "one_indirect_pixel", "no_indirect_light", "uncovered_indirect"]
+)
+def test_degenerate_stream_through_subcommands(mirror_stream, tmp_path, case):
+    # decode ... metrics on a degenerate stream exit 0, or exit 3 with a
+    # FAILED marker that names the cause; no exception escapes
+    src, events, truth = mirror_stream
+    ids = degenerate_event_ids(case, events, truth)
+    stream, gt = events.take(ids), truth.take(ids)
+    if case == "recovery_only":
+        schedule = pipeline.STORE["scan"].load([src / "scan.txt"]).schedule
+        gap = schedule.sweep_start(0) + schedule.sweep_duration_us
+        stream.t[:] = gap + schedule.recovery_us // 2 + np.arange(len(stream))
+    order = stream.sort_order()
+    out = tmp_path / case
+    out.mkdir()
+    for name in ("rig.calib", "scan.txt"):
+        shutil.copyfile(src / name, out / name)
+    stream.take(order).save_text(out / "events.txt")
+    gt.take(order).save_text(out / "ground_truth.txt", out / "ground_truth_events.txt")
+    for stage in STAGES[1:]:
+        rc = cli_main([stage, "--config", str(CONFIGS / "plane_mirror.cfg"), "--out", str(out)])
+        if rc:
+            break
+    if case in DEGENERATE_FAILURES:
+        assert rc == 3
+        assert (out / "FAILED").read_text() == DEGENERATE_FAILURES[case]
+    else:
+        assert rc == 0 and not (out / "FAILED").exists()
+
+
 def test_stage_subcommand_failure_writes_marker(tmp_path):
     out = tmp_path / "o"
     args = ["--config", str(CONFIGS / "plane.cfg"), "--out", str(out)]
@@ -283,7 +355,7 @@ def test_non_finite_scene_value_rejected_before_writing(tmp_path, section, key, 
     scene = tmp_path / "bad.scene"
     scene.write_text("\n".join(lines) + "\n")
     cfg_path = write_cfg(tmp_path, f"scene = {scene}\n")
-    with pytest.raises(ConfigError, match=rf"bad\.scene: {key} must be finite"):
+    with pytest.raises(ConfigError, match=rf"bad\.scene: section \[{section}\]: {key} must be finite"):
         pipeline.load_run_scene(load_config(cfg_path))
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2

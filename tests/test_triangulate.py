@@ -128,7 +128,7 @@ def test_screen_covers_ground_truth_bounce2(mirror_scan):
     screen = build_virtual_screen(cloud)
     gt = mirror_scan["result"].ground_truth
     b2 = gt.bounce == 2
-    points, found = screen.lookup_many(gt.projector_pixel[b2], interpolate=True)
+    points, found = screen.lookup_many(gt.projector_pixel[b2])
     assert found.all()
     d = np.linalg.norm(points - gt.surface_point[b2], axis=1)
     assert d.max() < 0.05
