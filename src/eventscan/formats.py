@@ -1,4 +1,4 @@
-"""Interchange formats: key-value documents, tables, PLY, PFM, binary events.
+"""Interchange formats: key-value documents, tables and their binary twins, PLY, PFM, binary events.
 
 Key-value documents format floats with ``repr`` (shortest round-trip form);
 table and PLY bodies use ``%.17g``. Both round-trip float64 exactly, so a
@@ -15,20 +15,40 @@ of names from the tuple ``names``, held as int8 indices into it; and
 ``np.loadtxt`` pass: integers never go through float.
 
 The writers share one path. Before the file is opened it checks every
-column (an integer column must hold integers, a names column codes in
-``[0, len(names))``, and all columns one length) and formats each distinct
-value of a column once: numbers keyed by ``np.unique`` (floats on their bit
-pattern, so ``-0.0`` stays ``-0``), names from their tuple, bare strings
-value by value. The body is then gathered from those texts by index and
-written a fixed block of rows at a time, so no whole-column list or whole
-body string is ever built. Every reader raises
-``FormatError`` naming the file on a missing header or property, a wrong field
-count, an unparsable or unknown token, or a body that does not match its
-header.
+column and refuses, with ValueError, a value its reader would not give back:
+an integer column must hold integers within its dtype, a names column codes
+in ``[0, len(names))``, a bare string must be non-empty and free of
+whitespace, ``#`` and NUL, all columns must have one length, and a header or
+comment must be one line. It formats each distinct value of a column once:
+numbers keyed by ``np.unique`` (floats on their bit pattern, so ``-0.0``
+stays ``-0``), names from their tuple, bare strings value by value. The body
+is then gathered from those texts by index and written a fixed block of rows
+at a time, so no whole-column list or whole body string is ever built. Every
+reader raises ``FormatError`` naming the file on a missing header or
+property, a wrong field count, an unparsable or unknown token, or a body
+that does not match its header.
+
+Every table and PLY file ``F`` gets a binary twin ``F.cols``, written after
+the text and after its formatted values are freed. The twin holds a header
+line with the declaration (each entry's names, kind and parsed dtype), each
+record's dtype, the row count and the sha256 of the text bytes as they were
+written; then one ``.npy`` record per declaration entry, holding exactly the
+array the text parses to (same dtype, shape and bits; every NaN is the
+positive quiet NaN that ``nan`` parses to); then the sha256 of every twin
+byte before it, so a truncated or corrupt twin is never used. The text is
+the contract. ``read_table`` and ``read_ply(path, columns)`` return the
+twin's arrays only when the twin reads cleanly, was written under the
+caller's declaration and records the sha256 of the text file's current
+bytes, and otherwise parse the text. A hand-edited, truncated or
+hand-written text file is therefore always what a caller sees, and every
+loader runs its checks on what either path returns.
 """
 
 from __future__ import annotations
 
+import io
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -174,12 +194,18 @@ def _narrow(index: np.ndarray, count: int) -> np.ndarray:
     return index.astype(np.min_scalar_type(max(count - 1, 0)))
 
 
+def _strings(col: np.ndarray) -> np.ndarray:
+    """The text of each value of a bare string column, as an object array."""
+    return np.array(["%s" % v for v in col.tolist()], dtype=object)
+
+
 def _distinct_texts(path, name: str, kind, col: np.ndarray):
     """(text of each distinct value, index of each row's value into it) for one column.
 
     A bare string column is formatted value by value and its index is None:
     row i reads text i. A float column is keyed on its bit pattern, because
-    ``-0.0 == 0.0`` but they print ``-0`` and ``0``.
+    ``-0.0 == 0.0`` but they print ``-0`` and ``0``. ValueError for a value
+    the reader would not give back.
     """
     where = f"{path}: column '{name}'"
     if isinstance(kind, tuple):
@@ -187,10 +213,19 @@ def _distinct_texts(path, name: str, kind, col: np.ndarray):
             raise ValueError(f"{where} must hold integer codes in [0, {len(kind)})")
         return np.array(kind, dtype=object), _narrow(col, len(kind))
     if np.dtype(kind).kind == "U":
-        return np.array(["%s" % v for v in col.tolist()], dtype=object), None
+        texts = _strings(col)
+        # the reader splits a row at whitespace, cuts it at '#' and drops a trailing NUL
+        bad = next((text for text in texts if text.split() != [text] or "#" in text or "\0" in text), None)
+        if bad is not None:
+            raise ValueError(f"{where} holds {bad!r}: a bare string must be non-empty, without whitespace, '#' or NUL")
+        return texts, None
     floats = np.dtype(kind).kind == "f"
     if col.dtype.kind not in ("biuf" if floats else "biu"):
         raise ValueError(f"{where} is declared {np.dtype(kind)} but got {col.dtype} values")
+    if not floats and col.size:
+        info, low, high = np.iinfo(kind), int(col.min()), int(col.max())
+        if low < info.min or high > info.max:
+            raise ValueError(f"{where} holds {low if low < info.min else high}, outside {np.dtype(kind)} [{info.min}, {info.max}]")
     key = np.ascontiguousarray(col, dtype=np.float64).view(np.uint64) if floats else col
     distinct, index = np.unique(key, return_inverse=True)
     values = distinct.view(np.float64) if floats else distinct
@@ -198,38 +233,191 @@ def _distinct_texts(path, name: str, kind, col: np.ndarray):
     return np.array([spec % v for v in values.tolist()], dtype=object), _narrow(index, len(distinct))
 
 
-def _write_text(path, head, columns, arrays) -> None:
-    """The lines ``head(row count)``, then one line per row.
+def _columns_of(names, field: np.ndarray):
+    """The columns of one declared field: itself for one name, its rows' entries for k names."""
+    return field.T if len(names) > 1 else [field]
 
-    Every column is checked and each of its distinct values formatted before
-    the file is opened; the body is then gathered and written ``_BLOCK_ROWS``
-    rows at a time.
+
+def _write_body(path, head, columns, fields: list) -> str:
+    """Write the lines ``head(row count)``, then one line per row; returns the sha256 of the bytes written.
+
+    Each distinct value of every column is formatted before the file is
+    opened; the body is then gathered and written ``_BLOCK_ROWS`` rows at a
+    time. The formatted values are freed when this returns.
     """
-    texts, first = [], None  # first: (name, row count) of the first column
-    for (names, kind, _), field in zip(_entries(columns), arrays, strict=True):
+    import hashlib  # here, not at the top: a run that writes no file should not pay its import
+
+    texts = [
+        _distinct_texts(path, name, kind, col)
+        for (names, kind, _), field in zip(_entries(columns), fields)
+        for name, col in zip(names, _columns_of(names, field))
+    ]
+    n = len(fields[0]) if fields else 0
+    digest = hashlib.sha256()
+    with open(path, "w") as f:
+
+        def put(text: str) -> None:
+            f.write(text)
+            digest.update(text.encode(f.encoding))
+
+        put("\n".join(head(n)) + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            cols = [(text[block] if index is None else text[index[block]]).tolist() for text, index in texts]
+            put("\n".join(map(" ".join, zip(*cols))) + "\n")
+    return digest.hexdigest()
+
+
+def _write_text(path, head, columns, arrays) -> None:
+    """The text file of ``_write_body`` and then its twin.
+
+    Every field is checked against its declaration entry's shape and the
+    first field's length, and the head lines for a line break, before
+    anything is formatted or opened.
+    """
+    if any(c in line for line in head(0) for c in "\r\n"):
+        raise ValueError(f"{path}: a header or comment must be one line")
+    fields, first = [], None  # first: (name, row count) of the first field
+    for (names, _, _), field in zip(_entries(columns), arrays, strict=True):
         field = np.asarray(field)
         if field.shape[1:] != ((len(names),) if len(names) > 1 else ()):
             raise ValueError(f"{path}: columns {' '.join(names)} got an array of shape {field.shape}")
         first = first or (names[0], len(field))
         if len(field) != first[1]:
             raise ValueError(f"{path}: column '{names[0]}' has {len(field)} rows, column '{first[0]}' {first[1]}")
-        for name, col in zip(names, field.T if len(names) > 1 else [field]):
-            texts.append(_distinct_texts(path, name, kind, col))
-    n = first[1] if first else 0
-    with open(path, "w") as f:
-        f.write("\n".join(head(n)) + "\n")
-        for start in range(0, n, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            cols = [(text[block] if index is None else text[index[block]]).tolist() for text, index in texts]
-            f.write("\n".join(map(" ".join, zip(*cols))) + "\n")
+        fields.append(field)
+    _write_twin(path, columns, fields, _write_body(path, head, columns, fields))
+
+
+# --- binary twins ----------------------------------------------------------------
+
+_TWIN_MAGIC = b"eventscan columns 1\n"
+
+
+def twin_path(path) -> Path:
+    """Where the twin of the table or PLY file ``path`` lives."""
+    return Path(f"{os.fspath(path)}.cols")
+
+
+def _signature(columns) -> list:
+    """The declaration as JSON data: each entry's names, kind and parsed dtype."""
+    return [
+        [list(names), list(kind) if isinstance(kind, tuple) else np.dtype(kind).str, np.dtype(parsed).str]
+        for names, kind, parsed in _entries(columns)
+    ]
+
+
+def _record(kind, parsed, names, field: np.ndarray) -> np.ndarray:
+    """The array the reader returns for one declaration entry, from the values written.
+
+    No copy when ``field`` already has the parsed type and C order and holds
+    no NaN.
+    """
+    if isinstance(kind, tuple):
+        # a bool field's bytes already are its codes
+        return np.ascontiguousarray(field.view(np.int8) if field.dtype == bool else field, dtype=np.int8)
+    if np.dtype(kind).kind == "U":
+        cols = [_strings(col).astype(str) for col in _columns_of(names, field)]
+        return np.stack(cols, axis=1) if len(names) > 1 else cols[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a float64 beyond a narrower float type parses as inf, as it casts
+        record = np.ascontiguousarray(field, dtype=parsed)
+    # every NaN prints as 'nan', which parses as the positive quiet NaN
+    if record.dtype.kind == "f" and record.size and np.isnan(record.min()):
+        record = np.where(np.isnan(record), np.nan, record)
+    return record
+
+
+def _npy_header(dtype: np.dtype, shape: tuple) -> bytes:
+    """The .npy version 1.0 header of a C-ordered array."""
+    out = io.BytesIO()
+    header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape}
+    np.lib.format.write_array_header_1_0(out, header)
+    return out.getvalue()
+
+
+def _write_twin(path, columns, fields: list, text_sha256: str) -> None:
+    """Write ``path``'s twin: the header line, one .npy record per entry, then
+    the sha256 of every byte before it."""
+    import hashlib
+    import json
+
+    records = [_record(kind, parsed, names, field) for (names, kind, parsed), field in zip(_entries(columns), fields)]
+    head = {
+        "columns": _signature(columns),
+        "dtypes": [record.dtype.str for record in records],
+        "rows": len(fields[0]) if fields else 0,
+        "text_sha256": text_sha256,
+    }
+    digest = hashlib.sha256()
+    with open(twin_path(path), "wb") as f:
+
+        def put(data) -> None:
+            f.write(data)
+            digest.update(data)
+
+        put(_TWIN_MAGIC + json.dumps(head, sort_keys=True).encode() + b"\n")
+        for record in records:
+            put(_npy_header(record.dtype, record.shape))
+            put(record)  # C-ordered, so its buffer is the .npy body
+        f.write(digest.hexdigest().encode())
+
+
+def _read_twin(path, columns):
+    """The arrays of ``path``'s twin, or None unless the twin reads cleanly and
+    untouched, was written under ``columns`` and records the sha256 of
+    ``path``'s current bytes."""
+    import hashlib
+    import json
+
+    digest = hashlib.sha256()
+    try:
+        with open(twin_path(path), "rb") as f:
+
+            def take(size: int) -> bytes:
+                data = f.read(size)
+                if len(data) != size:
+                    raise ValueError("truncated twin")
+                digest.update(data)
+                return data
+
+            first = f.readline(len(_TWIN_MAGIC))
+            line = f.readline(1 << 20)
+            digest.update(first + line)
+            head = json.loads(line)
+            if first != _TWIN_MAGIC or head["columns"] != _signature(columns):
+                return None
+            text_digest = hashlib.sha256()
+            with open(path, "rb") as text:
+                while chunk := text.read(1 << 20):
+                    text_digest.update(chunk)
+            if text_digest.hexdigest() != head["text_sha256"]:
+                return None
+            out = []
+            for (names, kind, parsed), descr in zip(_entries(columns), head["dtypes"], strict=True):
+                dtype, want = np.dtype(descr), np.dtype(np.int8 if isinstance(kind, tuple) else parsed)
+                # a bare string entry parses as object and reads back as str of any width
+                if not (dtype.kind == "U" and dtype.itemsize > 0 if want.kind == "O" else dtype == want):
+                    return None
+                shape = (head["rows"],) + ((len(names),) if len(names) > 1 else ())
+                header = _npy_header(dtype, shape)
+                count = math.prod(shape)
+                if take(len(header)) != header or os.fstat(f.fileno()).st_size - f.tell() < count * dtype.itemsize:
+                    return None
+                record = np.fromfile(f, dtype=dtype, count=count).reshape(shape)
+                digest.update(record)
+                out.append(record)
+            if f.read() != digest.hexdigest().encode():
+                return None
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+    return out
 
 
 def write_table(path, columns, arrays, header: str | None = None) -> None:
     """Whitespace-separated table with a ``# col1 col2 ...`` header line.
 
     ``arrays`` holds one array per entry of the ``columns`` declaration, in
-    any iterable. Each is converted before the next is taken, so a generator
-    can make them one at a time.
+    any iterable; each is kept until the twin is written.
     """
     head = ([f"# {header}"] if header else []) + ["# " + " ".join(_column_names(columns))]
     _write_text(path, lambda n: head, columns, arrays)
@@ -267,10 +455,14 @@ def _declared(path, columns, data: np.ndarray) -> list:
 def read_table(path, columns):
     """Read back a write_table file; returns (column names, one array per entry).
 
-    The header is the first ``#`` line before the body whose fields are the
-    declaration's column names. The body is parsed in one typed pass.
+    The arrays are the twin's when it matches (see ``_read_twin``). Otherwise
+    the header is the first ``#`` line before the body whose fields are the
+    declaration's column names, and the body is parsed in one typed pass.
     """
     expected = _column_names(columns)
+    twin = _read_twin(path, columns)
+    if twin is not None:
+        return expected, twin
     with open(path) as f:
         found = False
         head_lines = 0
@@ -316,7 +508,11 @@ def read_ply(path, columns=None):
     Properties are found by name, and ones the declaration lacks are read as
     float64 and dropped; a declared property the file lacks is a FormatError.
     Without a declaration, returns (vertices, dict of the other properties).
+    With one, the arrays are the twin's when it matches (see ``_read_twin``).
     """
+    twin = _read_twin(path, columns) if columns is not None else None
+    if twin is not None:
+        return twin
     with open(path) as f:
         if f.readline().rstrip("\r\n") != "ply":
             raise FormatError(f"{path}: not a PLY file")

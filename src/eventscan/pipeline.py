@@ -427,9 +427,11 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
         if source is not None:
             earlier = STAGES[: STAGES.index(stage)]
             for art in STORE.values():
-                for name in art.files:
-                    if art.stage in earlier and (source / name).is_file():
-                        shutil.copyfile(source / name, out / name)
+                for name in art.files if art.stage in earlier else ():
+                    # a table or PLY file comes with its twin
+                    for copied in (name, formats.twin_path(name)):
+                        if (source / copied).is_file():
+                            shutil.copyfile(source / copied, out / copied)
         for stage in stages:
             ran = True
             if stage == "simulate":

@@ -271,7 +271,7 @@ def _object_from_section(sec: Section) -> SceneObject:
         faces = sec.get_floats("faces").astype(np.int64).reshape(-1, 3)
         shape = TriangleMesh(verts, faces)
     else:
-        raise FormatError(f"unknown shape kind {kind!r}")
+        raise FormatError(f"section [{sec.name}] key 'shape': unknown shape kind {kind!r}, expected plane, sphere or mesh")
     return SceneObject(shape, material, sec.get_str("label"))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import re
 import struct
 import tempfile
@@ -631,3 +632,187 @@ def test_every_artifact_round_trips(name, n, seed):
             save(back, *second)
         for a, b in zip(first, second):
             assert a.read_bytes() == b.read_bytes()
+
+
+# --- binary twins ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, values",
+    [
+        (np.int32, np.array([1, 2**40], dtype=np.int64)),
+        (np.int64, np.array([0, 2**63], dtype=np.uint64)),
+        (np.uint8, np.array([-1, 3])),
+        (str, np.array(["ok", "a b"])),
+        (str, np.array(["ok", "#c"])),
+        (str, np.array(["ok", ""])),
+        (str, np.array(["ok", "x#y"])),
+        (str, np.array(["ok", "tab\there"])),
+        (str, np.array(["ok", "line\nbreak"])),
+        (str, np.array(["ok", "nul\x00"], dtype=object)),
+    ],
+    ids=["int64_in_int32", "uint64_in_int64", "negative_in_uint8", "space", "leading_hash", "empty", "inner_hash", "tab", "newline", "nul"],
+)
+def test_write_table_rejects_values_it_cannot_read_back(tmp_path, kind, values):
+    path = tmp_path / "t.txt"
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*column 'v'"):
+        formats.write_table(path, [("i", np.int64), ("v", kind)], [np.arange(2), values])
+    assert not path.exists() and not formats.twin_path(path).exists()
+
+
+@pytest.mark.parametrize("text", ["two\nlines", "carriage\rreturn"])
+def test_writers_reject_a_header_of_more_than_one_line(tmp_path, text):
+    path = tmp_path / "t"
+    with pytest.raises(ValueError, match="one line"):
+        formats.write_table(path, [("a", np.int64)], [np.arange(2)], header=text)
+    with pytest.raises(ValueError, match="one line"):
+        formats.write_ply(path, [formats.XYZ], [np.zeros((2, 3))], comment=text)
+    assert not path.exists() and not formats.twin_path(path).exists()
+
+
+# NaNs of either sign, quiet and signalling: every one prints as 'nan'
+ODD_NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF0000000000001], np.uint64).view(np.float64)
+TWIN_KINDS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.float64, np.float32, ("false", "true"), ("direct", "indirect", "rejected"), str]
+
+
+def _values(kind):
+    """Hypothesis strategy for one value of a declared kind, and the dtype it is handed over in."""
+    if isinstance(kind, tuple):
+        return st.integers(0, len(kind) - 1), np.int64
+    if kind is str:
+        bare = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00#"), min_size=1, max_size=6)
+        return st.one_of(st.sampled_from(["nan", "0.5", "-0", "true"]), bare.filter(lambda s: s.split() == [s])), str
+    if np.dtype(kind).kind == "f":
+        edge = st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 3.4028235677973366e38, *ODD_NANS])
+        return st.one_of(st.floats(), edge), np.float64
+    info = np.iinfo(kind)
+    return st.integers(int(info.min), int(info.max)), np.int64
+
+
+@st.composite
+def declared_rows(draw):
+    """(declaration, one array per entry, whether the file is a PLY, its header or comment)."""
+    kinds = draw(st.lists(st.sampled_from(TWIN_KINDS), min_size=1, max_size=4))
+    n = draw(st.integers(0, 6))
+    columns, arrays, at = [], [], 0
+    for kind in kinds:
+        width = draw(st.integers(1, 3))
+        names = tuple(f"c{at + i}" for i in range(width))
+        at += width
+        value, dtype = _values(kind)
+        flat = np.array(draw(st.lists(value, min_size=n * width, max_size=n * width)), dtype=dtype)
+        if not isinstance(kind, tuple) and kind is not str and draw(st.booleans()):
+            with np.errstate(all="ignore"):  # a float32 overflows to inf
+                flat = flat.astype(kind)  # handed over in the declared type, or one it casts from
+        arrays.append(flat.reshape(n, width) if width > 1 else flat)
+        columns.append((names if width > 1 else names[0], kind))
+    header = draw(st.none() | st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\r\n"), max_size=8))
+    return columns, arrays, draw(st.booleans()), header
+
+
+def _outcome(read, path, columns):
+    """What reading ``path`` gives: its arrays, or the type of the ValueError it raises."""
+    try:
+        return read(path, columns)
+    except ValueError as exc:  # FormatError, or a UnicodeDecodeError for a cut multibyte character
+        return type(exc)
+
+
+def _text_parse(read, path, columns):
+    aside = path.with_name("aside")
+    twin = formats.twin_path(path)
+    twin.rename(aside)
+    try:
+        return _outcome(read, path, columns)
+    finally:
+        aside.rename(twin)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def _other_kind(kind):
+    return np.int64 if isinstance(kind, tuple) or kind is str or np.dtype(kind).kind == "f" else np.float64
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=declared_rows(), edit=st.sampled_from(["none", "text_edited", "text_truncated", "text_replaced", "twin_truncated", "twin_corrupt", "other_declaration"]), where=st.floats(0, 1, exclude_max=True), flip=st.integers(1, 255))
+def test_twin_is_the_text_parse_and_ignored_once_either_changes(case, edit, where, flip):
+    columns, arrays, ply, header = case
+    write = functools.partial(formats.write_ply, comment=header) if ply else functools.partial(formats.write_table, header=header)
+    read = formats.read_ply if ply else (lambda p, c: formats.read_table(p, c)[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t"
+        twin = formats.twin_path(path)
+        write(path, columns, arrays)
+        parsed = _text_parse(read, path, columns)
+        _assert_same_outcome(formats._read_twin(path, columns), parsed)
+        _assert_same_outcome(read(path, columns), parsed)
+        if edit == "none":
+            return
+        if edit == "text_edited":
+            path.write_bytes(path.read_bytes() + b"\n")
+        elif edit == "text_truncated":
+            text = path.read_bytes()
+            path.write_bytes(text[: int(where * len(text))])
+        elif edit == "text_replaced":
+            other = Path(tmp) / "other"  # one row fewer where there is one, and a comment line more
+            write(other, columns, [a[: max(len(a) - 1, 0)] for a in arrays], **{"comment" if ply else "header": f"{header}+"})
+            path.write_bytes(other.read_bytes())
+        elif edit == "twin_truncated":
+            data = twin.read_bytes()
+            twin.write_bytes(data[: int(where * len(data))])
+        elif edit == "twin_corrupt":
+            data = bytearray(twin.read_bytes())
+            data[int(where * len(data))] ^= flip
+            twin.write_bytes(bytes(data))
+        else:
+            (names, kind), *rest = columns
+            columns = [(names, _other_kind(kind))] + rest
+        assert formats._read_twin(path, columns) is None
+        _assert_same_outcome(_outcome(read, path, columns), _text_parse(read, path, columns))
+
+
+def test_twin_with_any_byte_changed_or_cut_off_is_ignored(tmp_path):
+    path = tmp_path / "t.txt"
+    columns = [("i", np.int64), (("x", "y"), float), ("flag", ("false", "true")), "s"]
+    formats.write_table(path, columns, [np.arange(3), np.array([[0.0, -0.0], [np.nan, np.inf], [1 / 3, 5e-324]]), [0, 1, 1], ["a", "bb", "c"]])
+    twin = formats.twin_path(path)
+    data = twin.read_bytes()
+    assert formats._read_twin(path, columns) is not None
+    for at in range(len(data)):
+        twin.write_bytes(data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :])
+        assert formats._read_twin(path, columns) is None, at
+        twin.write_bytes(data[:at])
+        assert formats._read_twin(path, columns) is None, at
+
+
+def test_ply_read_under_another_declaration_ignores_the_twin(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 7
+    cloud = DiffuseCloud(rng.normal(size=(n, 3)), rng.integers(0, 9, (n, 2), dtype=np.int32), rng.normal(size=(n, 2)), rng.random(n), rng.random(n))
+    path = tmp_path / "diffuse.ply"
+    cloud.save_ply(path)
+    assert formats._read_twin(path, CLOUD_COLUMNS) is not None
+    assert formats._read_twin(path, SPECULAR_COLUMNS) is None
+    (points,) = formats.read_ply(path, SPECULAR_COLUMNS)
+    assert points.tobytes() == cloud.position.tobytes()
+    assert_same_value(DiffuseCloud.load_ply(path), cloud)
+
+
+def test_loader_checks_run_on_twin_arrays(tmp_path):
+    # a table the writer accepts but GroundTruth.load_text rejects: the twin
+    # is used, and the loader still refuses it
+    gt = two_path_truth()
+    paths = tmp_path / "gt.txt", tmp_path / "gt_events.txt"
+    gt.save_text(*paths)
+    formats.write_table(paths[1], EVENT_TRUTH_COLUMNS, [np.array([5, 0]), gt.sweep[:2], gt.step[:2], gt.step_time_us[:2]])
+    assert formats._read_twin(paths[1], EVENT_TRUTH_COLUMNS) is not None
+    with pytest.raises(formats.FormatError, match="has path 5"):
+        GroundTruth.load_text(*paths)

@@ -1,7 +1,8 @@
 """Transient memory of decode, triangulation and ground-truth I/O, per row, under tracemalloc.
 
 The budgets hold the whole-length temporaries of ``intersect_sweeps``,
-``triangulate_direct`` and ``GroundTruth.save_text``/``load_text`` down.
+``triangulate_direct`` and ``GroundTruth.save_text``/``load_text`` down, and
+the binary twin of a table to a constant beyond the arrays it is written from.
 Measured on these inputs (numpy allocations are traced):
 
 - ``intersect_sweeps`` peaks at 94 B per clustered event (190 B with the
@@ -11,7 +12,9 @@ Measured on these inputs (numpy allocations are traced):
   arrays for every step);
 - ``GroundTruth.save_text`` at 111 B and ``load_text`` at 62 B per event,
   four events per light path (226 B and 159 B when the file had one row per
-  event, each with its path's annotation written out).
+  event, each with its path's annotation written out);
+- the twin of an event, light-path or event-truth table at a few KiB,
+  whatever its length, when its arrays already have their parsed types.
 """
 
 import tempfile
@@ -21,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from conftest import small_rig
-from eventscan import decode
+from eventscan import decode, formats
 from eventscan.decode import CorrespondenceSet
-from eventscan.events import EventStream, GroundTruth
+from eventscan.events import EVENT_COLUMNS, EVENT_TRUTH_COLUMNS, PATH_COLUMNS, UNANNOTATED, EventStream, GroundTruth
 from eventscan.geometry import pixel_directions, project_points
 from eventscan.scene import ScanSchedule
 from eventscan.separate import DIRECT, ClassifiedSet
@@ -33,6 +36,7 @@ INTERSECT_BYTES_PER_EVENT = 120
 TRIANGULATE_BYTES_PER_POINT = 180
 TRUTH_SAVE_BYTES_PER_EVENT = 140
 TRUTH_LOAD_BYTES_PER_EVENT = 80
+TWIN_WRITE_BYTES = 64 << 10
 
 SCHED = ScanSchedule(801, 80100, 5000)
 
@@ -106,3 +110,17 @@ def test_ground_truth_text_transient_bytes_per_event():
     assert len(back) == len(gt) == 200_000 and len(back.bounce) == 50_000
     assert save_peak / len(gt) <= TRUTH_SAVE_BYTES_PER_EVENT
     assert load_peak / len(gt) <= TRUTH_LOAD_BYTES_PER_EVENT
+
+
+def test_twin_write_allocates_a_constant_beyond_its_arrays():
+    gt = four_events_per_path(50_000, np.random.default_rng(3))
+    events = one_pixel_per_crossing(50_000, np.random.default_rng(4))
+    tables = {
+        "events.txt": (EVENT_COLUMNS, [events.t, events.x, events.y, events.polarity]),
+        "ground_truth.txt": (PATH_COLUMNS, [getattr(gt, name) for name in UNANNOTATED]),
+        "ground_truth_events.txt": (EVENT_TRUTH_COLUMNS, [gt.path, gt.sweep, gt.step, gt.step_time_us]),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (columns, arrays) in tables.items():
+            _, peak = peak_bytes(formats._write_twin, Path(tmp) / name, columns, arrays, "0" * 64)
+            assert peak <= TWIN_WRITE_BYTES, name

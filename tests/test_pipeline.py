@@ -10,10 +10,14 @@ import pytest
 
 from conftest import CONFIGS, REPO
 
-from eventscan import pipeline
+from eventscan import formats, pipeline
 from eventscan.cli import main as cli_main
-from eventscan.events import EventStream, GroundTruth
+from eventscan.decode import CORRESPONDENCE_COLUMNS
+from eventscan.deflectometry import RESIDUAL_COLUMNS
+from eventscan.events import EVENT_COLUMNS, EVENT_TRUTH_COLUMNS, PATH_COLUMNS, EventStream, GroundTruth
 from eventscan.pipeline import STAGES, ConfigError, PipelineConfig, StageError, load_config, run_pipeline
+from eventscan.separate import CLASSIFIED_COLUMNS
+from eventscan.triangulate import CLOUD_COLUMNS, SCREEN_COLUMNS
 
 
 def write_cfg(tmp_path, body):
@@ -139,6 +143,15 @@ def test_full_run_artifacts(mirror_run):
     for name in expected:
         assert (out / name).exists(), name
     manifest = json.loads((out / "manifest.json").read_text())
+    tables = {
+        "events.txt": EVENT_COLUMNS, "ground_truth.txt": PATH_COLUMNS, "ground_truth_events.txt": EVENT_TRUTH_COLUMNS,
+        "correspondences.txt": CORRESPONDENCE_COLUMNS, "classified.txt": CLASSIFIED_COLUMNS, "diffuse.ply": CLOUD_COLUMNS,
+        "screen.txt": SCREEN_COLUMNS, "specular.ply": pipeline.SPECULAR_COLUMNS, "residuals.txt": RESIDUAL_COLUMNS,
+        "metrics.tsv": pipeline.METRICS_COLUMNS,
+    }
+    for name, columns in tables.items():  # each table and PLY file has a binary twin that matches it
+        assert formats.twin_path(out / name).name in manifest["artifacts"], name
+        assert formats._read_twin(out / name, columns) is not None, name
     assert manifest["config"]["tau_px"] == 2.0
     assert manifest["numbers"]["uncovered"] == 0
     assert "deflect" in manifest["stages"]
@@ -359,6 +372,17 @@ def test_non_finite_scene_value_rejected_before_writing(tmp_path, section, key, 
         pipeline.load_run_scene(load_config(cfg_path))
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_unknown_shape_kind_names_its_section_and_key(tmp_path):
+    scene = tmp_path / "cube.scene"
+    scene.write_text((REPO / "scenes" / "plane.scene").read_text().replace("shape = plane", "shape = cube", 1))
+    cfg_path = write_cfg(tmp_path, f"scene = {scene}\n")
+    with pytest.raises(ConfigError, match=r"cube\.scene: section \[object\] key 'shape': unknown shape kind 'cube'"):
+        pipeline.load_run_scene(load_config(cfg_path))
+    out = tmp_path / "out"
     assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert not out.exists()
 
