@@ -15,6 +15,7 @@ the store. Both paths therefore run the same code on the same inputs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -394,6 +395,17 @@ def stage_metrics(cfg: PipelineConfig, out: Path, cloud: DiffuseCloud, classifie
 # --- the driver ----------------------------------------------------------------
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    import ctypes
+
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
 def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | None = None) -> list:
     """Run ``stages`` in chain order; returns (stage, summary, ran) per stage.
 
@@ -471,6 +483,11 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
                 ran = False
                 summary = "skipped: " + ("diffuse-only mode" if not mixed else "no indirect correspondences")
             done.append((stage, summary, ran))
+            # glibc keeps the pages a stage freed while any chunk above them is
+            # in use, so the next stage's peak would stack on them by an amount
+            # that shifts with heap layout; hand them back
+            if trim := _malloc_trim():
+                trim(0)
     except Exception as exc:
         out.mkdir(parents=True, exist_ok=True)
         failed.write_text(f"stage = {stage}\nerror = {exc}\n")
