@@ -117,6 +117,14 @@ def step_table(sweep, step, time) -> np.ndarray:
     return np.stack([np.asarray(col, dtype=np.int64)[rows] for col in (sweep, step, time)], axis=1)
 
 
+def check_label(label: str) -> None:
+    """ValueError unless the ground truth's ``# labels:`` line can carry the
+    object label ``label``: the line is split at whitespace, and ``-`` alone
+    stands for no labels."""
+    if label.split() != [label] or label == "-":
+        raise ValueError(f"label {label!r} must be one token without whitespace, and not '-'")
+
+
 @dataclass
 class GroundTruth:
     """Simulator annotations: one row per light path, one path index per event.
@@ -198,7 +206,13 @@ class GroundTruth:
         return out
 
     def save_text(self, path, events_path) -> None:
-        """One row per light path to ``path``, one row per event to ``events_path``."""
+        """One row per light path to ``path``, one row per event to ``events_path``.
+
+        ValueError, before either file is opened, for a label that the
+        ``# labels:`` line cannot carry (see ``check_label``).
+        """
+        for label in self.labels:
+            check_label(label)
         header = "labels: " + (" ".join(self.labels) if self.labels else "-")
         formats.write_table(path, PATH_COLUMNS, [getattr(self, name) for name in UNANNOTATED], header=header)
         formats.write_table(events_path, EVENT_TRUTH_COLUMNS, [self.path, self.sweep, self.step, self.step_time_us])
@@ -211,7 +225,7 @@ class GroundTruth:
         [-1, number of paths), or one (sweep, step) with two step times.
         """
         labels: tuple = ()
-        with open(path) as f:
+        with formats.open_text(path) as f:
             first = f.readline().strip()
         if first.startswith("# labels:"):
             rest = first[len("# labels:") :].split()

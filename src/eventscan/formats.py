@@ -15,37 +15,42 @@ of names from the tuple ``names``, held as int8 indices into it; and
 ``np.loadtxt`` pass: integers never go through float.
 
 The writers share one path. Before the file is opened it checks every
-column and refuses, with ValueError, a value its reader would not give back:
-an integer column must hold integers within its dtype, a names column codes
-in ``[0, len(names))``, a bare string must be non-empty and free of
-whitespace, ``#`` and NUL, all columns must have one length, and a header or
-comment must be one line. It formats each distinct value of a column once:
-numbers keyed by ``np.unique`` (floats on their bit pattern, so ``-0.0``
-stays ``-0``), names from their tuple, bare strings value by value. The body
-is then gathered from those texts by index and written a fixed block of rows
-at a time, so no whole-column list or whole body string is ever built. Every
-reader raises ``FormatError`` naming the file on a missing header or
+field and builds its record, the array the reader returns for that entry,
+refusing with ValueError a value its reader would not give back: an
+integer column must hold integers within its dtype, a float column
+numbers, a names column codes in ``[0, len(names))``, a bare string must
+be non-empty UTF-8 free of whitespace, ``#`` and NUL, all columns must
+have one length, and a header or comment must be one line of UTF-8. The
+text is then
+written from those records ``_BLOCK_ROWS`` rows at a time, so at most one
+block of text exists at once: each distinct value of a block's column is
+formatted once (floats keyed on their bit pattern, so ``-0.0`` stays
+``-0``), and each block is encoded once as UTF-8, written and hashed.
+Every reader decodes text as UTF-8 and raises ``FormatError`` naming the
+file on a byte sequence that does not decode, a missing header or
 property, a wrong field count, an unparsable or unknown token, or a body
 that does not match its header.
 
-Every table and PLY file ``F`` gets a binary twin ``F.cols``, written after
-the text and after its formatted values are freed. The twin holds a header
-line with the declaration (each entry's names, kind and parsed dtype), each
-record's dtype, the row count and the sha256 of the text bytes as they were
-written; then one ``.npy`` record per declaration entry, holding exactly the
-array the text parses to (same dtype, shape and bits; every NaN is the
-positive quiet NaN that ``nan`` parses to); then the sha256 of every twin
-byte before it, so a truncated or corrupt twin is never used. The text is
-the contract. ``read_table`` and ``read_ply(path, columns)`` return the
-twin's arrays only when the twin reads cleanly, was written under the
-caller's declaration and records the sha256 of the text file's current
-bytes, and otherwise parse the text. A hand-edited, truncated or
-hand-written text file is therefore always what a caller sees, and every
-loader runs its checks on what either path returns.
+Every table and PLY file ``F`` gets a binary twin ``F.cols``, written
+after the text from the same records, so the two agree by construction.
+The twin holds a header line with the declaration (each entry's names,
+kind and parsed dtype), each record's dtype, the row count and the sha256
+of the text bytes as they were written; then one ``.npy`` record per
+declaration entry, holding exactly the array the text parses to (same
+dtype, shape and bits; every NaN is the positive quiet NaN that ``nan``
+parses to); then the sha256 of every twin byte before it, so a truncated
+or corrupt twin is never used. The text is the contract. ``read_table``
+and ``read_ply(path, columns)`` return the twin's arrays only when the
+twin reads cleanly, was written under the caller's declaration and
+records the sha256 of the text file's current bytes, and otherwise parse
+the text. A hand-edited, truncated or hand-written text file is therefore
+always what a caller sees, and every loader runs its checks on what
+either path returns.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import os
@@ -127,6 +132,17 @@ class Section:
         return arr
 
 
+@contextlib.contextmanager
+def open_text(path):
+    """``path`` opened for reading as UTF-8 text; a byte sequence that does
+    not decode, wherever it is read, is a FormatError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_sections(path) -> list[Section]:
     """Parse a sectioned key-value document.
 
@@ -135,7 +151,9 @@ def read_sections(path) -> list[Section]:
     """
     sections: list[Section] = []
     current: Section | None = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    with open_text(path) as f:
+        text = f.read()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -165,7 +183,7 @@ def write_sections(path, sections: list[Section], header: str | None = None) -> 
         for key, value in sec.pairs.items():
             lines.append(f"{key} = {value}")
         lines.append("")
-    Path(path).write_text("\n".join(lines))
+    Path(path).write_text("\n".join(lines), encoding="utf-8")
 
 
 def _entries(columns):
@@ -189,104 +207,119 @@ def _column_names(columns) -> list[str]:
 _BLOCK_ROWS = 1 << 13
 
 
-def _narrow(index: np.ndarray, count: int) -> np.ndarray:
-    """``index`` into ``count`` values, in the smallest unsigned type that holds it."""
-    return index.astype(np.min_scalar_type(max(count - 1, 0)))
-
-
-def _strings(col: np.ndarray) -> np.ndarray:
-    """The text of each value of a bare string column, as an object array."""
-    return np.array(["%s" % v for v in col.tolist()], dtype=object)
-
-
-def _distinct_texts(path, name: str, kind, col: np.ndarray):
-    """(text of each distinct value, index of each row's value into it) for one column.
-
-    A bare string column is formatted value by value and its index is None:
-    row i reads text i. A float column is keyed on its bit pattern, because
-    ``-0.0 == 0.0`` but they print ``-0`` and ``0``. ValueError for a value
-    the reader would not give back.
-    """
-    where = f"{path}: column '{name}'"
-    if isinstance(kind, tuple):
-        if col.dtype.kind not in "biu" or (col.size and not 0 <= col.min() <= col.max() < len(kind)):
-            raise ValueError(f"{where} must hold integer codes in [0, {len(kind)})")
-        return np.array(kind, dtype=object), _narrow(col, len(kind))
-    if np.dtype(kind).kind == "U":
-        texts = _strings(col)
-        # the reader splits a row at whitespace, cuts it at '#' and drops a trailing NUL
-        bad = next((text for text in texts if text.split() != [text] or "#" in text or "\0" in text), None)
-        if bad is not None:
-            raise ValueError(f"{where} holds {bad!r}: a bare string must be non-empty, without whitespace, '#' or NUL")
-        return texts, None
-    floats = np.dtype(kind).kind == "f"
-    if col.dtype.kind not in ("biuf" if floats else "biu"):
-        raise ValueError(f"{where} is declared {np.dtype(kind)} but got {col.dtype} values")
-    if not floats and col.size:
-        info, low, high = np.iinfo(kind), int(col.min()), int(col.max())
-        if low < info.min or high > info.max:
-            raise ValueError(f"{where} holds {low if low < info.min else high}, outside {np.dtype(kind)} [{info.min}, {info.max}]")
-    key = np.ascontiguousarray(col, dtype=np.float64).view(np.uint64) if floats else col
-    distinct, index = np.unique(key, return_inverse=True)
-    values = distinct.view(np.float64) if floats else distinct
-    spec = "%.17g" if floats else "%d"  # %.17g round-trips float64 exactly
-    return np.array([spec % v for v in values.tolist()], dtype=object), _narrow(index, len(distinct))
-
-
 def _columns_of(names, field: np.ndarray):
     """The columns of one declared field: itself for one name, its rows' entries for k names."""
     return field.T if len(names) > 1 else [field]
 
 
-def _write_body(path, head, columns, fields: list) -> str:
-    """Write the lines ``head(row count)``, then one line per row; returns the sha256 of the bytes written.
+def _utf8(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8, that is, holds no lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
-    Each distinct value of every column is formatted before the file is
-    opened; the body is then gathered and written ``_BLOCK_ROWS`` rows at a
-    time. The formatted values are freed when this returns.
+
+def _record(path, names, kind, parsed, field: np.ndarray) -> np.ndarray:
+    """The array the reader returns for one declaration entry, from the values written.
+
+    ValueError, naming the column, for a value the reader would not give
+    back. No copy when ``field`` already has the parsed type and C order and
+    holds no NaN.
     """
+    texts = []  # a bare string column's values, as the text writes them
+    for name, col in zip(names, _columns_of(names, field)):
+        where = f"{path}: column '{name}'"
+        if isinstance(kind, tuple):
+            if col.dtype.kind not in "biu" or (col.size and not 0 <= col.min() <= col.max() < len(kind)):
+                raise ValueError(f"{where} must hold integer codes in [0, {len(kind)})")
+        elif np.dtype(kind).kind == "U":
+            texts.append(list(map(str, col.tolist())))
+            # the reader splits a row at whitespace, cuts it at '#' and drops a trailing NUL
+            bad = next((text for text in texts[-1] if text.split() != [text] or "#" in text or "\0" in text or not _utf8(text)), None)
+            if bad is not None:
+                raise ValueError(f"{where} holds {bad!r}: a bare string must be non-empty UTF-8, without whitespace, '#' or NUL")
+        elif col.dtype.kind not in ("biuf" if np.dtype(kind).kind == "f" else "biu"):
+            raise ValueError(f"{where} is declared {np.dtype(kind)} but got {col.dtype} values")
+        elif np.dtype(kind).kind != "f" and col.size:
+            info, low, high = np.iinfo(kind), int(col.min()), int(col.max())
+            if low < info.min or high > info.max:
+                raise ValueError(f"{where} holds {low if low < info.min else high}, outside {np.dtype(kind)} [{info.min}, {info.max}]")
+    if isinstance(kind, tuple):
+        # a bool field's bytes already are its codes
+        return np.ascontiguousarray(field.view(np.int8) if field.dtype == bool else field, dtype=np.int8)
+    if texts:
+        cols = [np.array(col, dtype=str) for col in texts]
+        return np.stack(cols, axis=1) if len(names) > 1 else cols[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a float64 beyond a narrower float type parses as inf, as it casts
+        record = np.ascontiguousarray(field, dtype=parsed)
+    # every NaN prints as 'nan', which parses as the positive quiet NaN
+    if record.dtype.kind == "f" and record.size and np.isnan(record.min()):
+        record = np.where(np.isnan(record), np.nan, record)
+    return record
+
+
+def _texts(kind, col: np.ndarray) -> list:
+    """The text of each value of one record column, each distinct value formatted once.
+
+    Floats are keyed on their bit pattern, because ``-0.0 == 0.0`` but they
+    print ``-0`` and ``0``; ``%.17g`` round-trips float64 exactly.
+    """
+    if isinstance(kind, tuple):
+        return np.array(kind, dtype=object)[col].tolist()
+    if col.dtype.kind == "U":
+        return col.tolist()
+    floats = col.dtype.kind == "f"
+    key = np.ascontiguousarray(col, dtype=np.float64).view(np.uint64) if floats else col
+    distinct, index = np.unique(key, return_inverse=True)
+    values = distinct.view(np.float64) if floats else distinct
+    spec = "%.17g" if floats else "%d"
+    return np.array([spec % v for v in values.tolist()], dtype=object)[index].tolist()
+
+
+def _write_body(path, head, columns, records: list) -> str:
+    """Write the lines ``head(row count)``, then one line per row of ``records``,
+    ``_BLOCK_ROWS`` rows at a time; returns the sha256 of the bytes written."""
     import hashlib  # here, not at the top: a run that writes no file should not pay its import
 
-    texts = [
-        _distinct_texts(path, name, kind, col)
-        for (names, kind, _), field in zip(_entries(columns), fields)
-        for name, col in zip(names, _columns_of(names, field))
-    ]
-    n = len(fields[0]) if fields else 0
+    n = len(records[0]) if records else 0
     digest = hashlib.sha256()
-    with open(path, "w") as f:
+    with open(path, "wb") as f:
 
-        def put(text: str) -> None:
-            f.write(text)
-            digest.update(text.encode(f.encoding))
+        def put(lines) -> None:
+            data = ("\n".join(lines) + "\n").encode("utf-8")
+            f.write(data)
+            digest.update(data)
 
-        put("\n".join(head(n)) + "\n")
+        put(head(n))
         for start in range(0, n, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            cols = [(text[block] if index is None else text[index[block]]).tolist() for text, index in texts]
-            put("\n".join(map(" ".join, zip(*cols))) + "\n")
+            block = (record[start : start + _BLOCK_ROWS] for record in records)
+            # a generator, so one block's texts are freed before the next block's are made
+            texts = (_texts(kind, col) for (names, kind, _), rows in zip(_entries(columns), block) for col in _columns_of(names, rows))
+            put(map(" ".join, zip(*texts)))
     return digest.hexdigest()
 
 
 def _write_text(path, head, columns, arrays) -> None:
-    """The text file of ``_write_body`` and then its twin.
+    """Check every field and build its record, then write the text and the twin from the records.
 
-    Every field is checked against its declaration entry's shape and the
-    first field's length, and the head lines for a line break, before
-    anything is formatted or opened.
+    The head lines are checked for a line break or a character UTF-8 cannot
+    encode, and every field against its declaration entry's shape and the
+    first field's length, before any file is opened.
     """
-    if any(c in line for line in head(0) for c in "\r\n"):
-        raise ValueError(f"{path}: a header or comment must be one line")
-    fields, first = [], None  # first: (name, row count) of the first field
-    for (names, _, _), field in zip(_entries(columns), arrays, strict=True):
+    if any(c in line for line in head(0) for c in "\r\n") or not _utf8("".join(head(0))):
+        raise ValueError(f"{path}: a header or comment must be one line of UTF-8 text")
+    records, first = [], None  # first: (name, row count) of the first field
+    for (names, kind, parsed), field in zip(_entries(columns), arrays, strict=True):
         field = np.asarray(field)
         if field.shape[1:] != ((len(names),) if len(names) > 1 else ()):
             raise ValueError(f"{path}: columns {' '.join(names)} got an array of shape {field.shape}")
         first = first or (names[0], len(field))
         if len(field) != first[1]:
             raise ValueError(f"{path}: column '{names[0]}' has {len(field)} rows, column '{first[0]}' {first[1]}")
-        fields.append(field)
-    _write_twin(path, columns, fields, _write_body(path, head, columns, fields))
+        records.append(_record(path, names, kind, parsed, field))
+    _write_twin(path, columns, records, _write_body(path, head, columns, records))
 
 
 # --- binary twins ----------------------------------------------------------------
@@ -307,26 +340,6 @@ def _signature(columns) -> list:
     ]
 
 
-def _record(kind, parsed, names, field: np.ndarray) -> np.ndarray:
-    """The array the reader returns for one declaration entry, from the values written.
-
-    No copy when ``field`` already has the parsed type and C order and holds
-    no NaN.
-    """
-    if isinstance(kind, tuple):
-        # a bool field's bytes already are its codes
-        return np.ascontiguousarray(field.view(np.int8) if field.dtype == bool else field, dtype=np.int8)
-    if np.dtype(kind).kind == "U":
-        cols = [_strings(col).astype(str) for col in _columns_of(names, field)]
-        return np.stack(cols, axis=1) if len(names) > 1 else cols[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # a float64 beyond a narrower float type parses as inf, as it casts
-        record = np.ascontiguousarray(field, dtype=parsed)
-    # every NaN prints as 'nan', which parses as the positive quiet NaN
-    if record.dtype.kind == "f" and record.size and np.isnan(record.min()):
-        record = np.where(np.isnan(record), np.nan, record)
-    return record
-
-
 def _npy_header(dtype: np.dtype, shape: tuple) -> bytes:
     """The .npy version 1.0 header of a C-ordered array."""
     out = io.BytesIO()
@@ -335,17 +348,16 @@ def _npy_header(dtype: np.dtype, shape: tuple) -> bytes:
     return out.getvalue()
 
 
-def _write_twin(path, columns, fields: list, text_sha256: str) -> None:
+def _write_twin(path, columns, records: list, text_sha256: str) -> None:
     """Write ``path``'s twin: the header line, one .npy record per entry, then
     the sha256 of every byte before it."""
     import hashlib
     import json
 
-    records = [_record(kind, parsed, names, field) for (names, kind, parsed), field in zip(_entries(columns), fields)]
     head = {
         "columns": _signature(columns),
         "dtypes": [record.dtype.str for record in records],
-        "rows": len(fields[0]) if fields else 0,
+        "rows": len(records[0]) if records else 0,
         "text_sha256": text_sha256,
     }
     digest = hashlib.sha256()
@@ -417,7 +429,8 @@ def write_table(path, columns, arrays, header: str | None = None) -> None:
     """Whitespace-separated table with a ``# col1 col2 ...`` header line.
 
     ``arrays`` holds one array per entry of the ``columns`` declaration, in
-    any iterable; each is kept until the twin is written.
+    any iterable; the record built from each is kept until the twin is
+    written, and is the array itself when it already has the parsed type.
     """
     head = ([f"# {header}"] if header else []) + ["# " + " ".join(_column_names(columns))]
     _write_text(path, lambda n: head, columns, arrays)
@@ -463,7 +476,7 @@ def read_table(path, columns):
     twin = _read_twin(path, columns)
     if twin is not None:
         return expected, twin
-    with open(path) as f:
+    with open_text(path) as f:
         found = False
         head_lines = 0
         while line := f.readline():
@@ -513,7 +526,7 @@ def read_ply(path, columns=None):
     twin = _read_twin(path, columns) if columns is not None else None
     if twin is not None:
         return twin
-    with open(path) as f:
+    with open_text(path) as f:
         if f.readline().rstrip("\r\n") != "ply":
             raise FormatError(f"{path}: not a PLY file")
         props: list[str] = []

@@ -254,7 +254,7 @@ def _load_specular(paths):
 def _save_metrics(paths, report: dict) -> None:
     rows = sorted(report.items())
     lines = [f"{k} = {formats.fmt(v)}" for k, v in rows]
-    paths[0].write_text("\n".join(["# eventscan metrics report"] + lines) + "\n")
+    paths[0].write_text("\n".join(["# eventscan metrics report"] + lines) + "\n", encoding="utf-8")
     formats.write_table(paths[1], METRICS_COLUMNS, [[k for k, _ in rows], [formats.fmt(v) for _, v in rows]])
 
 
@@ -490,7 +490,7 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
                 trim(0)
     except Exception as exc:
         out.mkdir(parents=True, exist_ok=True)
-        failed.write_text(f"stage = {stage}\nerror = {exc}\n")
+        failed.write_text(f"stage = {stage}\nerror = {exc}\n", encoding="utf-8")
         raise StageError(stage, exc) from exc
     return done
 
@@ -533,7 +533,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir) -> RunReport:
         "numbers": {k: (float(v) if isinstance(v, (np.floating, float)) else int(v) if isinstance(v, (np.integer, int)) else v) for k, v in numbers.items()},
         "artifacts": sorted(p.name for p in out.iterdir() if p.is_file() and p.name != MANIFEST),
     }
-    (out / MANIFEST).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    (out / MANIFEST).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return RunReport(out, stages_done, numbers, manifest)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formats
+from .events import check_label
 from .formats import FormatError, Section
 from .geometry import PinholeModel, require_finite, unit
 
@@ -272,7 +273,12 @@ def _object_from_section(sec: Section) -> SceneObject:
         shape = TriangleMesh(verts, faces)
     else:
         raise FormatError(f"section [{sec.name}] key 'shape': unknown shape kind {kind!r}, expected plane, sphere or mesh")
-    return SceneObject(shape, material, sec.get_str("label"))
+    label = sec.get_str("label")
+    try:
+        check_label(label)
+    except ValueError as exc:
+        raise FormatError(f"section [{sec.name}] key 'label': {exc}") from None
+    return SceneObject(shape, material, label)
 
 
 def load_scene(path) -> SceneFile:

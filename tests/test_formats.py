@@ -188,6 +188,14 @@ def test_ground_truth_rejects_unknown_on_epipolar(tmp_path):
         GroundTruth.load_text(*paths)
 
 
+@pytest.mark.parametrize("label", ["back wall", "-", ""], ids=["space", "dash", "empty"])
+def test_ground_truth_refuses_a_label_its_header_cannot_carry(tmp_path, label):
+    paths = tmp_path / "gt.txt", tmp_path / "gt_events.txt"
+    with pytest.raises(ValueError, match="label"):
+        dataclasses.replace(two_path_truth(), labels=(label,)).save_text(*paths)
+    assert not any(path.exists() or formats.twin_path(path).exists() for path in paths)
+
+
 @pytest.mark.parametrize(
     "file, old, new, match",
     [
@@ -329,6 +337,30 @@ def test_table_malformed_raises_format_error(tmp_path):
     path.write_text("# a b\n1 x\n")
     with pytest.raises(formats.FormatError, match=re.escape(path.name)):
         formats.read_table(path, [("a", np.int64), ("b", float)])
+
+
+def _cut_inside(path, char: str) -> None:
+    """Cut ``path`` one byte into the first ``char``, a multibyte character."""
+    data = path.read_bytes()
+    path.write_bytes(data[: data.index(char.encode()) + 1])
+
+
+@pytest.mark.parametrize("reader", ["table", "ply", "ground_truth"])
+def test_text_cut_inside_a_multibyte_character_names_the_file(tmp_path, reader):
+    path = tmp_path / "t"
+    if reader == "table":
+        formats.write_table(path, [("a", np.int64)], [np.arange(2)], header="caf\u00e9")
+        read = functools.partial(formats.read_table, path, [("a", np.int64)])
+    elif reader == "ply":
+        formats.write_ply(path, [formats.XYZ], [np.zeros((2, 3))], comment="caf\u00e9")
+        read = functools.partial(formats.read_ply, path, [formats.XYZ])
+    else:
+        events = tmp_path / "e"
+        dataclasses.replace(two_path_truth(), labels=("caf\u00e9",)).save_text(path, events)
+        read = functools.partial(GroundTruth.load_text, path, events)
+    _cut_inside(path, "\u00e9")
+    with pytest.raises(formats.FormatError, match=re.escape(str(path)) + ": not UTF-8 text"):
+        read()
 
 
 def test_table_unknown_name_raises_format_error(tmp_path):
@@ -670,6 +702,18 @@ def test_writers_reject_a_header_of_more_than_one_line(tmp_path, text):
     assert not path.exists() and not formats.twin_path(path).exists()
 
 
+def test_writers_reject_text_that_is_not_utf8(tmp_path):
+    # a lone surrogate is a str that no UTF-8 file can hold
+    path = tmp_path / "t"
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*column 'v'.*UTF-8"):
+        formats.write_table(path, [("i", np.int64), "v"], [np.arange(2), np.array(["ok", "lone\udcff"])])
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*UTF-8"):
+        formats.write_table(path, [("a", np.int64)], [np.arange(2)], header="lone\udcff")
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*UTF-8"):
+        formats.write_ply(path, [formats.XYZ], [np.zeros((2, 3))], comment="lone\udcff")
+    assert not path.exists() and not formats.twin_path(path).exists()
+
+
 # NaNs of either sign, quiet and signalling: every one prints as 'nan'
 ODD_NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF0000000000001], np.uint64).view(np.float64)
 TWIN_KINDS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.float64, np.float32, ("false", "true"), ("direct", "indirect", "rejected"), str]
@@ -714,7 +758,7 @@ def _outcome(read, path, columns):
     """What reading ``path`` gives: its arrays, or the type of the ValueError it raises."""
     try:
         return read(path, columns)
-    except ValueError as exc:  # FormatError, or a UnicodeDecodeError for a cut multibyte character
+    except ValueError as exc:
         return type(exc)
 
 

@@ -10,9 +10,14 @@ Measured on these inputs (numpy allocations are traced):
 - ``triangulate_direct`` at 144 B per point (152 B with ``np.cross``, which
   copies both direction arrays; 312 B with (N, 3) origin arrays and new
   arrays for every step);
-- ``GroundTruth.save_text`` at 111 B and ``load_text`` at 62 B per event,
-  four events per light path (226 B and 159 B when the file had one row per
-  event, each with its path's annotation written out);
+- ``GroundTruth.save_text`` at 34 B and ``load_text`` at 62 B per event,
+  four events per light path (111 B per event saved when every column's
+  distinct texts were held until the last row was out; 226 B and 159 B
+  when the file had one row per event, each with its path's annotation
+  written out);
+- a text write at one block of text, 6.5 MiB for a ``DiffuseCloud`` PLY
+  of 50,000 and of 200,000 points alike (29 and 117 MiB when every
+  column's distinct texts were held until the last row was out);
 - the twin of an event, light-path or event-truth table at a few KiB,
   whatever its length, when its arrays already have their parsed types.
 """
@@ -30,13 +35,14 @@ from eventscan.events import EVENT_COLUMNS, EVENT_TRUTH_COLUMNS, PATH_COLUMNS, U
 from eventscan.geometry import pixel_directions, project_points
 from eventscan.scene import ScanSchedule
 from eventscan.separate import DIRECT, ClassifiedSet
-from eventscan.triangulate import triangulate_direct
+from eventscan.triangulate import DiffuseCloud, triangulate_direct
 
 INTERSECT_BYTES_PER_EVENT = 120
 TRIANGULATE_BYTES_PER_POINT = 180
-TRUTH_SAVE_BYTES_PER_EVENT = 140
+TRUTH_SAVE_BYTES_PER_EVENT = 48
 TRUTH_LOAD_BYTES_PER_EVENT = 80
 TWIN_WRITE_BYTES = 64 << 10
+TEXT_WRITE_BYTES = 8 << 20
 
 SCHED = ScanSchedule(801, 80100, 5000)
 
@@ -122,5 +128,23 @@ def test_twin_write_allocates_a_constant_beyond_its_arrays():
     }
     with tempfile.TemporaryDirectory() as tmp:
         for name, (columns, arrays) in tables.items():
-            _, peak = peak_bytes(formats._write_twin, Path(tmp) / name, columns, arrays, "0" * 64)
+            path = Path(tmp) / name
+            entries = zip(formats._entries(columns), arrays, strict=True)
+            records = [formats._record(path, names, kind, parsed, np.asarray(field)) for (names, kind, parsed), field in entries]
+            _, peak = peak_bytes(formats._write_twin, path, columns, records, "0" * 64)
             assert peak <= TWIN_WRITE_BYTES, name
+
+
+def random_cloud(n, rng) -> DiffuseCloud:
+    pixel = rng.integers(0, 1280, (n, 2)).astype(np.int32)
+    return DiffuseCloud(rng.normal(size=(n, 3)) * 100, pixel, rng.uniform(0, 800, (n, 2)), rng.random(n), rng.random(n))
+
+
+def test_text_write_allocates_a_constant_beyond_its_arrays():
+    rng = np.random.default_rng(5)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "diffuse.ply"
+        random_cloud(10, rng).save_ply(path)  # the writers' first call imports what they use
+        peaks = [peak_bytes(random_cloud(n, rng).save_ply, path)[1] for n in (50_000, 200_000)]
+    assert max(peaks) <= TEXT_WRITE_BYTES
+    assert abs(peaks[1] - peaks[0]) <= 256 << 10  # 150,000 rows more, not 2 B per row more

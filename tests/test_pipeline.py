@@ -387,6 +387,52 @@ def test_unknown_shape_kind_names_its_section_and_key(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("label", ["back wall", "-", ""], ids=["space", "dash", "empty"])
+def test_scene_label_the_truth_header_cannot_carry_is_rejected(tmp_path, label):
+    # ground_truth.txt's '# labels:' line splits at whitespace and reads a lone '-' as no labels
+    scene = tmp_path / "bad.scene"
+    scene.write_text((REPO / "scenes" / "plane.scene").read_text().replace("label = plane", f"label = {label}", 1))
+    cfg_path = write_cfg(tmp_path, f"scene = {scene}\n")
+    with pytest.raises(ConfigError, match=r"bad\.scene: section \[object\] key 'label': label "):
+        pipeline.load_run_scene(load_config(cfg_path))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, bad_file", [("run", "config"), ("simulate", "config"), ("run", "scene")])
+def test_input_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command, bad_file):
+    scene = tmp_path / "plane.scene"
+    scene.write_bytes((REPO / "scenes" / "plane.scene").read_bytes() + (b"# caf\xff\n" if bad_file == "scene" else b""))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_bytes(b"[run]\nscene = plane.scene\n" + (b"# caf\xff\n" if bad_file == "config" else b""))
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    bad = cfg_path if bad_file == "config" else scene
+    assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_calibration_file_run_matches_the_from_scene_run(tmp_path):
+    # plane_fast.cfg once from the scene's rig, once from the rig.calib that run wrote
+    shutil.copytree(CONFIGS, tmp_path / "configs")
+    shutil.copytree(REPO / "scenes", tmp_path / "scenes")
+    base = tmp_path / "configs" / "plane_fast.cfg"
+    run_pipeline(load_config(base), tmp_path / "scene_rig")
+    calib = tmp_path / "configs" / "calib_file.cfg"
+    calib.write_text(base.read_text().replace("calibration = from-scene", "calibration = ../scene_rig/rig.calib"))
+    run_pipeline(load_config(calib), tmp_path / "file_rig")
+    names = sorted(p.name for p in (tmp_path / "scene_rig").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "file_rig").iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (tmp_path / "scene_rig" / name).read_bytes() == (tmp_path / "file_rig" / name).read_bytes(), name
+    manifest = json.loads((tmp_path / "file_rig" / "manifest.json").read_text())
+    assert manifest["config"]["calibration"] == "../scene_rig/rig.calib"
+    rig_hash = hashlib.sha256((tmp_path / "scene_rig" / "rig.calib").read_bytes()).hexdigest()
+    assert manifest["input_sha256"]["calibration"] == rig_hash
+
+
 def test_seed_changes_noise_and_manifest(tmp_path):
     body = f"scene = {REPO/'scenes'/'plane.scene'}\njitter_us = 40.0\nfit_diffuse = plane\n"
     p = write_cfg(tmp_path, body)
