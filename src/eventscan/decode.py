@@ -121,10 +121,6 @@ class CorrespondenceSet:
         return CorrespondenceSet(*formats.read_table(path, CORRESPONDENCE_COLUMNS)[1])
 
 
-def _empty_correspondences() -> CorrespondenceSet:
-    return CorrespondenceSet(np.zeros((0, 2), np.int32), np.zeros((0, 2)), np.zeros(0, np.int32), np.zeros(0))
-
-
 def _concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The indices of the ranges ``[starts[i], starts[i] + lens[i])``, concatenated, as int64.
 

@@ -95,26 +95,13 @@ PATH_COLUMNS = (
     (("px", "py"), np.float64), ("on_epipolar", ("false", "true")),
 )
 # ground_truth_events.txt: one row per event; path -1 marks a spurious event
-EVENT_TRUTH_COLUMNS = (("path", np.int32), ("sweep", np.int8), ("step", np.int32), ("step_time_us", np.int64))
+EVENT_TRUTH_COLUMNS = (("path", np.int32), ("sweep", np.int8), ("step", np.int32))
 
 
-def _step_key(sweep, step) -> np.ndarray:
-    return np.asarray(sweep, dtype=np.int64) * (1 << 32) + np.asarray(step, dtype=np.int64)
-
-
-def step_table(sweep, step, time) -> np.ndarray:
-    """One (sweep, step, time) row per distinct (sweep, step), sorted by it.
-
-    ValueError when one pair comes with two times.
-    """
-    keys = _step_key(sweep, step)
-    order = np.argsort(keys, kind="stable")
-    keys, times = keys[order], np.asarray(time)[order]
-    same = keys[1:] == keys[:-1]
-    if np.any(same & (times[1:] != times[:-1])):
-        raise ValueError("one (sweep, step) pair has two step times")
-    rows = order[np.concatenate([[True], ~same])] if len(keys) else order
-    return np.stack([np.asarray(col, dtype=np.int64)[rows] for col in (sweep, step, time)], axis=1)
+def step_time(schedule, sweep: int, step) -> np.ndarray:
+    """Schedule time of projector ``step`` in ``sweep``, the projector-side
+    timestamp: a raster step is timed from where sweep 0 starts."""
+    return schedule.step_time(SWEEP_VERTICAL if sweep == SWEEP_RASTER else sweep, step)
 
 
 def check_label(label: str) -> None:
@@ -138,9 +125,7 @@ class GroundTruth:
     within 2 px of their epipolar line (the acknowledged rare exception).
 
     Per event, ``sweep`` and ``step`` name the projector step that caused it
-    (-1 for spurious events). ``step_times`` holds one (sweep, step, time)
-    row per pair that occurs, sorted by (sweep, step); ``step_time_us`` looks
-    each event's step up in it: the projector-side timestamp.
+    (-1 for spurious events); ``step_time_us`` times it on the scan schedule.
     """
 
     bounce: np.ndarray  # int16, per path
@@ -151,7 +136,6 @@ class GroundTruth:
     path: np.ndarray  # int32 per event, -1 for spurious events
     sweep: np.ndarray  # int8: 0 vertical, 1 horizontal, 2 raster, -1 none
     step: np.ndarray  # int32 projector step index, -1 none
-    step_times: np.ndarray  # (K, 3) int64 rows (sweep, step, time_us)
     labels: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -163,7 +147,6 @@ class GroundTruth:
         self.path = np.asarray(self.path, dtype=np.int32)
         self.sweep = np.asarray(self.sweep, dtype=np.int8)
         self.step = np.asarray(self.step, dtype=np.int32)
-        self.step_times = np.asarray(self.step_times, dtype=np.int64).reshape(-1, 3)
         self.labels = tuple(self.labels)
         if len({len(getattr(self, name)) for name in UNANNOTATED}) > 1:
             raise ValueError("path columns must have equal length")
@@ -181,29 +164,17 @@ class GroundTruth:
         # path -1 reads the appended fill row
         return np.concatenate([col, fill])[self.path[ids]]
 
-    @property
-    def step_time_us(self) -> np.ndarray:
-        """Schedule time of each event's projector step."""
-        table = _step_key(self.step_times[:, 0], self.step_times[:, 1])
-        keys = _step_key(self.sweep, self.step)
-        at = np.searchsorted(table, keys)
-        found = at < len(table)
-        found[found] = table[at[found]] == keys[found]
-        if not found.all():
-            raise ValueError("an event's (sweep, step) is missing from step_times")
-        return self.step_times[at, 2]
+    def step_time_us(self, schedule) -> np.ndarray:
+        """Each event's projector-side timestamp on ``schedule`` (``step_time``); -1 for a spurious event."""
+        out = np.full(len(self), -1, dtype=np.int64)
+        for sweep in (SWEEP_VERTICAL, SWEEP_HORIZONTAL, SWEEP_RASTER):
+            at = self.sweep == sweep
+            out[at] = step_time(schedule, sweep, self.step[at])
+        return out
 
     def take(self, order: np.ndarray) -> "GroundTruth":
-        """The events ``order`` selects, sharing this object's paths.
-
-        A selection of another length than the stream rebuilds ``step_times``
-        to the (sweep, step) pairs its events have, as ``load_text`` would; one
-        of the same length is taken to be a reordering and keeps the table.
-        """
-        out = replace(self, path=self.path[order], sweep=self.sweep[order], step=self.step[order])
-        if len(out) != len(self):
-            out.step_times = step_table(out.sweep, out.step, out.step_time_us)
-        return out
+        """The events ``order`` selects, sharing this object's paths."""
+        return replace(self, path=self.path[order], sweep=self.sweep[order], step=self.step[order])
 
     def save_text(self, path, events_path) -> None:
         """One row per light path to ``path``, one row per event to ``events_path``.
@@ -215,14 +186,15 @@ class GroundTruth:
             check_label(label)
         header = "labels: " + (" ".join(self.labels) if self.labels else "-")
         formats.write_table(path, PATH_COLUMNS, [getattr(self, name) for name in UNANNOTATED], header=header)
-        formats.write_table(events_path, EVENT_TRUTH_COLUMNS, [self.path, self.sweep, self.step, self.step_time_us])
+        formats.write_table(events_path, EVENT_TRUTH_COLUMNS, [self.path, self.sweep, self.step])
 
     @staticmethod
     def load_text(path, events_path) -> "GroundTruth":
         """The ``GroundTruth`` that ``save_text`` wrote.
 
-        FormatError for a path with bounce < 1, an event whose path is outside
-        [-1, number of paths), or one (sweep, step) with two step times.
+        FormatError for a path with bounce < 1, or an event whose path is
+        outside [-1, number of paths), whose sweep is outside {-1, 0, 1, 2}, or
+        whose path, sweep and step are neither all -1 nor all >= 0.
         """
         labels: tuple = ()
         with formats.open_text(path) as f:
@@ -235,12 +207,16 @@ class GroundTruth:
         bad = np.flatnonzero(bounce < 1)
         if len(bad):
             raise formats.FormatError(f"{path}: row {bad[0] + 1} has bounce {bounce[bad[0]]}; a light path has bounce >= 1")
-        _, (path_of, sweep, step, times) = formats.read_table(events_path, EVENT_TRUTH_COLUMNS)
-        bad = np.flatnonzero((path_of < -1) | (path_of >= len(bounce)))
-        if len(bad):
-            raise formats.FormatError(f"{events_path}: row {bad[0] + 1} has path {path_of[bad[0]]}, outside [-1, {len(bounce)})")
-        try:
-            table = step_table(sweep, step, times)
-        except ValueError as exc:
-            raise formats.FormatError(f"{events_path}: {exc}") from None
-        return GroundTruth(*paths, path_of, sweep, step, table, labels)
+        _, (path_of, sweep, step) = formats.read_table(events_path, EVENT_TRUTH_COLUMNS)
+        for bad, says in (
+            ((path_of < -1) | (path_of >= len(bounce)), lambda i: f"path {path_of[i]}, outside [-1, {len(bounce)})"),
+            ((sweep < -1) | (sweep > SWEEP_RASTER), lambda i: f"sweep {sweep[i]}, outside {{-1, 0, 1, 2}}"),
+            (
+                np.where(path_of == -1, (sweep != -1) | (step != -1), (sweep < 0) | (step < 0)),
+                lambda i: f"path {path_of[i]}, sweep {sweep[i]}, step {step[i]}; they are all -1 or all >= 0",
+            ),
+        ):
+            bad = np.flatnonzero(bad)
+            if len(bad):
+                raise formats.FormatError(f"{events_path}: row {bad[0] + 1} has {says(bad[0])}")
+        return GroundTruth(*paths, path_of, sweep, step, labels)

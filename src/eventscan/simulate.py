@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .events import SWEEP_HORIZONTAL, SWEEP_RASTER, SWEEP_VERTICAL, UNANNOTATED, EventStream, GroundTruth, step_table
+from .events import SWEEP_HORIZONTAL, SWEEP_RASTER, SWEEP_VERTICAL, UNANNOTATED, EventStream, GroundTruth, step_time
 from .geometry import (
     PinholeModel,
     epipolar_distances,
@@ -157,7 +157,6 @@ class _Emitter:
         self.n_paths = 0
         self.paths: dict[str, list] = {name: [] for name in UNANNOTATED}
         self.events: dict[str, list] = {name: [] for name in ("t", "x", "y", "polarity", "path", "sweep", "step")}
-        self.step_times: list[np.ndarray] = []
 
     def add_paths(self, bounce, surface, label_idx, proj_pixel, on_epi) -> np.ndarray:
         """Annotate ``len(label_idx)`` new light paths; returns their ids."""
@@ -181,19 +180,15 @@ class _Emitter:
             return
         sched = self.schedule
         if sweep == SWEEP_RASTER:
-            t_on = sched.step_time(0, raster_step)
-            t_off = sched.step_time(0, raster_step + 1)
+            t_on = step_time(sched, sweep, raster_step)
+            t_off = step_time(sched, sweep, raster_step + 1)
             step = raster_step.astype(np.int32)
-            step_time = t_on
         else:
             t_on = sched.crossing_time(sweep, positions)
             t_off = sched.crossing_time(sweep, positions + 1.0)
             start = sched.sweep_start(sweep)
             step = np.floor((t_on - start) * sched.steps_per_sweep / sched.sweep_duration_us).astype(np.int32)
             step = np.clip(step, 0, sched.steps_per_sweep - 1)
-            step_time = sched.step_time(sweep, step)
-        steps, first = np.unique(step, return_index=True)
-        self.step_times.append(np.stack([np.full(len(steps), sweep), steps, step_time[first]], axis=1))
         shared = {
             "x": pixels[:, 0].astype(np.int32),
             "y": pixels[:, 1].astype(np.int32),
@@ -217,9 +212,7 @@ class _Emitter:
         ev = {name: drain(parts) for name, parts in self.events.items()}
         paths = {name: drain(parts) for name, parts in self.paths.items()}
         stream = EventStream(ev["t"], ev["x"], ev["y"], ev["polarity"])
-        table = step_table(*np.concatenate(self.step_times or [np.zeros((0, 3), dtype=np.int64)]).T)
-        gt = GroundTruth(**paths, path=ev["path"], sweep=ev["sweep"], step=ev["step"], step_times=table, labels=tuple(self.labels))
-        return stream, gt
+        return stream, GroundTruth(**paths, path=ev["path"], sweep=ev["sweep"], step=ev["step"], labels=tuple(self.labels))
 
 
 def _pixel_grid(model: PinholeModel):
@@ -336,7 +329,6 @@ def _apply_noise(stream: EventStream, gt: GroundTruth, noise: NoiseModel, camera
                 path=np.concatenate([gt.path, none]),
                 sweep=np.concatenate([gt.sweep, none]),
                 step=np.concatenate([gt.step, none]),
-                step_times=np.concatenate([[[-1, -1, -1]], gt.step_times]),
             )
     return stream, gt, counts
 

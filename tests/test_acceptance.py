@@ -218,8 +218,8 @@ def test_criterion_7_dual_scan_efficiency():
         sched = ScanSchedule(steps, 30000, 3000)
         dual = simulate_scan([wall_object()], camera, projector, sched)
         raster = simulate_scan([wall_object()], camera, projector, sched, mode="raster")
-        n_dual = len(np.unique(dual.ground_truth.step_time_us))
-        n_raster = len(np.unique(raster.ground_truth.step_time_us))
+        n_dual = len(np.unique(dual.ground_truth.step_time_us(sched)))
+        n_raster = len(np.unique(raster.ground_truth.step_time_us(sched)))
         ok &= n_dual <= 2 * steps
         ok &= n_raster > n_dual and n_raster <= steps * steps
         ok &= raster.scan_span_us == int(round(steps * sched.sweep_duration_us))

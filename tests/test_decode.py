@@ -6,8 +6,8 @@ from conftest import small_rig, wall_object
 
 from eventscan import decode
 from eventscan.events import SWEEP_HORIZONTAL, SWEEP_VERTICAL, EventStream
-from eventscan.geometry import fundamental_from_models
-from eventscan.scene import ScanSchedule
+from eventscan.geometry import fundamental_from_models, unit
+from eventscan.scene import Material, NoiseModel, Plane, ScanSchedule, SceneObject
 from eventscan.simulate import simulate_scan
 
 
@@ -184,6 +184,35 @@ def test_single_sweep_epipolar_decoding():
     truth = np.stack([first[k] for k in key_corr])
     # y_P comes from the epipolar constraint and is accurate to sub-pixel
     assert np.percentile(np.abs(corr.projector_pixel[:, 1] - truth[:, 1]), 99) < 0.5
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    steps=st.integers(41, 201),
+    cam_px=st.integers(48, 128),
+    tilt=st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+    depth=st.floats(450.0, 750.0),
+    sweep_us=st.integers(2000, 60000),
+    recovery_us=st.integers(0, 5000),
+    mode=st.sampled_from(["dual", "single"]),
+)
+def test_decode_lands_within_timestamp_rounding_of_truth(steps, cam_px, tilt, depth, sweep_us, recovery_us, mode):
+    camera, projector = small_rig(steps=steps, cam_px=cam_px)
+    normal = unit([np.sin(tilt[0]), np.sin(tilt[1]), -1.0])
+    plane = SceneObject(Plane([0.0, 0.0, depth], normal, [2000.0, 2000.0]), Material("diffuse", 0.9), "wall")
+    sched = ScanSchedule(steps, sweep_us, recovery_us)
+    res = simulate_scan([plane], camera, projector, sched, NoiseModel(timestamp_jitter_sigma_us=0.0), mode=mode)
+    a = decode.assign_sweeps(res.events, sched, 0, 2 if mode == "dual" else 1)
+    if mode == "dual":
+        corr = decode.intersect_sweeps(a)
+    else:
+        corr = decode.intersect_single_sweep(a, fundamental_from_models(camera, projector))
+    assert len(corr) > 0
+    # every supporting event's light path, against its correspondence
+    owner = np.repeat(np.arange(len(corr)), np.diff(corr.event_offsets))
+    truth = res.ground_truth.projector_pixel[res.ground_truth.path[corr.event_ids]]
+    # a crossing time is rounded to the microsecond: half a microsecond of sweep
+    assert np.abs(corr.projector_pixel[owner] - truth).max() <= 0.5 * steps / sweep_us + 1e-9
 
 
 # scan at 5000 us: sweeps [5000, 15000) and [17000, 27000), each followed by 2000 us of recovery

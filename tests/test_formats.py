@@ -16,7 +16,7 @@ from conftest import small_rig, wall_object
 from eventscan import formats
 from eventscan.decode import CORRESPONDENCE_COLUMNS, CorrespondenceSet
 from eventscan.deflectometry import RESIDUAL_COLUMNS
-from eventscan.events import EVENT_COLUMNS, EVENT_TRUTH_COLUMNS, PATH_COLUMNS, EventStream, GroundTruth, step_table
+from eventscan.events import EVENT_COLUMNS, EVENT_TRUTH_COLUMNS, PATH_COLUMNS, EventStream, GroundTruth
 from eventscan.pipeline import METRICS_COLUMNS, SPECULAR_COLUMNS
 from eventscan.separate import CLASSIFIED_COLUMNS, ClassifiedSet
 from eventscan.triangulate import CLOUD_COLUMNS, SCREEN_COLUMNS, DiffuseCloud
@@ -130,7 +130,6 @@ def test_ground_truth_round_trip(tmp_path):
         path=np.array([0, 1, -1]),  # the last event is spurious
         sweep=np.array([0, 1, -1]),
         step=np.array([10, 20, -1]),
-        step_times=np.array([[-1, -1, -1], [0, 10, 100], [1, 20, 200]]),
         labels=("wall", "mirror"),
     )
     gt.save_text(tmp_path / "gt.txt", tmp_path / "gt_events.txt")
@@ -139,25 +138,27 @@ def test_ground_truth_round_trip(tmp_path):
         "# bounce sx sy sz label px py on_epipolar",
         "1 1 2 3 0 10.5 20.25 false",
     ]
-    assert (tmp_path / "gt_events.txt").read_text() == "# path sweep step step_time_us\n0 0 10 100\n1 1 20 200\n-1 -1 -1 -1\n"
+    assert (tmp_path / "gt_events.txt").read_text() == "# path sweep step\n0 0 10\n1 1 20\n-1 -1 -1\n"
     back = GroundTruth.load_text(tmp_path / "gt.txt", tmp_path / "gt_events.txt")
     assert_same_value(back, gt)
     assert np.isnan(back.per_event("surface_point")[2]).all()
-    assert np.array_equal(back.step_time_us, [100, 200, -1])
+    # 10 us steps; sweep 1 starts after a 1000 us sweep and a 500 us recovery
+    assert np.array_equal(back.step_time_us(ScanSchedule(100, 1000, 500)), [100, 1700, -1])
 
 
 def test_ground_truth_subset_round_trips_with_its_step_times(tmp_path):
     camera, projector = small_rig(steps=101, cam_px=64)
     noise = NoiseModel(timestamp_jitter_sigma_us=0.0, spurious_rate=0.05, seed=3)
-    gt = simulate_scan([wall_object()], camera, projector, ScanSchedule(101, 10000, 1000), noise).ground_truth
+    sched = ScanSchedule(101, 10000, 1000)
+    gt = simulate_scan([wall_object()], camera, projector, sched, noise).ground_truth
     assert (gt.path == -1).any()
-    # a reordering of every event keeps the table itself, not a rebuilt copy
-    assert np.shares_memory(gt.take(np.arange(len(gt))[::-1]).step_times, gt.step_times)
-    sub = gt.take(np.arange(len(gt) // 2))  # events are in time order: the later steps drop out
-    assert len(sub.step_times) < len(gt.step_times)
+    half = np.arange(len(gt) // 2)
+    sub = gt.take(half)
     paths = tmp_path / "gt.txt", tmp_path / "gt_events.txt"
     sub.save_text(*paths)
-    assert_same_value(GroundTruth.load_text(*paths), sub)
+    back = GroundTruth.load_text(*paths)
+    assert_same_value(back, sub)
+    assert np.array_equal(back.step_time_us(sched), gt.step_time_us(sched)[half])
 
 
 def two_path_truth():
@@ -170,7 +171,6 @@ def two_path_truth():
         path=np.array([0, 1]),
         sweep=np.array([0, 1]),
         step=np.array([1, 2]),
-        step_times=np.array([[0, 1, 10], [1, 2, 20]]),
         labels=("wall",),
     )
 
@@ -201,15 +201,21 @@ def test_ground_truth_refuses_a_label_its_header_cannot_carry(tmp_path, label):
     [
         (0, "\n2 1 ", "\n0 1 ", "gt.txt: row 2 has bounce 0"),  # a light path has bounced at least once
         (0, "\n2 1 ", "\n-2 1 ", "gt.txt: row 2 has bounce -2"),
-        (1, "\n1 1 2 ", "\n2 1 2 ", r"gt_events.txt: row 2 has path 2, outside \[-1, 2\)"),
-        (1, "\n1 1 2 ", "\n-2 1 2 ", r"gt_events.txt: row 2 has path -2, outside \[-1, 2\)"),
-        (1, "\n1 1 2 20", "\n1 0 1 20", "gt_events.txt: one .* has two step times"),
+        (1, "\n1 1 2\n", "\n2 1 2\n", r"gt_events.txt: row 2 has path 2, outside \[-1, 2\)"),
+        (1, "\n1 1 2\n", "\n-2 1 2\n", r"gt_events.txt: row 2 has path -2, outside \[-1, 2\)"),
+        (1, "\n1 1 2\n", "\n1 3 2\n", r"gt_events.txt: row 2 has sweep 3, outside \{-1, 0, 1, 2\}"),
+        (1, "\n1 1 2\n", "\n-1 -2 -1\n", r"gt_events.txt: row 2 has sweep -2, outside \{-1, 0, 1, 2\}"),
+        (1, "\n1 1 2\n", "\n1 -1 2\n", "gt_events.txt: row 2 has path 1, sweep -1, step 2; they are all -1 or all >= 0"),
+        (1, "\n1 1 2\n", "\n1 1 -1\n", "gt_events.txt: row 2 has path 1, sweep 1, step -1; they are all -1"),
+        (1, "\n1 1 2\n", "\n-1 1 2\n", "gt_events.txt: row 2 has path -1, sweep 1, step 2; they are all -1"),
+        (1, "\n1 1 2\n", "\n-1 -1 0\n", "gt_events.txt: row 2 has path -1, sweep -1, step 0; they are all -1"),
         (0, "# bounce sx sy sz label px py on_epipolar\n", "", "gt.txt: missing column header"),
-        (1, "# path sweep step step_time_us\n", "", "gt_events.txt: missing column header"),
+        (1, "# path sweep step\n", "", "gt_events.txt: missing column header"),
     ],
     ids=[
-        "path-bounce-0", "path-bounce-negative", "event-path-past-end", "event-path-below-minus-1", "two-step-times",
-        "path-header-missing", "event-header-missing",
+        "path-bounce-0", "path-bounce-negative", "event-path-past-end", "event-path-below-minus-1", "sweep-past-raster",
+        "sweep-below-minus-1", "annotated-without-sweep", "annotated-without-step", "spurious-with-sweep",
+        "spurious-with-step", "path-header-missing", "event-header-missing",
     ],
 )
 def test_ground_truth_rejects_rows_it_cannot_keep(tmp_path, file, old, new, match):
@@ -221,10 +227,12 @@ def test_ground_truth_rejects_rows_it_cannot_keep(tmp_path, file, old, new, matc
         GroundTruth.load_text(*paths)
 
 
-def test_step_time_of_unknown_step_raises():
-    gt = dataclasses.replace(two_path_truth(), step_times=[[0, 1, 10]])
-    with pytest.raises(ValueError, match="missing from step_times"):
-        gt.step_time_us
+def test_ground_truth_refuses_the_four_column_event_file(tmp_path):
+    # the earlier layout stored each event's step time as a fourth column
+    paths = saved_two_path_truth(tmp_path)
+    paths[1].write_text("# path sweep step step_time_us\n0 0 1 10\n1 1 2 20\n")
+    with pytest.raises(formats.FormatError, match=re.escape(str(paths[1]))):
+        GroundTruth.load_text(*paths)
 
 
 def test_ply_round_trip(tmp_path):
@@ -584,16 +592,17 @@ def _field(rng, kind, n: int, width: int) -> np.ndarray:
 
 def _valid_truth(arrays):
     """A GroundTruth of ``arrays`` made loadable, which are fixed in place:
-    every path bounces at least once, every event's path is in [-1, paths)
-    and each (sweep, step) has one time."""
-    bounce, surface, label, proj, on_epi, path, sweep, step, times = arrays
+    every path bounces at least once, every event's path is in [-1, paths),
+    and an event's sweep and step are -1 where its path is, else a sweep in
+    {0, 1, 2} and a step >= 0."""
+    bounce, surface, label, proj, on_epi, path, sweep, step = arrays
     np.maximum(bounce, 1, out=bounce)
     path %= len(bounce) + 1
     path -= 1
-    keys = sweep.astype(np.int64) * 2**32 + step
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    times[:] = times[first][inverse.ravel()]
-    return GroundTruth(bounce, surface, label, proj, on_epi, path, sweep, step, step_table(sweep, step, times))
+    sweep %= 3
+    step &= np.iinfo(step.dtype).max
+    sweep[path == -1] = step[path == -1] = -1
+    return GroundTruth(bounce, surface, label, proj, on_epi, path, sweep, step)
 
 
 # artifact -> (one declaration per file, object made of the files' arrays, save, load); None where no class reads it
@@ -856,7 +865,7 @@ def test_loader_checks_run_on_twin_arrays(tmp_path):
     gt = two_path_truth()
     paths = tmp_path / "gt.txt", tmp_path / "gt_events.txt"
     gt.save_text(*paths)
-    formats.write_table(paths[1], EVENT_TRUTH_COLUMNS, [np.array([5, 0]), gt.sweep[:2], gt.step[:2], gt.step_time_us[:2]])
+    formats.write_table(paths[1], EVENT_TRUTH_COLUMNS, [np.array([5, 0]), gt.sweep[:2], gt.step[:2]])
     assert formats._read_twin(paths[1], EVENT_TRUTH_COLUMNS) is not None
     with pytest.raises(formats.FormatError, match="has path 5"):
         GroundTruth.load_text(*paths)

@@ -61,7 +61,7 @@ def ground_truth(bounce):
     per_event = EventTruth(bounce, np.zeros((n, 3)), np.zeros(n), np.zeros((n, 2)), np.zeros(n, bool), np.zeros(n), np.zeros(n), np.zeros(n))
     per_path = GroundTruth(
         bounce[annotated], np.zeros((m, 3)), np.zeros(m), np.zeros((m, 2)), np.zeros(m, bool),
-        path=np.where(annotated, np.cumsum(annotated) - 1, -1), sweep=np.zeros(n), step=np.zeros(n), step_times=[[0, 0, 0]],
+        path=np.where(annotated, np.cumsum(annotated) - 1, -1), sweep=np.zeros(n), step=np.zeros(n),
     )
     return per_event, per_path
 
@@ -271,15 +271,17 @@ def saved_and_loaded(truth, tmp):
 
 
 def test_ground_truth_text_matches_per_event_oracle(both_layouts):
-    _, res, oracle, _, tmp = both_layouts
+    _, res, oracle, sched, tmp = both_layouts
     for name in ("t", "x", "y", "polarity"):
         assert_same(getattr(res.events, name), getattr(oracle.events, name))
     _, back = saved_and_loaded(res.ground_truth, tmp)
     # what the one-row-per-event file held: every event's annotation written out
     for name in UNANNOTATED:
         assert_same_bits(back.per_event(name), getattr(oracle.ground_truth, name))
-    for name in ("sweep", "step", "step_time_us"):
+    for name in ("sweep", "step"):
         assert_same(getattr(back, name), getattr(oracle.ground_truth, name))
+    # the step time the oracle stored per event is the one the schedule gives
+    assert_same(back.step_time_us(sched), oracle.ground_truth.step_time_us)
     assert back.labels == oracle.ground_truth.labels
     # each light path is held once, not once per event; counts are pairs per sweep
     pairs = sum(res.counts[k] for k in ("direct_pairs", "two_bounce_pairs", "higher_bounce_pairs"))
@@ -310,7 +312,7 @@ def test_ground_truth_text_round_trips_to_same_bytes(both_layouts):
     for a, b in zip(first, second):
         assert a.read_bytes() == b.read_bytes()
     if name != "higher_bounces":  # spurious events and NaN-free path rows are in the files
-        assert (back.path == -1).any() and b"\n-1 -1 -1 -1\n" in first[1].read_bytes()
+        assert (back.path == -1).any() and b"\n-1 -1 -1\n" in first[1].read_bytes()
         assert b"nan" not in first[0].read_bytes()
 
 
@@ -495,17 +497,21 @@ def test_lookup_on_empty_screen_and_far_queries():
 # --- intersect_sweeps ------------------------------------------------------
 
 
+def no_correspondences():
+    return CorrespondenceSet(np.zeros((0, 2), np.int32), np.zeros((0, 2)), np.zeros(0, np.int32), np.zeros(0))
+
+
 def intersect_sweeps_loop(assignments, polarity_policy="positive"):
     cl = decode._cluster(assignments, polarity_policy)
     v_idx = np.where(cl.sweep == SWEEP_VERTICAL)[0]
     h_idx = np.where(cl.sweep == SWEEP_HORIZONTAL)[0]
     if len(v_idx) == 0 or len(h_idx) == 0:
-        return decode._empty_correspondences()
+        return no_correspondences()
     vkeys = cl.pixel_key[v_idx]
     hkeys = cl.pixel_key[h_idx]
     common = np.intersect1d(vkeys, hkeys)
     if len(common) == 0:
-        return decode._empty_correspondences()
+        return no_correspondences()
     v_lo = np.searchsorted(vkeys, common, side="left")
     v_hi = np.searchsorted(vkeys, common, side="right")
     h_lo = np.searchsorted(hkeys, common, side="left")

@@ -10,11 +10,12 @@ Measured on these inputs (numpy allocations are traced):
 - ``triangulate_direct`` at 144 B per point (152 B with ``np.cross``, which
   copies both direction arrays; 312 B with (N, 3) origin arrays and new
   arrays for every step);
-- ``GroundTruth.save_text`` at 34 B and ``load_text`` at 62 B per event,
-  four events per light path (111 B per event saved when every column's
-  distinct texts were held until the last row was out; 226 B and 159 B
-  when the file had one row per event, each with its path's annotation
-  written out);
+- ``GroundTruth.save_text`` at 27 B and ``load_text`` at 28 B per event,
+  four events per light path (34 B and 62 B when each event's step time
+  was stored and checked against a (sweep, step) table; 111 B per event
+  saved when every column's distinct texts were held until the last row
+  was out; 226 B and 159 B when the file had one row per event, each with
+  its path's annotation written out);
 - a text write at one block of text, 6.5 MiB for a ``DiffuseCloud`` PLY
   of 50,000 and of 200,000 points alike (29 and 117 MiB when every
   column's distinct texts were held until the last row was out);
@@ -39,8 +40,8 @@ from eventscan.triangulate import DiffuseCloud, triangulate_direct
 
 INTERSECT_BYTES_PER_EVENT = 120
 TRIANGULATE_BYTES_PER_POINT = 180
-TRUTH_SAVE_BYTES_PER_EVENT = 48
-TRUTH_LOAD_BYTES_PER_EVENT = 80
+TRUTH_SAVE_BYTES_PER_EVENT = 36
+TRUTH_LOAD_BYTES_PER_EVENT = 40
 TWIN_WRITE_BYTES = 64 << 10
 TEXT_WRITE_BYTES = 8 << 20
 
@@ -98,12 +99,11 @@ def test_triangulate_direct_transient_bytes_per_point():
 def four_events_per_path(n_paths, rng):
     """Ground truth of a dual scan: each path gives an ON and an OFF event in both sweeps."""
     steps = SCHED.steps_per_sweep
-    step_times = np.stack([np.repeat([0, 1], steps), np.tile(np.arange(steps), 2), np.arange(2 * steps) * 100], axis=1)
     return GroundTruth(
         np.ones(n_paths), rng.uniform(-100, 100, (n_paths, 3)), rng.integers(0, 2, n_paths),
         rng.uniform(0, steps, (n_paths, 2)), rng.random(n_paths) < 0.01,
         path=np.tile(np.arange(n_paths), 4), sweep=np.repeat([0, 0, 1, 1], n_paths),
-        step=rng.integers(0, steps, 4 * n_paths), step_times=step_times, labels=("wall", "mirror"),
+        step=rng.integers(0, steps, 4 * n_paths), labels=("wall", "mirror"),
     )
 
 
@@ -124,7 +124,7 @@ def test_twin_write_allocates_a_constant_beyond_its_arrays():
     tables = {
         "events.txt": (EVENT_COLUMNS, [events.t, events.x, events.y, events.polarity]),
         "ground_truth.txt": (PATH_COLUMNS, [getattr(gt, name) for name in UNANNOTATED]),
-        "ground_truth_events.txt": (EVENT_TRUTH_COLUMNS, [gt.path, gt.sweep, gt.step, gt.step_time_us]),
+        "ground_truth_events.txt": (EVENT_TRUTH_COLUMNS, [gt.path, gt.sweep, gt.step]),
     }
     with tempfile.TemporaryDirectory() as tmp:
         for name, (columns, arrays) in tables.items():

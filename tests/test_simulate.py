@@ -218,8 +218,8 @@ def test_distinct_projector_timestamps_dual_vs_raster():
         sched = ScanSchedule(steps, 30000, 3000)
         dual = simulate_scan([wall_object()], camera, projector, sched)
         raster = simulate_scan([wall_object()], camera, projector, sched, mode="raster")
-        n_dual[steps] = len(np.unique(dual.ground_truth.step_time_us))
-        n_raster[steps] = len(np.unique(raster.ground_truth.step_time_us))
+        n_dual[steps] = len(np.unique(dual.ground_truth.step_time_us(sched)))
+        n_raster[steps] = len(np.unique(raster.ground_truth.step_time_us(sched)))
         assert n_dual[steps] <= 2 * steps
         assert n_raster[steps] <= steps * steps
         assert n_raster[steps] > n_dual[steps]
