@@ -25,8 +25,7 @@ EXIT_STAGE = 3
 
 def _load(args) -> PipelineConfig:
     cfg = load_config(args.config)
-    updates = {key: value for key, value in (("seed", args.seed), ("mode", args.mode)) if value is not None}
-    return dataclasses.replace(cfg, **updates)
+    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
 def main(argv=None) -> int:
@@ -37,7 +36,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--mode", choices=["mixed", "diffuse-only"], default=None, help="override the config mode")
         p.add_argument("--input", default=None, help="directory to copy the earlier stages' artifacts from (defaults to --out)")
     args = parser.parse_args(argv)
 

@@ -176,26 +176,54 @@ class GroundTruth:
         """The events ``order`` selects, sharing this object's paths."""
         return replace(self, path=self.path[order], sweep=self.sweep[order], step=self.step[order])
 
+    def refusal(self) -> tuple | None:
+        """``(file, row, what it has)`` of the first row that ``load_text``
+        refuses, ``file`` 0 for the light paths and 1 for the events; None
+        when every row is kept.
+
+        Refused are a path with bounce < 1, and an event whose path is
+        outside [-1, number of paths), whose sweep is outside {-1, 0, 1, 2},
+        or whose path, sweep and step are neither all -1 nor all >= 0.
+        """
+        bounce, path, sweep, step = self.bounce, self.path, self.sweep, self.step
+        # each mask is made when its turn comes, so one is held at a time:
+        # save_text runs this just before the write that peaks in memory
+        for file, bad, says in (
+            (0, lambda: bounce < 1, lambda i: f"bounce {bounce[i]}; a light path has bounce >= 1"),
+            (1, lambda: (path < -1) | (path >= len(bounce)), lambda i: f"path {path[i]}, outside [-1, {len(bounce)})"),
+            (1, lambda: (sweep < -1) | (sweep > SWEEP_RASTER), lambda i: f"sweep {sweep[i]}, outside {{-1, 0, 1, 2}}"),
+            (
+                1,
+                lambda: np.where(path == -1, (sweep != -1) | (step != -1), (sweep < 0) | (step < 0)),
+                lambda i: f"path {path[i]}, sweep {sweep[i]}, step {step[i]}; they are all -1 or all >= 0",
+            ),
+        ):
+            bad = np.flatnonzero(bad())
+            if len(bad):
+                return file, int(bad[0]), says(bad[0])
+        return None
+
     def save_text(self, path, events_path) -> None:
         """One row per light path to ``path``, one row per event to ``events_path``.
 
         ValueError, before either file is opened, for a label that the
-        ``# labels:`` line cannot carry (see ``check_label``).
+        ``# labels:`` line cannot carry (see ``check_label``) or a row that
+        ``load_text`` would refuse (see ``refusal``).
         """
         for label in self.labels:
             check_label(label)
+        refused = self.refusal()
+        if refused:
+            file, row, says = refused
+            raise ValueError(f"{(path, events_path)[file]}: row {row + 1} would have {says}")
         header = "labels: " + (" ".join(self.labels) if self.labels else "-")
         formats.write_table(path, PATH_COLUMNS, [getattr(self, name) for name in UNANNOTATED], header=header)
         formats.write_table(events_path, EVENT_TRUTH_COLUMNS, [self.path, self.sweep, self.step])
 
     @staticmethod
     def load_text(path, events_path) -> "GroundTruth":
-        """The ``GroundTruth`` that ``save_text`` wrote.
-
-        FormatError for a path with bounce < 1, or an event whose path is
-        outside [-1, number of paths), whose sweep is outside {-1, 0, 1, 2}, or
-        whose path, sweep and step are neither all -1 nor all >= 0.
-        """
+        """The ``GroundTruth`` that ``save_text`` wrote; FormatError for a row
+        that ``refusal`` names."""
         labels: tuple = ()
         with formats.open_text(path) as f:
             first = f.readline().strip()
@@ -203,20 +231,10 @@ class GroundTruth:
             rest = first[len("# labels:") :].split()
             labels = tuple(rest) if rest != ["-"] else ()
         _, paths = formats.read_table(path, PATH_COLUMNS)
-        bounce = paths[0]
-        bad = np.flatnonzero(bounce < 1)
-        if len(bad):
-            raise formats.FormatError(f"{path}: row {bad[0] + 1} has bounce {bounce[bad[0]]}; a light path has bounce >= 1")
-        _, (path_of, sweep, step) = formats.read_table(events_path, EVENT_TRUTH_COLUMNS)
-        for bad, says in (
-            ((path_of < -1) | (path_of >= len(bounce)), lambda i: f"path {path_of[i]}, outside [-1, {len(bounce)})"),
-            ((sweep < -1) | (sweep > SWEEP_RASTER), lambda i: f"sweep {sweep[i]}, outside {{-1, 0, 1, 2}}"),
-            (
-                np.where(path_of == -1, (sweep != -1) | (step != -1), (sweep < 0) | (step < 0)),
-                lambda i: f"path {path_of[i]}, sweep {sweep[i]}, step {step[i]}; they are all -1 or all >= 0",
-            ),
-        ):
-            bad = np.flatnonzero(bad)
-            if len(bad):
-                raise formats.FormatError(f"{events_path}: row {bad[0] + 1} has {says(bad[0])}")
-        return GroundTruth(*paths, path_of, sweep, step, labels)
+        _, events = formats.read_table(events_path, EVENT_TRUTH_COLUMNS)
+        truth = GroundTruth(*paths, *events, labels)
+        refused = truth.refusal()
+        if refused:
+            file, row, says = refused
+            raise formats.FormatError(f"{(path, events_path)[file]}: row {row + 1} has {says}")
+        return truth

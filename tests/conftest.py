@@ -1,10 +1,13 @@
+import copy
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from eventscan.geometry import PinholeModel, unit
 from eventscan.scene import Material, Plane, ScanSchedule, SceneObject
-
-from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SCENES = REPO / "scenes"
@@ -77,3 +80,61 @@ def plane_scan():
         "objects": objects,
         "result": result,
     }
+
+
+def assert_same_run_dirs(a, b, skip=()):
+    """Run directories ``a`` and ``b`` hold the same file names and the same
+    bytes in each file, leaving out the names in ``skip``."""
+    names = sorted(p.name for p in a.iterdir() if p.name not in skip)
+    assert names == sorted(p.name for p in b.iterdir() if p.name not in skip)
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def _sha256s(run_dir: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() if p.is_file() else "not a file" for p in run_dir.iterdir()}
+
+
+class RunStore:
+    """Whole-pipeline runs shared by the session, one per effective config.
+
+    ``store(cfg)`` returns ``(RunReport, run directory)``, running the
+    pipeline on the first call for a config. Every test that asks for the same
+    config gets the same directory, so a test that changes files copies the
+    run first. Each file's sha256 is recorded when the run is made;
+    ``changed()`` names the files that differ from it now (file modes do not
+    stop a process running as root, so they cannot keep a run read-only).
+    """
+
+    def __init__(self, root: Path):
+        self.root = root
+        self.runs: dict = {}
+
+    def __call__(self, cfg):
+        from eventscan import pipeline  # run_pipeline looked up per call, so a test can substitute it
+
+        # the resolved paths say which files the run reads, the written ones
+        # what its manifest records
+        key = json.dumps({**cfg.effective(), "written": cfg.written}, sort_keys=True)
+        if key not in self.runs:
+            out = self.root / f"run{len(self.runs)}"
+            report = pipeline.run_pipeline(cfg, out)
+            self.runs[key] = (report, out, _sha256s(out))
+        report, out, _ = self.runs[key]
+        return copy.deepcopy(report), out
+
+    def changed(self) -> list:
+        changed = []
+        for _, out, made in self.runs.values():
+            now = _sha256s(out)
+            changed += [str(out / name) for name in sorted(made.keys() | now.keys()) if made.get(name) != now.get(name)]
+        return changed
+
+
+@pytest.fixture(scope="session")
+def stored_run(tmp_path_factory):
+    """The session's ``RunStore``; fails the session at teardown if a stored run changed."""
+    store = RunStore(tmp_path_factory.mktemp("stored_runs"))
+    yield store
+    changed = store.changed()
+    assert not changed, "stored runs changed during the session (copy a run before changing it): " + ", ".join(changed)

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import CONFIGS, SCENES
+from conftest import CONFIGS, SCENES, assert_same_run_dirs
 
 from eventscan import decode
 from eventscan.calibrate import SyncConfig, detect_scan_start, zhang_intrinsics
@@ -256,7 +256,7 @@ def timing_limited_rmse_mm(scene, sweep_us, jitter_us):
     return float(sigma_x * np.sqrt(np.mean(mm_per_column**2)))
 
 
-def test_criterion_8_fast_diffuse_mode(tmp_path):
+def test_criterion_8_fast_diffuse_mode(stored_run, tmp_path):
     # 4 ms single sweep with sigma = 50 us jitter. The stated 0.05 mm bound
     # lies below this rig's timing floor: one projector column moves a plane
     # point by 3.70 mm (median), so 50 us of jitter (10 columns) predicts
@@ -266,7 +266,7 @@ def test_criterion_8_fast_diffuse_mode(tmp_path):
     # that matches the timing prediction with and without jitter.
     cfg = load_config(CONFIGS / "plane_fast.cfg")
     scene = load_scene(cfg.scene)
-    rep = run_pipeline(cfg, tmp_path / "fast")
+    rep, _ = stored_run(cfg)
     rmse = rep.numbers["diffuse_rmse_mm"]
     predicted = timing_limited_rmse_mm(scene, cfg.sweep_us, cfg.jitter_us)
 
@@ -302,31 +302,27 @@ def test_criterion_8_fast_diffuse_mode(tmp_path):
     assert abs(truth0 / floor - 1) <= 0.15
 
 
-def test_criterion_8_attainable_core(tmp_path):
+def test_criterion_8_attainable_core(stored_run):
     # graceful trade-off that is reachable: single-sweep mode at the default
     # sweep rate passes criterion 1, and the scan takes half the dual time
     cfg = load_config(CONFIGS / "plane.cfg")
     values = cfg.effective()
     values["mode"] = "diffuse-only"
-    rep = run_pipeline(PipelineConfig(**values), tmp_path / "single")
+    rep, _ = stored_run(PipelineConfig(**values))
     rmse = rep.numbers["diffuse_rmse_mm"]
     ok = rmse < 0.01 and rep.numbers["scan_span_us"] * 2 == 250000
     report(8, ok, f"single-sweep RMSE {rmse:.5f} mm, scan span halved (attainable core)")
     assert ok
 
 
-def test_criterion_9_determinism(tmp_path):
+def test_criterion_9_determinism(stored_run, tmp_path):
+    # one fresh run per config against the session's stored run of it
     for name in ("plane", "plane_mirror"):
         cfg = load_config(CONFIGS / f"{name}.cfg")
-        a = tmp_path / f"{name}_a"
-        b = tmp_path / f"{name}_b"
-        run_pipeline(cfg, a)
+        _, a = stored_run(cfg)
+        b = tmp_path / name
         run_pipeline(cfg, b)
-        names_a = sorted(p.name for p in a.iterdir())
-        names_b = sorted(p.name for p in b.iterdir())
-        assert names_a == names_b
-        for n in names_a:
-            assert (a / n).read_bytes() == (b / n).read_bytes(), n
+        assert_same_run_dirs(a, b)
     report(9, True, "two runs of plane and plane_mirror configs are byte-identical")
 
 

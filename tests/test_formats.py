@@ -227,6 +227,23 @@ def test_ground_truth_rejects_rows_it_cannot_keep(tmp_path, file, old, new, matc
         GroundTruth.load_text(*paths)
 
 
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"path": [0, -1], "sweep": [0, 0], "step": [3, 0]}, "row 2 would have path -1, sweep 0, step 0; they are all -1"),
+        ({"path": [0, 1], "sweep": [0, 1], "step": [3, -1]}, "row 2 would have path 1, sweep 1, step -1; they are all -1"),
+        ({"path": [0, 2]}, r"row 2 would have path 2, outside \[-1, 2\)"),
+        ({"sweep": [0, 3]}, r"row 2 would have sweep 3, outside \{-1, 0, 1, 2\}"),
+    ],
+    ids=["spurious-with-sweep", "annotated-without-step", "path-past-end", "sweep-past-raster"],
+)
+def test_ground_truth_refuses_to_save_rows_it_cannot_load(tmp_path, change, match):
+    paths = tmp_path / "gt.txt", tmp_path / "gt_events.txt"
+    with pytest.raises(ValueError, match=re.escape(paths[1].name) + ": " + match):
+        dataclasses.replace(two_path_truth(), **change).save_text(*paths)
+    assert not any(path.exists() or formats.twin_path(path).exists() for path in paths)
+
+
 def test_ground_truth_refuses_the_four_column_event_file(tmp_path):
     # the earlier layout stored each event's step time as a fourth column
     paths = saved_two_path_truth(tmp_path)

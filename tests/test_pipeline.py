@@ -8,14 +8,14 @@ import typing
 import numpy as np
 import pytest
 
-from conftest import CONFIGS, REPO
+from conftest import CONFIGS, REPO, RunStore, assert_same_run_dirs
 
 from eventscan import formats, pipeline
 from eventscan.cli import main as cli_main
 from eventscan.decode import CORRESPONDENCE_COLUMNS
 from eventscan.deflectometry import RESIDUAL_COLUMNS
 from eventscan.events import EVENT_COLUMNS, EVENT_TRUTH_COLUMNS, PATH_COLUMNS, EventStream, GroundTruth
-from eventscan.pipeline import STAGES, ConfigError, PipelineConfig, StageError, load_config, run_pipeline
+from eventscan.pipeline import MANIFEST, STAGES, ConfigError, PipelineConfig, StageError, load_config, run_pipeline
 from eventscan.separate import CLASSIFIED_COLUMNS
 from eventscan.triangulate import CLOUD_COLUMNS, SCREEN_COLUMNS
 
@@ -86,6 +86,39 @@ def test_non_finite_float_rejected_before_writing(tmp_path, key, value):
     assert not out.exists()
 
 
+def test_mode_is_a_config_key_not_an_option(tmp_path):
+    p = write_cfg(tmp_path, f"scene = {REPO/'scenes'/'plane.scene'}\nmode = diffuse-only\n")
+    assert load_config(p).mode == "diffuse-only"
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--config", str(p), "--out", str(out), "--mode", "mixed"])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_run_store_names_each_changed_file(tmp_path, monkeypatch):
+    made = []
+
+    def fake_run(cfg, out):
+        made.append(out)
+        out.mkdir()
+        for name in ("a.txt", "b.txt", "c.txt"):
+            (out / name).write_text(name)
+        return pipeline.RunReport(out, [], {}, {})
+
+    monkeypatch.setattr(pipeline, "run_pipeline", fake_run)
+    store = RunStore(tmp_path)
+    cfg = PipelineConfig(scene="x")
+    _, out = store(cfg)
+    assert store(PipelineConfig(scene="x"))[1] == out and made == [out]
+    assert store.changed() == []
+    with open(out / "a.txt", "ab") as f:
+        f.write(b"\0")
+    (out / "b.txt").unlink()
+    (out / "d.txt").write_text("d")
+    assert store.changed() == [str(out / name) for name in ("a.txt", "b.txt", "d.txt")]
+
+
 def test_config_defaults_echoed(tmp_path):
     p = write_cfg(tmp_path, f"scene = {REPO/'scenes'/'plane.scene'}\n")
     cfg = load_config(p)
@@ -113,11 +146,9 @@ def test_bad_mode_rejected():
 
 
 @pytest.fixture(scope="module")
-def mirror_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("mirror_run")
+def mirror_run(stored_run):
     cfg = load_config(CONFIGS / "plane_mirror.cfg")
-    report = run_pipeline(cfg, out)
-    return cfg, report, out
+    return (cfg, *stored_run(cfg))
 
 
 def test_full_run_artifacts(mirror_run):
@@ -170,10 +201,9 @@ def run_staged(config, root, chain=False):
 
 
 def assert_same_files(run_dir, staged_dir):
-    names = sorted(p.name for p in run_dir.iterdir() if p.name != "manifest.json")
-    assert sorted(p.name for p in staged_dir.iterdir()) == names
-    for name in names:
-        assert (staged_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+    """The stages wrote every file the run wrote, byte for byte, and no manifest."""
+    assert not (staged_dir / MANIFEST).exists()
+    assert_same_run_dirs(run_dir, staged_dir, skip=(MANIFEST,))
 
 
 def test_stage_composition_equals_monolith(mirror_run, tmp_path):
@@ -188,9 +218,9 @@ def test_stage_composition_equals_monolith(mirror_run, tmp_path):
         ("plane_fast.cfg", False),  # diffuse-only: separate and deflect are skipped
     ],
 )
-def test_staged_skips_what_run_skips(config, chain, tmp_path):
-    run_pipeline(load_config(CONFIGS / config), tmp_path / "run")
-    assert_same_files(tmp_path / "run", run_staged(CONFIGS / config, tmp_path, chain))
+def test_staged_skips_what_run_skips(stored_run, config, chain, tmp_path):
+    _, run_dir = stored_run(load_config(CONFIGS / config))
+    assert_same_files(run_dir, run_staged(CONFIGS / config, tmp_path, chain))
 
 
 @pytest.fixture(scope="module")
@@ -287,12 +317,11 @@ def test_decode_on_empty_stream_warns(tmp_path):
     assert (out / "correspondences.txt").exists()
 
 
-def test_diffuse_only_skips_separation_and_deflectometry(tmp_path):
-    out = tmp_path / "fast"
+def test_diffuse_only_skips_separation_and_deflectometry(stored_run):
     cfg = load_config(CONFIGS / "plane.cfg")
     values = cfg.effective()
     values["mode"] = "diffuse-only"
-    report = run_pipeline(PipelineConfig(**values), out)
+    report, out = stored_run(PipelineConfig(**values))
     assert "separate" not in report.stages and "deflect" not in report.stages
     assert not (out / "specular.ply").exists()
     assert not (out / "classified.txt").exists()
@@ -413,20 +442,16 @@ def test_input_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command, bad
     assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
 
 
-def test_calibration_file_run_matches_the_from_scene_run(tmp_path):
+def test_calibration_file_run_matches_the_from_scene_run(stored_run, tmp_path):
     # plane_fast.cfg once from the scene's rig, once from the rig.calib that run wrote
     shutil.copytree(CONFIGS, tmp_path / "configs")
     shutil.copytree(REPO / "scenes", tmp_path / "scenes")
     base = tmp_path / "configs" / "plane_fast.cfg"
-    run_pipeline(load_config(base), tmp_path / "scene_rig")
+    shutil.copytree(stored_run(load_config(CONFIGS / "plane_fast.cfg"))[1], tmp_path / "scene_rig")
     calib = tmp_path / "configs" / "calib_file.cfg"
     calib.write_text(base.read_text().replace("calibration = from-scene", "calibration = ../scene_rig/rig.calib"))
     run_pipeline(load_config(calib), tmp_path / "file_rig")
-    names = sorted(p.name for p in (tmp_path / "scene_rig").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "file_rig").iterdir())
-    for name in names:
-        if name != "manifest.json":
-            assert (tmp_path / "scene_rig" / name).read_bytes() == (tmp_path / "file_rig" / name).read_bytes(), name
+    assert_same_run_dirs(tmp_path / "scene_rig", tmp_path / "file_rig", skip=(MANIFEST,))
     manifest = json.loads((tmp_path / "file_rig" / "manifest.json").read_text())
     assert manifest["config"]["calibration"] == "../scene_rig/rig.calib"
     rig_hash = hashlib.sha256((tmp_path / "scene_rig" / "rig.calib").read_bytes()).hexdigest()
@@ -447,17 +472,15 @@ def test_seed_changes_noise_and_manifest(tmp_path):
     assert json.loads((tmp_path / "b" / "manifest.json").read_text())["config"]["seed"] == 1
 
 
-def test_manifest_does_not_depend_on_checkout_directory(tmp_path):
+def test_manifest_does_not_depend_on_checkout_directory(stored_run, tmp_path):
     # the same configs and scenes under two directory names give the same manifest
-    manifests = []
-    for name in ("a", "checkout_b"):
-        root = tmp_path / name
-        shutil.copytree(CONFIGS, root / "configs")
-        shutil.copytree(REPO / "scenes", root / "scenes")
-        run_pipeline(load_config(root / "configs" / "plane_fast.cfg"), root / "out")
-        manifests.append((root / "out" / "manifest.json").read_bytes())
-    assert manifests[0] == manifests[1]
-    manifest = json.loads(manifests[0])
+    _, out = stored_run(load_config(CONFIGS / "plane_fast.cfg"))
+    root = tmp_path / "checkout_b"
+    shutil.copytree(CONFIGS, root / "configs")
+    shutil.copytree(REPO / "scenes", root / "scenes")
+    run_pipeline(load_config(root / "configs" / "plane_fast.cfg"), root / "out")
+    assert_same_run_dirs(out, root / "out")
+    manifest = json.loads((out / MANIFEST).read_text())
     assert manifest["config"]["scene"] == "../scenes/plane.scene"
     scene_hash = hashlib.sha256((REPO / "scenes" / "plane.scene").read_bytes()).hexdigest()
     assert manifest["input_sha256"] == {"scene": scene_hash}
