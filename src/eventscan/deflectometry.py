@@ -28,6 +28,9 @@ from .triangulate import DiffuseCloud, VirtualScreen
 INIT_MARGIN_PX = 20
 # half-width, in log depth, of the anchor search window around the init depth
 ANCHOR_RANGE = 0.35
+# iterations stop when the largest depth step falls below TOL_MM, or after MAX_ITER
+MAX_ITER = 50
+TOL_MM = 0.01
 # cells whose normal-consistency residual is this many sigma off the mean are rejected
 SIGMA_REJECT = 6.0
 # coarse curl samples across the anchor window, and golden-section steps inside a well
@@ -298,8 +301,6 @@ def iterative_shape(
     binding: DeflectometryCorrespondences,
     camera: PinholeModel,
     init_depth: float | None = None,
-    max_iter: int = 50,
-    tol_mm: float = 0.01,
     cloud: DiffuseCloud | None = None,
 ):
     """Alternate bisector normals and gradient integration until the shape settles.
@@ -318,9 +319,12 @@ def iterative_shape(
     the ``SIGMA_REJECT`` sigma interval are rejected and the shape is
     re-integrated once.
 
+    Without ``init_depth``, the default comes from ``cloud``
+    (``default_init_depth``); a depth that is not positive is a ValueError.
+
     Returns (SurfaceEstimate, NormalMap); the estimate is flagged
-    non-converged if ``max_iter`` passes without the maximum depth step
-    dropping below ``tol_mm``. An empty binding is an EmptyRegionError.
+    non-converged if ``MAX_ITER`` iterations pass without the maximum depth
+    step dropping below ``TOL_MM``. An empty binding is an EmptyRegionError.
     """
     screen, _, mask, origin = rasterize_correspondences(binding)
     if init_depth is None:
@@ -376,7 +380,7 @@ def iterative_shape(
     # consistent shape; the third probes the curl, and later iterations
     # search it only if that probe found a well
     curl_well = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         p, q, ok, _, _ = bisector_field(t, m)
         zhat = np.where(ok, _integrate_padded(p, q, ok), 0.0)
         zhat[ok] -= np.mean(zhat[ok])
@@ -401,7 +405,7 @@ def iterative_shape(
         history.append(step)
         t = np.where(ok, t_new, t)
         m = ok
-        if step < tol_mm and iterations >= 3:
+        if step < TOL_MM and iterations >= 3:
             converged = True
             break
 

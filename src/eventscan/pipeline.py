@@ -21,7 +21,7 @@ import json
 import math
 import shutil
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -80,16 +80,10 @@ class PipelineConfig:
     calibration: str = "from-scene"
     mode: str = _one_of("mixed", "mixed", "diffuse-only")
     seed: int = _check(0, ">= 0", lambda v: v >= 0)
-    tau_px: float = _check(2.0, "> 0", lambda v: v > 0)
-    gap_max_mm: float = _check(1.0, "> 0", lambda v: v > 0)
-    init_depth: str | float = _check("auto", "a number or 'auto'", lambda v: not isinstance(v, str) or v == "auto")
-    deflect_max_iter: int = _check(50, ">= 1", lambda v: v >= 1)
-    deflect_tol_mm: float = _check(0.01, "> 0", lambda v: v > 0)
-    polarity_policy: str = _one_of("positive", "positive", "negative", "both")
+    init_depth: str | float = _check("auto", "a number > 0 or 'auto'", lambda v: v == "auto" if isinstance(v, str) else v > 0)
     fit_diffuse: str = _one_of("none", "none", "plane", "sphere")
     fit_specular: str = _one_of("none", "none", "plane", "sphere")
     higher_bounces: bool = False
-    steps: int | None = _check(None, ">= 2", lambda v: v >= 2)
     sweep_us: int | None = _check(None, "> 0", lambda v: v > 0)
     recovery_us: int | None = _check(None, ">= 0", lambda v: v >= 0)
     jitter_us: float | None = _check(None, ">= 0", lambda v: v >= 0)
@@ -147,13 +141,11 @@ def load_config(path) -> PipelineConfig:
 
 
 def _apply_overrides(schedule: ScanSchedule, noise: NoiseModel, cfg: PipelineConfig):
-    if cfg.steps is not None or cfg.sweep_us is not None or cfg.recovery_us is not None:
-        schedule = ScanSchedule(
-            steps_per_sweep=cfg.steps if cfg.steps is not None else schedule.steps_per_sweep,
-            sweep_duration_us=cfg.sweep_us if cfg.sweep_us is not None else schedule.sweep_duration_us,
-            recovery_us=cfg.recovery_us if cfg.recovery_us is not None else schedule.recovery_us,
-            scan_start_us=schedule.scan_start_us,
-        )
+    schedule = replace(
+        schedule,
+        sweep_duration_us=cfg.sweep_us if cfg.sweep_us is not None else schedule.sweep_duration_us,
+        recovery_us=cfg.recovery_us if cfg.recovery_us is not None else schedule.recovery_us,
+    )
     noise = NoiseModel(
         timestamp_jitter_sigma_us=cfg.jitter_us if cfg.jitter_us is not None else noise.timestamp_jitter_sigma_us,
         spurious_rate=cfg.spurious_rate if cfg.spurious_rate is not None else noise.spurious_rate,
@@ -318,23 +310,21 @@ def stage_simulate(cfg: PipelineConfig, out: Path, scene: SceneFile) -> dict:
     })
 
 
-def stage_decode(cfg: PipelineConfig, out: Path, events: EventStream, scan: ScanMeta, rig) -> dict:
+def stage_decode(out: Path, events: EventStream, scan: ScanMeta, rig) -> dict:
     assignments = decode.assign_sweeps(events, scan.schedule, scan.schedule.scan_start_us, n_sweeps=scan.n_sweeps)
     if scan.n_sweeps == 1:
-        F = fundamental_from_models(*rig)
-        corr = decode.intersect_single_sweep(assignments, F, polarity_policy=cfg.polarity_policy)
+        corr = decode.intersect_single_sweep(assignments, fundamental_from_models(*rig))
     else:
-        corr = decode.intersect_sweeps(assignments, polarity_policy=cfg.polarity_policy)
+        corr = decode.intersect_sweeps(assignments)
     return _keep(out, {"correspondences": corr, "provenance": (corr.event_ids, corr.event_offsets)})
 
 
-def stage_separate(cfg: PipelineConfig, out: Path, corr: decode.CorrespondenceSet, rig) -> dict:
-    F = fundamental_from_models(*rig)
-    return _keep(out, {"classified": resolve_mixed_pixels(epipolar_classify(corr, F, tau=cfg.tau_px))})
+def stage_separate(out: Path, corr: decode.CorrespondenceSet, rig) -> dict:
+    return _keep(out, {"classified": resolve_mixed_pixels(epipolar_classify(corr, fundamental_from_models(*rig)))})
 
 
-def stage_triangulate(cfg: PipelineConfig, out: Path, classified: ClassifiedSet, rig, with_screen: bool = True) -> dict:
-    cloud = triangulate_direct(classified, *rig, gap_max_mm=cfg.gap_max_mm)
+def stage_triangulate(out: Path, classified: ClassifiedSet, rig, with_screen: bool = True) -> dict:
+    cloud = triangulate_direct(classified, *rig)
     made = {"cloud": cloud}
     if with_screen:
         made["screen"] = build_virtual_screen(cloud)
@@ -344,14 +334,8 @@ def stage_triangulate(cfg: PipelineConfig, out: Path, classified: ClassifiedSet,
 def stage_deflect(cfg: PipelineConfig, out: Path, classified: ClassifiedSet, screen, cloud: DiffuseCloud, rig) -> dict:
     camera = rig[0]
     binding = bind_screen(classified, screen)
-    estimate, normal_map = iterative_shape(
-        binding,
-        camera,
-        init_depth=None if cfg.init_depth == "auto" else float(cfg.init_depth),
-        max_iter=cfg.deflect_max_iter,
-        tol_mm=cfg.deflect_tol_mm,
-        cloud=cloud,
-    )
+    init_depth = None if cfg.init_depth == "auto" else float(cfg.init_depth)
+    estimate, normal_map = iterative_shape(binding, camera, init_depth=init_depth, cloud=cloud)
     meta = {
         "iterations": estimate.iterations,
         "converged": estimate.converged,
@@ -450,18 +434,18 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
                 have.update(stage_simulate(cfg, out, scene))
                 summary = f"{len(have['events'])} events"
             elif stage == "decode":
-                have.update(stage_decode(cfg, out, *need("events", "scan", "rig")))
+                have.update(stage_decode(out, *need("events", "scan", "rig")))
                 summary = f"{len(have['correspondences'])} correspondences"
                 if not len(have["correspondences"]):
                     summary += "\nwarning: empty correspondence table"
             elif stage == "separate" and mixed:
-                have.update(stage_separate(cfg, out, *need("correspondences", "rig")))
+                have.update(stage_separate(out, *need("correspondences", "rig")))
                 summary = f"{len(have['classified'])} classified"
             elif stage == "triangulate":
                 if not mixed:
                     (corr,) = need("correspondences")
                     have["classified"] = ClassifiedSet(corr, np.zeros(len(corr), dtype=np.int8), np.zeros(len(corr)))
-                have.update(stage_triangulate(cfg, out, *need("classified", "rig"), with_screen=mixed))
+                have.update(stage_triangulate(out, *need("classified", "rig"), with_screen=mixed))
                 summary = f"{len(have['cloud'])} points"
             elif stage == "deflect" and mixed and (need("classified")[0].label == INDIRECT).any():
                 if "screen" not in have:

@@ -97,19 +97,6 @@ class Sphere:
 
 
 @dataclass(frozen=True, eq=False)
-class TriangleMesh:
-    vertices: np.ndarray  # (V, 3)
-    faces: np.ndarray  # (F, 3) int
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3))
-        object.__setattr__(self, "faces", np.asarray(self.faces, dtype=np.int64).reshape(-1, 3))
-        require_finite(vertices=self.vertices)
-        if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
-            raise ValueError("mesh faces index invalid vertices")
-
-
-@dataclass(frozen=True, eq=False)
 class SceneObject:
     shape: object
     material: Material
@@ -257,6 +244,10 @@ def load_calibration_bundle(path) -> tuple[PinholeModel, PinholeModel]:
 
 
 def _object_from_section(sec: Section) -> SceneObject:
+    """The object an ``[object]`` section describes: its material, a label
+    and a shape that is ``plane`` (point, normal, extent) or ``sphere``
+    (center, radius). Any other shape kind is a FormatError naming the
+    section and key."""
     material = Material(
         kind=sec.get_str("material"),
         diffuse_albedo=sec.get_float("albedo") if "albedo" in sec else 0.0,
@@ -267,12 +258,8 @@ def _object_from_section(sec: Section) -> SceneObject:
         shape = Plane(sec.get_floats("point", 3), sec.get_floats("normal", 3), sec.get_floats("extent", 2))
     elif kind == "sphere":
         shape = Sphere(sec.get_floats("center", 3), sec.get_float("radius"))
-    elif kind == "mesh":
-        verts = sec.get_floats("vertices").reshape(-1, 3)
-        faces = sec.get_floats("faces").astype(np.int64).reshape(-1, 3)
-        shape = TriangleMesh(verts, faces)
     else:
-        raise FormatError(f"section [{sec.name}] key 'shape': unknown shape kind {kind!r}, expected plane, sphere or mesh")
+        raise FormatError(f"section [{sec.name}] key 'shape': unknown shape kind {kind!r}, expected plane or sphere")
     label = sec.get_str("label")
     try:
         check_label(label)

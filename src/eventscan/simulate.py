@@ -34,7 +34,7 @@ from .geometry import (
     project_points,
     reflect_direction,
 )
-from .scene import NoiseModel, Plane, ScanSchedule, SceneObject, Sphere, TriangleMesh
+from .scene import NoiseModel, Plane, ScanSchedule, SceneObject, Sphere
 
 HIT_EPS_MM = 1e-6
 ON_EPIPOLAR_TAU_PX = 2.0
@@ -76,39 +76,6 @@ def _intersect_sphere(origins, dirs, sphere: Sphere):
     return t, normals
 
 
-def _intersect_mesh(origins, dirs, mesh: TriangleMesh):
-    v0 = mesh.vertices[mesh.faces[:, 0]]
-    e1 = mesh.vertices[mesh.faces[:, 1]] - v0
-    e2 = mesh.vertices[mesh.faces[:, 2]] - v0
-    n = origins.shape[0]
-    best_t = np.full(n, np.inf)
-    best_normal = np.zeros((n, 3))
-    face_normals = np.cross(e1, e2)
-    norms = np.linalg.norm(face_normals, axis=1, keepdims=True)
-    face_normals = face_normals / np.where(norms < 1e-300, 1.0, norms)
-    chunk = max(1, 2_000_000 // max(1, len(mesh.faces)))
-    for lo in range(0, n, chunk):
-        o = origins[lo : lo + chunk, None, :]
-        d = dirs[lo : lo + chunk, None, :]
-        h = np.cross(d, e2[None, :, :])
-        a = np.sum(e1[None, :, :] * h, axis=2)
-        ok = np.abs(a) > 1e-12
-        f = 1.0 / np.where(ok, a, 1.0)
-        s = o - v0[None, :, :]
-        u = f * np.sum(s * h, axis=2)
-        q = np.cross(s, e1[None, :, :])
-        v = f * np.sum(d * q, axis=2)
-        t = f * np.sum(e2[None, :, :] * q, axis=2)
-        ok &= (u >= -1e-12) & (v >= -1e-12) & (u + v <= 1.0 + 1e-12) & (t > HIT_EPS_MM)
-        t = np.where(ok, t, np.inf)
-        idx = np.argmin(t, axis=1)
-        rows = np.arange(t.shape[0])
-        tmin = t[rows, idx]
-        best_t[lo : lo + chunk] = tmin
-        best_normal[lo : lo + chunk] = np.where(np.isfinite(tmin)[:, None], face_normals[idx], 0.0)
-    return best_t, best_normal
-
-
 def intersect_ray_batch(origins: np.ndarray, dirs: np.ndarray, objects: list[SceneObject]):
     """Nearest hit per ray. Returns (t, normals, obj_index) with inf / -1 on miss.
 
@@ -125,8 +92,6 @@ def intersect_ray_batch(origins: np.ndarray, dirs: np.ndarray, objects: list[Sce
             t, normals = _intersect_plane(origins, dirs, obj.shape)
         elif isinstance(obj.shape, Sphere):
             t, normals = _intersect_sphere(origins, dirs, obj.shape)
-        elif isinstance(obj.shape, TriangleMesh):
-            t, normals = _intersect_mesh(origins, dirs, obj.shape)
         else:
             raise TypeError(f"unknown shape {type(obj.shape).__name__}")
         closer = t < best_t
@@ -145,7 +110,6 @@ class SimulationResult:
     counts: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
     scan_span_us: int = 0
-    mode: str = "dual"
 
 
 class _Emitter:
@@ -299,7 +263,11 @@ def _apply_noise(stream: EventStream, gt: GroundTruth, noise: NoiseModel, camera
     if noise.timestamp_jitter_sigma_us > 0:
         t = t + rng.normal(0.0, noise.timestamp_jitter_sigma_us, size=len(t))
     # timestamps are unsigned microsecond counters
-    t = np.maximum(np.floor(t + 0.5), 0.0).astype(np.int64)
+    t = np.maximum(np.floor(t + 0.5), 0.0)
+    if not np.all(t < 2.0**63):
+        sigma = noise.timestamp_jitter_sigma_us
+        raise ValueError(f"timestamp jitter {sigma} us puts event times beyond the int64 microsecond range")
+    t = t.astype(np.int64)
     keep = np.ones(len(t), dtype=bool)
     if noise.drop_probability > 0:
         keep = rng.random(len(t)) >= noise.drop_probability
@@ -459,4 +427,4 @@ def simulate_scan(
     order = stream.sort_order()
     stream = stream.take(order)
     gt = gt.take(order)
-    return SimulationResult(stream, gt, counts, warnings, scan_span, mode)
+    return SimulationResult(stream, gt, counts, warnings, scan_span)

@@ -28,7 +28,6 @@ from eventscan.scene import (
     Plane,
     ScanSchedule,
     Sphere,
-    TriangleMesh,
     load_calibration_bundle,
     load_scene,
     save_calibration_bundle,
@@ -511,13 +510,14 @@ center = 1.0 2.0 500.0
 radius = 25.4
 
 [object]
-label = wedge
+label = patch
 material = shiny
 albedo = 0.5
 strength = 0.5
-shape = mesh
-vertices = 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0 0.0
-faces = 0 1 2
+shape = plane
+point = 0.0 0.0 550.0
+normal = 0.0 0.6 -0.8
+extent = 10.0 10.0
 """
 
 
@@ -529,14 +529,14 @@ def test_scene_file_loads_every_object_kind(tmp_path):
     assert np.array_equal(back.projector.translation, [1.0, 2.0, 3.0])
     assert back.schedule == ScanSchedule(801, 30000, 5000, 100)
     assert back.noise == NoiseModel(12.5, 1e-4, 0.125, 42)
-    assert [o.label for o in back.objects] == ["wall", "ball", "wedge"]
+    assert [o.label for o in back.objects] == ["wall", "ball", "patch"]
     assert [o.material for o in back.objects] == [
         Material("diffuse", 0.8), Material("specular", 0.0, 1.0), Material("shiny", 0.5, 0.5)
     ]
-    wall, ball, wedge = (o.shape for o in back.objects)
+    wall, ball, patch = (o.shape for o in back.objects)
     assert isinstance(wall, Plane) and np.array_equal(wall.extent, [100.0, 120.0])
     assert isinstance(ball, Sphere) and np.array_equal(ball.center, [1, 2, 500]) and ball.radius == 25.4
-    assert isinstance(wedge, TriangleMesh) and wedge.faces.tolist() == [[0, 1, 2]]
+    assert isinstance(patch, Plane) and np.allclose(patch.normal, [0.0, 0.6, -0.8])
 
 
 def test_calibration_bundle_round_trip(tmp_path):
@@ -556,7 +556,6 @@ def test_calibration_bundle_round_trip(tmp_path):
         (lambda v: Sphere([0.0, v, 500.0], 10.0), "center"),
         (lambda v: Sphere([0.0, 0.0, 500.0], v), "radius"),
         (lambda v: Plane([0.0, 0.0, v], [0.0, 0.0, -1.0], [1.0, 1.0]), "point"),
-        (lambda v: TriangleMesh([[0, 0, 0], [1, v, 0], [0, 1, 0]], [[0, 1, 2]]), "vertices"),
         (lambda v: Material("diffuse", v), "albedo"),
         (lambda v: NoiseModel(timestamp_jitter_sigma_us=v), "timestamp_jitter_sigma_us"),
         (lambda v: NoiseModel(spurious_rate=v), "spurious_rate"),

@@ -271,7 +271,7 @@ def saved_and_loaded(truth, tmp):
 
 
 def test_ground_truth_text_matches_per_event_oracle(both_layouts):
-    _, res, oracle, sched, tmp = both_layouts
+    scan, res, oracle, sched, tmp = both_layouts
     for name in ("t", "x", "y", "polarity"):
         assert_same(getattr(res.events, name), getattr(oracle.events, name))
     _, back = saved_and_loaded(res.ground_truth, tmp)
@@ -285,7 +285,7 @@ def test_ground_truth_text_matches_per_event_oracle(both_layouts):
     assert back.labels == oracle.ground_truth.labels
     # each light path is held once, not once per event; counts are pairs per sweep
     pairs = sum(res.counts[k] for k in ("direct_pairs", "two_bounce_pairs", "higher_bounce_pairs"))
-    assert len(res.ground_truth.bounce) == pairs // (2 if res.mode == "dual" else 1)
+    assert len(res.ground_truth.bounce) == pairs // (2 if SCANS[scan][1].get("mode", "dual") == "dual" else 1)
 
 
 def test_truth_class_matches_loop_on_simulated_scans(both_layouts):

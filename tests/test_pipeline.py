@@ -26,14 +26,19 @@ def write_cfg(tmp_path, body):
     return p
 
 
+# not config keys: each would repeat a library default or the scene's steps_per_sweep
+REMOVED_KEYS = ("tau_px", "gap_max_mm", "polarity_policy", "deflect_max_iter", "deflect_tol_mm", "steps")
+
+
 def test_unknown_config_key_rejected(tmp_path):
-    p = write_cfg(tmp_path, "scene = scenes/plane.scene\nbogus = 1\n")
-    with pytest.raises(ConfigError):
-        load_config(p)
-    out = tmp_path / "out"
-    rc = cli_main(["run", "--config", str(p), "--out", str(out)])
-    assert rc == 2
-    assert not out.exists() or not any(out.iterdir())
+    for key in ("bogus",) + REMOVED_KEYS:
+        p = write_cfg(tmp_path, f"scene = scenes/plane.scene\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_config(p)
+        out = tmp_path / key
+        rc = cli_main(["run", "--config", str(p), "--out", str(out)])
+        assert rc == 2, key
+        assert not out.exists(), key
 
 
 def test_workers_key_is_unknown(tmp_path):
@@ -52,6 +57,8 @@ def test_workers_key_is_unknown(tmp_path):
 @pytest.mark.parametrize(
     "key, value",
     [
+        # tau_px, deflect_max_iter and deflect_tol_mm are not keys (REMOVED_KEYS):
+        # a value for one is refused as an unknown key, which names it
         ("tau_px", "abc"),
         ("seed", "abc"),
         ("drop_probability", "1.5"),
@@ -59,6 +66,8 @@ def test_workers_key_is_unknown(tmp_path):
         ("jitter_us", "-1.0"),
         ("spurious_rate", "-0.5"),
         ("deflect_tol_mm", "0"),
+        ("init_depth", "0"),
+        ("init_depth", "-5"),
     ],
 )
 def test_bad_config_value_rejected_before_writing(tmp_path, key, value):
@@ -122,16 +131,29 @@ def test_run_store_names_each_changed_file(tmp_path, monkeypatch):
 def test_config_defaults_echoed(tmp_path):
     p = write_cfg(tmp_path, f"scene = {REPO/'scenes'/'plane.scene'}\n")
     cfg = load_config(p)
-    eff = cfg.effective()
-    assert eff["tau_px"] == 2.0
-    assert eff["gap_max_mm"] == 1.0
-    assert eff["mode"] == "mixed"
-    assert eff["init_depth"] == "auto"
+    assert cfg.effective() == {
+        "scene": str(REPO / "scenes" / "plane.scene"),
+        "calibration": "from-scene",
+        "mode": "mixed",
+        "seed": 0,
+        "init_depth": "auto",
+        "fit_diffuse": "none",
+        "fit_specular": "none",
+        "higher_bounces": False,
+        "sweep_us": None,
+        "recovery_us": None,
+        "jitter_us": None,
+        "spurious_rate": None,
+        "drop_probability": None,
+    }
 
 
 def test_steps_off_projector_pixelation_rejected_before_writing(tmp_path):
     # sweep steps are projector pixels; plane.scene's projector is 801 px square
-    p = write_cfg(tmp_path, f"scene = {REPO/'scenes'/'plane.scene'}\nsteps = 800\n")
+    scene = tmp_path / "steps.scene"
+    text = (REPO / "scenes" / "plane.scene").read_text()
+    scene.write_text(text.replace("steps_per_sweep = 801", "steps_per_sweep = 800", 1))
+    p = write_cfg(tmp_path, f"scene = {scene}\n")
     with pytest.raises(ConfigError, match="steps 800"):
         run_pipeline(load_config(p), tmp_path / "lib")
     out = tmp_path / "out"
@@ -152,7 +174,7 @@ def mirror_run(stored_run):
 
 
 def test_full_run_artifacts(mirror_run):
-    _, report, out = mirror_run
+    cfg, report, out = mirror_run
     expected = [
         "events.txt",
         "ground_truth.txt",
@@ -183,7 +205,7 @@ def test_full_run_artifacts(mirror_run):
     for name, columns in tables.items():  # each table and PLY file has a binary twin that matches it
         assert formats.twin_path(out / name).name in manifest["artifacts"], name
         assert formats._read_twin(out / name, columns) is not None, name
-    assert manifest["config"]["tau_px"] == 2.0
+    assert manifest["config"].keys() == cfg.effective().keys()
     assert manifest["numbers"]["uncovered"] == 0
     assert "deflect" in manifest["stages"]
 
@@ -354,6 +376,14 @@ def test_stage_failure_writes_marker(tmp_path, monkeypatch):
     assert rc == 3
 
 
+def test_jitter_beyond_the_clock_fails_simulate_before_events_are_written(tmp_path):
+    cfg_path = write_cfg(tmp_path, f"scene = {REPO/'scenes'/'plane.scene'}\njitter_us = 1e300\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert "stage = simulate\nerror = timestamp jitter 1e+300 us" in (out / "FAILED").read_text()
+    assert sorted(p.name for p in out.iterdir()) == ["FAILED"]
+
+
 @pytest.mark.parametrize("key, value", [("width", "abc"), ("fx", "1e3x")])
 def test_unparsable_scene_value_names_file_and_key(tmp_path, key, value):
     lines = (REPO / "scenes" / "plane.scene").read_text().splitlines()
@@ -406,14 +436,15 @@ def test_non_finite_scene_value_rejected_before_writing(tmp_path, section, key, 
 
 
 def test_unknown_shape_kind_names_its_section_and_key(tmp_path):
-    scene = tmp_path / "cube.scene"
-    scene.write_text((REPO / "scenes" / "plane.scene").read_text().replace("shape = plane", "shape = cube", 1))
-    cfg_path = write_cfg(tmp_path, f"scene = {scene}\n")
-    with pytest.raises(ConfigError, match=r"cube\.scene: section \[object\] key 'shape': unknown shape kind 'cube'"):
-        pipeline.load_run_scene(load_config(cfg_path))
-    out = tmp_path / "out"
-    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert not out.exists()
+    for kind in ("cube", "mesh"):
+        scene = tmp_path / f"{kind}.scene"
+        scene.write_text((REPO / "scenes" / "plane.scene").read_text().replace("shape = plane", f"shape = {kind}", 1))
+        cfg_path = write_cfg(tmp_path, f"scene = {scene}\n")
+        with pytest.raises(ConfigError, match=rf"{kind}\.scene: section \[object\] key 'shape': unknown shape kind '{kind}'"):
+            pipeline.load_run_scene(load_config(cfg_path))
+        out = tmp_path / f"out_{kind}"
+        assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("label", ["back wall", "-", ""], ids=["space", "dash", "empty"])
