@@ -170,6 +170,13 @@ class VirtualScreen:
 
 
 def build_virtual_screen(cloud: DiffuseCloud) -> VirtualScreen:
+    """The screen of ``cloud``: per integer projector pixel, its best row.
+
+    One stable sort of the packed keys groups the rows of each pixel in cloud
+    order. Per group a max-reduce picks the best quality and, among the rows
+    that reach it, a min-reduce the smallest gap; a full tie keeps the first
+    such row, i.e. the earliest in the cloud.
+    """
     screen = VirtualScreen(
         position=cloud.position, proj_pixel=cloud.projector_pixel, quality=cloud.quality, gap=cloud.gap
     )
@@ -177,9 +184,16 @@ def build_virtual_screen(cloud: DiffuseCloud) -> VirtualScreen:
         return screen
     if not np.all(np.abs(cloud.projector_pixel) < _SCREEN_LIMIT - 1):
         raise ValueError(f"projector pixels must be finite and within +-{_SCREEN_LIMIT - 1} to key the screen")
+    if np.isnan(cloud.quality).any() or np.isnan(cloud.gap).any():
+        raise ValueError("cloud quality and gap must not be NaN to rank the screen")
     keys = _screen_keys(_screen_pixels(cloud.projector_pixel))
-    # best-first within each key; the stable sort keeps cloud order on full ties
-    order = np.lexsort((cloud.gap, -cloud.quality, keys))
-    first, _, screen.keys = _runs(keys[order])
-    screen.rows = order[first]
+    order = np.argsort(keys, kind="stable")
+    first, stop, screen.keys = _runs(keys[order])
+    group = np.repeat(np.arange(len(first)), stop - first)
+    quality = cloud.quality[order]
+    best = quality == np.maximum.reduceat(quality, first)[group]
+    gap = np.where(best, cloud.gap[order], np.inf)
+    best &= gap == np.minimum.reduceat(gap, first)[group]
+    # every group has a winner; its first one is the earliest cloud row
+    screen.rows = order[np.minimum.reduceat(np.where(best, np.arange(len(order)), len(order)), first)]
     return screen
