@@ -254,11 +254,11 @@ def _log_depth_gradients(n_cam: np.ndarray, u: np.ndarray, v: np.ndarray, camera
     """Perspective gradient field of ln Z implied by camera-frame normals."""
     xn = (u - camera.cx) / camera.fx
     yn = (v - camera.cy) / camera.fy
-    D = n_cam[:, :, 0] * xn + n_cam[:, :, 1] * yn + n_cam[:, :, 2]
+    D = n_cam[..., 0] * xn + n_cam[..., 1] * yn + n_cam[..., 2]
     ok = mask & (np.abs(D) > 1e-9)
     safeD = np.where(ok, D, 1.0)
-    p = np.where(ok, -n_cam[:, :, 0] / camera.fx / safeD, 0.0)
-    q = np.where(ok, -n_cam[:, :, 1] / camera.fy / safeD, 0.0)
+    p = np.where(ok, -n_cam[..., 0] / camera.fx / safeD, 0.0)
+    q = np.where(ok, -n_cam[..., 1] / camera.fy / safeD, 0.0)
     return p, q, ok
 
 
@@ -335,31 +335,44 @@ def iterative_shape(
         raise ValueError("init_depth must be positive")
     h, w = mask.shape
     yy, xx = np.mgrid[0:h, 0:w]
-    u = (xx + origin[0]).astype(np.float64)
-    v = (yy + origin[1]).astype(np.float64)
-    px = np.stack([u.ravel(), v.ravel()], axis=1)
-    dirs = pixel_directions(camera, px).reshape(h, w, 3)
+    u = (xx + origin[0]).astype(np.float64).ravel()
+    v = (yy + origin[1]).astype(np.float64).ravel()
+    dirs = pixel_directions(camera, np.stack([u, v], axis=1))
+    screen = screen.reshape(-1, 3)
     center = camera.center
     R = camera.rotation
-    alpha = dirs @ R[2]  # z component of each ray direction in the camera frame
+    alpha = (dirs @ R[2]).reshape(h, w)  # z component of each ray direction in the camera frame
     view_sign = np.sign(np.mean(alpha[mask])) or 1.0
     alpha = alpha * view_sign  # guard: rays always march forward in camera z
 
-    def bisector_field(t, m):
-        """Bisector field at depths ``t`` on cells ``m``: (p, q, ok, normals, ok_normals).
+    def grid(values, cells):
+        """``values`` of the flat ``cells`` on the (h, w) grid, zero elsewhere."""
+        out = np.zeros((h * w,) + values.shape[1:], dtype=values.dtype)
+        out[cells] = values
+        return out.reshape((h, w) + values.shape[1:])
+
+    def field_cells(t, cells):
+        """Bisector field at depths ``t`` on the flat ``cells``, one entry per cell:
+        (p, q, ok, normals, ok_normals).
 
         ``normals`` are the mirror normals, valid on ``ok_normals``; ``p``,
-        ``q`` are the ln Z gradients they imply, valid on ``ok``, and
-        ``ok`` lies within ``ok_normals``, which lies within ``m``.
+        ``q`` are the ln Z gradients they imply, valid on ``ok`` (zero
+        elsewhere), and ``ok`` lies within ``ok_normals``.
         """
-        sdir = screen - (center + t[:, :, None] * dirs)
-        norm = np.linalg.norm(sdir, axis=2)
-        ok_normals = m & (norm > 1e-9)
-        sdir = sdir / np.where(ok_normals, norm, 1.0)[:, :, None]
-        normals, good = bisector_normals(-dirs, sdir)
+        d = dirs[cells]
+        sdir = screen[cells] - (center + t[:, None] * d)
+        norm = np.linalg.norm(sdir, axis=1)
+        ok_normals = norm > 1e-9
+        sdir = sdir / np.where(ok_normals, norm, 1.0)[:, None]
+        normals, good = bisector_normals(-d, sdir)
         ok_normals &= good
-        p, q, ok = _log_depth_gradients(normals @ R.T, u, v, camera, ok_normals)
+        p, q, ok = _log_depth_gradients(normals @ R.T, u[cells], v[cells], camera, ok_normals)
         return p, q, ok, normals, ok_normals
+
+    def bisector_field(t, m):
+        """``field_cells`` at the depth grid ``t`` on the cells ``m``, as grids; zero outside ``m``."""
+        cells = np.flatnonzero(m)
+        return tuple(grid(f, cells) for f in field_cells(t.ravel()[cells], cells))
 
     t = np.where(mask, float(init_depth), 0.0)
     m = mask.copy()
@@ -389,13 +402,15 @@ def iterative_shape(
             interior = _interior(ok)
             if not np.any(interior):
                 interior = ok
+            cells = np.flatnonzero(ok)
+            zhat_cells, alpha_cells = zhat.ravel()[cells], alpha.ravel()[cells]
 
             def curl(const):
                 # curl of the raw bisector field at the anchored depths; it
                 # vanishes at the true standoff
-                pc, qc, okc, _, _ = bisector_field(np.exp(zhat + const) / alpha, ok)
-                sel = interior & okc
-                return _curl_ms(pc, qc, sel) if np.any(sel) else np.inf
+                pc, qc, okc, _, _ = field_cells(np.exp(zhat_cells + const) / alpha_cells, cells)
+                sel = interior & grid(okc, cells)
+                return _curl_ms(grid(pc, cells), grid(qc, cells), sel) if np.any(sel) else np.inf
 
             c_well = _curl_well(curl, anchor_lo, anchor_hi)
             if c_well is not None:
