@@ -91,6 +91,9 @@ _SCREEN_BIAS = 1 << 31
 _SCREEN_LIMIT = 1 << 30  # |x|, |y| bound that keeps every neighbour key unambiguous
 # 3x3 neighbourhood key offsets, dx outer, dy inner
 _NEIGHBOURS = np.array([(dx << _SCREEN_SHIFT) + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.int64)
+# a neighbourhood fit takes the normal equations when det(N) > _FIT_MIN_DET * trace(N)**3,
+# which bounds the condition number of N (3x3, positive semi-definite) by 1 / _FIT_MIN_DET
+_FIT_MIN_DET = 1e-3
 
 
 # screen.txt: one row per key, the best point of its integer projector pixel
@@ -144,6 +147,12 @@ class VirtualScreen:
         with fewer than 4 entries there, the single entry is the fallback.
         ``found`` reflects the rounded bin, so coverage accounting does not
         depend on the fit.
+
+        All fits are solved at once through their 3x3 normal equations, with
+        positions taken relative to the query's own entry. A neighborhood
+        whose normal matrix is singular or ill-conditioned (determinant at
+        most ``_FIT_MIN_DET`` of its trace cubed) is fit by least squares
+        instead, one query at a time.
         """
         qp = np.atleast_2d(np.asarray(projector_pixels, dtype=np.float64))
         # a query beyond the key range can match no entry, nor can its neighbours
@@ -153,13 +162,20 @@ class VirtualScreen:
         points[found] = self.position[row[found]]
         queries = np.flatnonzero(found)
         near, near_row = self._find(_screen_keys(pp[queries])[:, None] + _NEIGHBOURS)
-        for i, ok, rows in zip(queries, near, near_row):
+        fit = near.sum(axis=1) >= 4
+        queries, near, near_row = queries[fit], near[fit], near_row[fit]
+        # one design row (dx, dy, 1) and one target per neighbour, zero where it has no entry
+        A = np.where(near[..., None], np.concatenate([self.proj_pixel[near_row] - qp[queries, None], np.ones(near.shape + (1,))], axis=2), 0.0)
+        origin = points[queries]
+        B = np.where(near[..., None], self.position[near_row] - origin[:, None], 0.0)
+        At = A.transpose(0, 2, 1)
+        normal = At @ A
+        solvable = np.linalg.det(normal) > _FIT_MIN_DET * np.trace(normal, axis1=1, axis2=2) ** 3
+        points[queries[solvable]] = origin[solvable] + np.linalg.solve(normal[solvable], (At @ B)[solvable])[:, 2]
+        for i, ok, rows in zip(queries[~solvable], near[~solvable], near_row[~solvable]):
             rows = rows[ok]
-            if len(rows) < 4:
-                continue
             rel = self.proj_pixel[rows] - qp[i]
-            A = np.concatenate([rel, np.ones((len(rows), 1))], axis=1)
-            sol, *_ = np.linalg.lstsq(A, self.position[rows], rcond=None)
+            sol, *_ = np.linalg.lstsq(np.concatenate([rel, np.ones((len(rows), 1))], axis=1), self.position[rows], rcond=None)
             points[i] = sol[2]
         return points, found
 
