@@ -33,9 +33,8 @@ MAX_ITER = 50
 TOL_MM = 0.01
 # cells whose normal-consistency residual is this many sigma off the mean are rejected
 SIGMA_REJECT = 6.0
-# coarse curl samples across the anchor window, and golden-section steps inside a well
+# coarse curl samples across the anchor window
 ANCHOR_PROBES = 29
-GOLDEN_STEPS = 40
 
 
 class EmptyRegionError(ValueError):
@@ -118,6 +117,8 @@ class SurfaceEstimate:
     converged: bool = True
     rejected_fraction: float = 0.0
     curl_rms: float = 0.0
+    anchor: str = "prior"  # "curl" when a curl well set the standoff, "prior" when the mean depth kept the init's
+    curl_evaluations: int = 0  # bisector-field evaluations of the anchor search
 
     def points(self, camera: PinholeModel) -> np.ndarray:
         """Masked-in cells as 3D points in world coordinates."""
@@ -263,12 +264,20 @@ def _log_depth_gradients(n_cam: np.ndarray, u: np.ndarray, v: np.ndarray, camera
 
 
 def _golden_section(f, a, b):
-    """Midpoint of the bracket on [a, b] after ``GOLDEN_STEPS`` golden-section steps on ``f``."""
+    """Golden-section search for the minimum of ``f`` on the log-depth bracket [a, b].
+
+    The bracket shrinks until it spans less than ``TOL_MM`` of depth at its
+    far end, exp(b) mm. Returns (midpoint of the final bracket, whether
+    that bracket still touches a or b): a minimum that lands on an edge may
+    lie beyond it.
+    """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    steps = max(0, int(np.ceil(np.log(TOL_MM / (np.exp(b) * (b - a))) / np.log(invphi))))
+    a0, b0 = a, b
     c1 = b - invphi * (b - a)
     c2 = a + invphi * (b - a)
     f1, f2 = f(c1), f(c2)
-    for _ in range(GOLDEN_STEPS):
+    for _ in range(steps):
         if f1 <= f2:
             b, c2, f2 = c2, c1, f1
             c1 = b - invphi * (b - a)
@@ -277,10 +286,10 @@ def _golden_section(f, a, b):
             a, c1, f1 = c1, c2, f2
             c2 = a + invphi * (b - a)
             f2 = f(c2)
-    return 0.5 * (a + b)
+    return 0.5 * (a + b), a == a0 or b == b0
 
 
-def _curl_well(curl, lo: float, hi: float):
+def _curl_well(curl, lo: float, hi: float, near: float | None = None):
     """The log-depth constant at the interior well of ``curl`` on [lo, hi]; None without one.
 
     An interior minimum of the ``ANCHOR_PROBES``-point coarse landscape with
@@ -288,12 +297,21 @@ def _curl_well(curl, lo: float, hi: float):
     surfaces). On strongly curved regions the far side of the ambiguity
     family is asymptotically integrable, the landscape turns monotone toward
     an edge, and the constant is unidentifiable from a single view.
+
+    With ``near``, the previous well, the search first brackets only half a
+    coarse step on each side of it; when that minimum lands on the
+    bracket's edge, the well has moved out and the full probe runs.
     """
+    if near is not None:
+        half = 0.5 * (hi - lo) / (ANCHOR_PROBES - 1)
+        c, edge = _golden_section(curl, max(lo, near - half), min(hi, near + half))
+        if not edge:
+            return c
     coarse = np.linspace(lo, hi, ANCHOR_PROBES)
     vals = np.array([curl(c) for c in coarse])
     k = int(np.argmin(vals))
     if 2 <= k <= len(coarse) - 3 and vals[0] >= 1.5 * vals[k] and vals[-1] >= 1.5 * vals[k]:
-        return _golden_section(curl, coarse[k - 1], coarse[k + 1])
+        return _golden_section(curl, coarse[k - 1], coarse[k + 1])[0]
     return None
 
 
@@ -315,7 +333,12 @@ def iterative_shape(
     within +-20%); otherwise the mean depth stays at ``init_depth``, so on
     strongly curved mirrors the recovered shape follows the init prior
     (the specular sphere's radius errs by 19% at x0.8 and 207% at x1.2).
-    Before returning, cells whose normal-consistency residual falls outside
+    Once a well is found, later iterations search only half a coarse step
+    around it (``_curl_well``). The estimate records which anchor held
+    (``anchor``: ``curl`` or ``prior``) and how many curl evaluations the
+    search took. The bisector field is evaluated on the masked cells only
+    and scattered onto the bounding grid where integration and the curl's
+    gradients need it. Before returning, cells whose normal-consistency residual falls outside
     the ``SIGMA_REJECT`` sigma interval are rejected and the shape is
     re-integrated once.
 
@@ -391,14 +414,15 @@ def iterative_shape(
     iterations, zhat = 0, np.zeros((h, w))
     # two mean-anchored iterations relax the constant-depth start onto a
     # consistent shape; the third probes the curl, and later iterations
-    # search it only if that probe found a well
-    curl_well = False
+    # search it, around the last well, only if that probe found one
+    well = None
+    evaluations = 0
     for iterations in range(1, MAX_ITER + 1):
         p, q, ok, _, _ = bisector_field(t, m)
         zhat = np.where(ok, _integrate_padded(p, q, ok), 0.0)
         zhat[ok] -= np.mean(zhat[ok])
         c = float(np.log(np.mean(t[ok] * alpha[ok])))
-        if iterations == 3 or curl_well:
+        if iterations == 3 or well is not None:
             interior = _interior(ok)
             if not np.any(interior):
                 interior = ok
@@ -408,13 +432,15 @@ def iterative_shape(
             def curl(const):
                 # curl of the raw bisector field at the anchored depths; it
                 # vanishes at the true standoff
+                nonlocal evaluations
+                evaluations += 1
                 pc, qc, okc, _, _ = field_cells(np.exp(zhat_cells + const) / alpha_cells, cells)
                 sel = interior & grid(okc, cells)
                 return _curl_ms(grid(pc, cells), grid(qc, cells), sel) if np.any(sel) else np.inf
 
-            c_well = _curl_well(curl, anchor_lo, anchor_hi)
+            c_well = _curl_well(curl, anchor_lo, anchor_hi, near=well)
             if c_well is not None:
-                c, curl_well = c_well, True
+                c = well = c_well
         t_new = np.exp(zhat + c) / alpha
         step = float(np.max(np.abs(t_new[ok] - t[ok])))
         history.append(step)
@@ -456,5 +482,7 @@ def iterative_shape(
         converged=converged,
         rejected_fraction=rejected_fraction,
         curl_rms=curl_rms(p, q, m),
+        anchor="prior" if well is None else "curl",
+        curl_evaluations=evaluations,
     )
     return est, NormalMap(np.where(m[:, :, None], normals, 0.0), m, origin)

@@ -341,6 +341,8 @@ def stage_deflect(cfg: PipelineConfig, out: Path, classified: ClassifiedSet, scr
         "converged": estimate.converged,
         "rejected_fraction": estimate.rejected_fraction,
         "curl_rms": estimate.curl_rms,
+        "anchor": estimate.anchor,
+        "curl_evaluations": estimate.curl_evaluations,
         "bound": len(binding),
         "uncovered": binding.uncovered,
     }

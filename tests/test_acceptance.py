@@ -25,6 +25,7 @@ from eventscan import decode
 from eventscan.calibrate import SyncConfig, detect_scan_start, zhang_intrinsics
 from eventscan.deflectometry import bind_screen, integrate_gradients, iterative_shape
 from eventscan.events import EventStream
+from eventscan.formats import read_ply
 from eventscan.geometry import fundamental_from_models, pixel_directions, project_points
 from eventscan.metrics import fit_plane, fit_sphere, truth_class_of
 from eventscan.pipeline import PipelineConfig, load_config, run_pipeline
@@ -156,6 +157,45 @@ def test_criterion_5_core_specular_sphere(sphere_chain):
     report(5, ok, f"radius {fit.radius:.3f} mm (err {err*100:.2f}%), rejected {est.rejected_fraction*100:.2f}% (surveyed init)")
     assert err < 0.02
     assert est.rejected_fraction < 0.10
+
+
+def test_anchor_record(mirror_chain, sphere_chain):
+    # the flat mirror's curl landscape has an interior well, which sets the
+    # standoff; the sphere's has none, so its mean depth stays at the prior
+    scene = mirror_chain["scene"]
+    est, _ = iterative_shape(mirror_chain["binding"], scene.camera, cloud=mirror_chain["cloud"])
+    assert est.anchor == "curl"
+    assert 0 < est.curl_evaluations <= 120
+    scene = sphere_chain["scene"]
+    est, _ = iterative_shape(
+        sphere_chain["binding"], scene.camera, init_depth=sphere_chain["true_median"], cloud=sphere_chain["cloud"]
+    )
+    assert est.anchor == "prior"
+
+
+def test_specular_truth_distance_plane_mirror(stored_run):
+    # RMS distance of the specular points to the true mirror plane; the
+    # self-fit specular_rmse_mm (0.0034 mm) cannot see the standoff, which is
+    # what the anchor search sets. 0.2312 mm before the bracketed anchor
+    # search; the bound is that value + 1 %.
+    _, out = stored_run(load_config(CONFIGS / "plane_mirror.cfg"))
+    points, _ = read_ply(out / "specular.ply")
+    mirror = next(o.shape for o in load_scene(SCENES / "plane_mirror.scene").objects if o.label == "mirror")
+    d = (points - mirror.point) @ mirror.normal
+    assert np.sqrt(np.mean(d * d)) <= 0.2312 * 1.01
+
+
+def test_specular_truth_distance_sphere(sphere_chain):
+    # RMS distance of the specular points to the true sphere at the shipped
+    # config's init_depth. 0.4970 mm before the bracketed anchor search; the
+    # bound is that value + 1 %.
+    scene = sphere_chain["scene"]
+    init_depth = float(load_config(CONFIGS / "specular_sphere.cfg").init_depth)
+    assert init_depth == 552.0
+    est, _ = iterative_shape(sphere_chain["binding"], scene.camera, init_depth=init_depth, cloud=sphere_chain["cloud"])
+    ball = scene.objects[1].shape
+    d = np.linalg.norm(est.points(scene.camera) - ball.center, axis=1) - ball.radius
+    assert np.sqrt(np.mean(d * d)) <= 0.4970 * 1.01
 
 
 def test_criterion_5_init_sweep_specular_sphere(sphere_chain):

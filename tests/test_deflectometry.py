@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from eventscan.deflectometry import (
+    ANCHOR_PROBES,
+    ANCHOR_RANGE,
+    TOL_MM,
     DeflectometryCorrespondences,
     EmptyRegionError,
     NormalMap,
@@ -12,6 +15,7 @@ from eventscan.deflectometry import (
     integrate_gradients,
     iterative_shape,
     rasterize_correspondences,
+    _curl_well,
 )
 from eventscan.geometry import PinholeModel, pixel_directions, reflect_direction, unit
 from eventscan.metrics import fit_plane, fit_sphere
@@ -245,6 +249,47 @@ def test_iterative_specular_sphere_radius_at_true_init():
     fit = fit_sphere(est.points(CAM))
     assert abs(fit.radius - 25.4) / 25.4 < 0.02
     assert est.rejected_fraction < 0.10
+
+
+# the anchor window around a 500 mm standoff, in log depth
+WINDOW = (np.log(500.0) - ANCHOR_RANGE, np.log(500.0) + ANCHOR_RANGE)
+
+
+class Landscape:
+    """A synthetic curl landscape that counts its evaluations."""
+
+    def __init__(self, well):
+        self.well = well
+        self.calls = 0
+
+    def __call__(self, c):
+        self.calls += 1
+        return 1e-6 + (c - self.well) ** 2 if self.well is not None else np.exp(-c)
+
+
+def test_curl_well_bracket_keeps_a_well_that_stays_inside():
+    well = np.log(510.0)
+    full = Landscape(well)
+    c_full = _curl_well(full, *WINDOW)
+    bracketed = Landscape(well)
+    c = _curl_well(bracketed, *WINDOW, near=well + 0.004)
+    # the bracket alone: no coarse probe
+    assert bracketed.calls < ANCHOR_PROBES < full.calls
+    assert abs(np.exp(c) - np.exp(c_full)) <= TOL_MM
+    assert abs(np.exp(c) - 510.0) <= TOL_MM
+
+
+def test_curl_well_bracket_falls_back_when_the_well_moves_out():
+    step = 2.0 * ANCHOR_RANGE / (ANCHOR_PROBES - 1)
+    landscape = Landscape(np.log(510.0))
+    c = _curl_well(landscape, *WINDOW, near=np.log(510.0) + 3.0 * step)
+    assert landscape.calls > ANCHOR_PROBES
+    assert abs(np.exp(c) - 510.0) <= TOL_MM
+
+
+def test_curl_well_none_without_an_interior_well():
+    assert _curl_well(Landscape(None), *WINDOW) is None
+    assert _curl_well(Landscape(None), *WINDOW, near=np.log(510.0)) is None
 
 
 def test_single_cell_returns_init_depth():

@@ -497,6 +497,23 @@ def test_lookup_with_zero_to_nine_neighbours():
     assert_lookup_matches_loop(got, want, entries, queries)
 
 
+def test_lookup_near_collinear_neighbourhood_takes_lstsq():
+    # four entries in four bins of the query's 3x3 neighbourhood, all within
+    # 1e-7 px of the line y = x / 2: the normal equations are near singular,
+    # so the fit is lstsq's and equals the loop's exactly
+    pix = np.array([[-1.4, -0.7], [-0.6, -0.3], [0.2, 0.1 + 1e-7], [1.0, 0.5]])
+    cloud = make_cloud(pix, np.ones(4), np.zeros(4), seed=2)
+    screen, entries = assert_screen_matches_loop(cloud)
+    assert len(entries) == 4
+    queries = np.array([[0.1, 0.05]])
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        got = screen.lookup_many(queries)
+    assert lstsq.call_count == 1
+    want = lookup_many_loop(entries, cloud.position, cloud.projector_pixel, queries)
+    for g, w in zip(got, want):
+        assert_same(g, w)
+
+
 def test_lookup_on_empty_screen_and_far_queries():
     screen = build_virtual_screen(make_cloud(np.zeros((0, 2)), [], []))
     points, found = screen.lookup_many([[3.0, 4.0]])

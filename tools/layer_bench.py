@@ -1,0 +1,78 @@
+"""Time the screen build, the screen bind and the shape search on hd_memory's inputs.
+
+Builds ``hd_memory``'s scene through ``perfbench/workloads.hd_scene``, runs
+simulate, decode, separate and triangulate once (untimed), then times
+``triangulate.build_virtual_screen``, ``deflectometry.bind_screen`` and
+``deflectometry.iterative_shape`` on the result, each ``--repeat`` times.
+Prints one JSON line: the median seconds per layer, the counts that tie a
+timing to its input, and ``curl_evaluations`` where ``SurfaceEstimate`` has
+that field.
+
+``--root DIR`` imports eventscan from ``DIR/src`` and the workload from
+``DIR/perfbench``, so one script times two checkouts:
+
+    python tools/layer_bench.py --root /path/to/parent
+    python tools/layer_bench.py --root .
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+
+def _timed(fn, repeat: int):
+    """(median seconds over ``repeat`` calls of ``fn``, the last call's result)."""
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeat", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.repeat < 3:
+        parser.error("--repeat must be at least 3 for a median")
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root)]
+
+    from eventscan import decode, deflectometry, geometry, separate, simulate, triangulate
+    from perfbench.workloads import hd_scene
+
+    base, camera, objects, noise = hd_scene(root, args.seed)
+    projector, schedule = base.projector, base.schedule
+    result = simulate.simulate_scan(objects, camera, projector, schedule, noise)
+    corr = decode.intersect_sweeps(decode.assign_sweeps(result.events, schedule, schedule.scan_start_us, 2))
+    del result
+    F = geometry.fundamental_from_models(camera, projector)
+    classified = separate.resolve_mixed_pixels(separate.epipolar_classify(corr, F, tau=2.0))
+    cloud = triangulate.triangulate_direct(classified, camera, projector, 1.0)
+
+    screen_s, screen = _timed(lambda: triangulate.build_virtual_screen(cloud), args.repeat)
+    bind_s, binding = _timed(lambda: deflectometry.bind_screen(classified, screen), args.repeat)
+    shape_s, (estimate, _) = _timed(lambda: deflectometry.iterative_shape(binding, camera, cloud=cloud), args.repeat)
+    out = {
+        "root": root.name, "seed": args.seed, "repeat": args.repeat,
+        "build_virtual_screen_s": round(screen_s, 4), "bind_screen_s": round(bind_s, 4),
+        "iterative_shape_s": round(shape_s, 4),
+        "cloud_points": len(cloud), "screen_entries": len(screen), "bound": len(binding),
+        "uncovered": binding.uncovered, "iterations": estimate.iterations, "converged": bool(estimate.converged),
+    }
+    if hasattr(estimate, "curl_evaluations"):
+        out["curl_evaluations"] = estimate.curl_evaluations
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
