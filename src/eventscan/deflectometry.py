@@ -338,9 +338,9 @@ def iterative_shape(
     (``anchor``: ``curl`` or ``prior``) and how many curl evaluations the
     search took. The bisector field is evaluated on the masked cells only
     and scattered onto the bounding grid where integration and the curl's
-    gradients need it. Before returning, cells whose normal-consistency residual falls outside
-    the ``SIGMA_REJECT`` sigma interval are rejected and the shape is
-    re-integrated once.
+    gradients need it. Before returning, cells whose normal-consistency
+    residual falls outside the ``SIGMA_REJECT`` sigma interval are rejected
+    and the shape is re-integrated once.
 
     Without ``init_depth``, the default comes from ``cloud``
     (``default_init_depth``); a depth that is not positive is a ValueError.

@@ -164,19 +164,19 @@ class VirtualScreen:
         near, near_row = self._find(_screen_keys(pp[queries])[:, None] + _NEIGHBOURS)
         fit = near.sum(axis=1) >= 4
         queries, near, near_row = queries[fit], near[fit], near_row[fit]
-        # one design row (dx, dy, 1) and one target per neighbour, zero where it has no entry
-        A = np.where(near[..., None], np.concatenate([self.proj_pixel[near_row] - qp[queries, None], np.ones(near.shape + (1,))], axis=2), 0.0)
+        # one design row (dx, dy, 1) and one target per neighbour; rows without an entry weigh nothing
+        design = np.concatenate([self.proj_pixel[near_row] - qp[queries, None], np.ones(near.shape + (1,))], axis=2)
+        A = np.where(near[..., None], design, 0.0)
         origin = points[queries]
         B = np.where(near[..., None], self.position[near_row] - origin[:, None], 0.0)
         At = A.transpose(0, 2, 1)
         normal = At @ A
         solvable = np.linalg.det(normal) > _FIT_MIN_DET * np.trace(normal, axis1=1, axis2=2) ** 3
         points[queries[solvable]] = origin[solvable] + np.linalg.solve(normal[solvable], (At @ B)[solvable])[:, 2]
-        for i, ok, rows in zip(queries[~solvable], near[~solvable], near_row[~solvable]):
-            rows = rows[ok]
-            rel = self.proj_pixel[rows] - qp[i]
-            sol, *_ = np.linalg.lstsq(np.concatenate([rel, np.ones((len(rows), 1))], axis=1), self.position[rows], rcond=None)
-            points[i] = sol[2]
+        for j in np.flatnonzero(~solvable):
+            ok = near[j]
+            sol, *_ = np.linalg.lstsq(design[j][ok], self.position[near_row[j][ok]], rcond=None)
+            points[queries[j]] = sol[2]
         return points, found
 
     def save_text(self, path) -> None:
