@@ -117,6 +117,22 @@ def test_screen_collision_tie_breaks_on_gap():
     assert np.allclose(points[0], [1.0, 0, 600])
 
 
+@pytest.mark.parametrize("column", ["quality", "gap"])
+def test_screen_refuses_nan_quality_or_gap(column):
+    # a NaN would leave its pixel without a winner; a cloud read back from
+    # diffuse.ply can carry one
+    values = {"quality": np.array([0.9, 0.5]), "gap": np.array([0.1, 0.0])}
+    values[column][1] = np.nan
+    cloud = DiffuseCloud(
+        position=np.array([[0.0, 0, 600], [1.0, 0, 600]]),
+        camera_pixel=np.array([[10, 10], [11, 10]], np.int32),
+        projector_pixel=np.array([[400.2, 400.1], [399.8, 400.4]]),
+        **values,
+    )
+    with pytest.raises(ValueError, match="NaN"):
+        build_virtual_screen(cloud)
+
+
 def test_screen_covers_ground_truth_bounce2(mirror_scan):
     # derived oracle: looking up each two-bounce event's annotated
     # first-bounce projector pixel returns the annotated wall point
