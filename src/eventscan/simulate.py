@@ -9,14 +9,17 @@ analogously for the horizontal sweep. Timestamps are rounded to integer
 microseconds, which is the only timing quantization: projector *steps* are a
 decoding concept, recovered by binning timestamps.
 
-Reflection paths handled per camera pixel:
+Light paths, each traced from one device's pixel grid bounce by bounce
+(``_light_paths``):
 
 * bounce 1: laser -> diffuse/shiny point -> camera (direct),
 * bounce 2: laser -> diffuse point Q -> specular/shiny surface -> camera;
   the event appears at the specular surface's camera pixel at Q's sweep
   crossing times,
-* bounce >= 3 and specular-first paths are generated only when
-  ``generate_higher_bounces`` is set, to exercise rejection behavior.
+* camera-side bounces 3-4 and specular-first paths (traced from the
+  projector: laser -> surface that mirrors -> ... -> surface the camera
+  sees) only when ``generate_higher_bounces`` is set, to exercise rejection
+  behavior; a raster scan has bounce 1 only.
 """
 
 from __future__ import annotations
@@ -143,13 +146,11 @@ class _Emitter:
         if n == 0:
             return
         sched = self.schedule
+        at = raster_step if sweep == SWEEP_RASTER else positions
+        t_on, t_off = step_time(sched, sweep, at), step_time(sched, sweep, at + 1)
         if sweep == SWEEP_RASTER:
-            t_on = step_time(sched, sweep, raster_step)
-            t_off = step_time(sched, sweep, raster_step + 1)
             step = raster_step.astype(np.int32)
         else:
-            t_on = sched.crossing_time(sweep, positions)
-            t_off = sched.crossing_time(sweep, positions + 1.0)
             start = sched.sweep_start(sweep)
             step = np.floor((t_on - start) * sched.steps_per_sweep / sched.sweep_duration_us).astype(np.int32)
             step = np.clip(step, 0, sched.steps_per_sweep - 1)
@@ -228,32 +229,37 @@ def _line_of_sight(model: PinholeModel, points: np.ndarray, objects: list[SceneO
     return px, ok
 
 
-def _mirror_chains(objects, points, dirs, normals, device: PinholeModel, *, snap: bool, steps: int):
-    """Follow rays that met a mirror at ``points`` through up to ``steps`` reflections.
+def _light_paths(objects, source: PinholeModel, hits, device: PinholeModel, *, snap: bool, bounces: range):
+    """Follow the rays of ``source``'s grid cast bounce by bounce.
 
-    Each step reflects the rays, intersects them with the scene and yields
-    (rows, landing points, device pixels, landed objects, bounce) for the
-    rays that land on a scattering surface which ``device`` sees (see
-    ``_line_of_sight``); ``rows`` index the starting rays. Rays that land on
-    a pure mirror carry on to the next step. The first step yields bounce 2.
+    ``hits`` is ``_grid_hits(source, objects)`` without its pixels. Bounce 1
+    is the first hit. Each later bounce reflects the rays off the surface
+    they last met: after bounce 1 any surface that mirrors (shiny ones
+    included), after that only a pure mirror. For each bounce in
+    ``bounces`` it yields (bounce, rows, landing points, device pixels,
+    landed objects) for the rays that land on a scattering surface which
+    ``device`` sees (see ``_line_of_sight``); ``rows`` index the grid, in
+    its order.
     """
     scatters, mirrors = _material_masks(objects)
-    pure_mirrors = mirrors & ~scatters
-    rows = np.arange(len(points))
-    for bounce in range(2, 2 + steps):
-        if len(rows) == 0:
-            return
-        rd = reflect_direction(dirs, normals)
-        ro = points + rd * HIT_EPS_MM
-        t, normals, obj = intersect_ray_batch(ro, rd, objects)
+    dirs, t, normals, obj = hits
+    origins = np.broadcast_to(source.center, dirs.shape)
+    rows = np.arange(len(dirs))
+    for bounce in range(1, bounces.stop):
+        if bounce > 1:
+            go_on = mirrors[obj] if bounce == 2 else mirrors[obj] & ~scatters[obj]
+            if not np.any(go_on):
+                return
+            points = origins[go_on] + t[go_on, None] * dirs[go_on]
+            dirs = reflect_direction(dirs[go_on], normals[go_on])
+            origins = points + dirs * HIT_EPS_MM
+            t, normals, obj = intersect_ray_batch(origins, dirs, objects)
+            rows = rows[go_on]
         land = scatters[obj]
-        if np.any(land):
-            X = ro[land] + t[land, None] * rd[land]
+        if bounce in bounces and np.any(land):
+            X = origins[land] + t[land, None] * dirs[land]
             px, seen = _line_of_sight(device, X, objects, snap=snap)
-            yield rows[land][seen], X[seen], px[seen], obj[land][seen], bounce
-        chain = pure_mirrors[obj]
-        points = ro[chain] + t[chain, None] * rd[chain]
-        dirs, normals, rows = rd[chain], normals[chain], rows[chain]
+            yield bounce, rows[land][seen], X[seen], px[seen], obj[land][seen]
 
 
 def _apply_noise(stream: EventStream, gt: GroundTruth, noise: NoiseModel, camera: PinholeModel, span):
@@ -334,86 +340,45 @@ def simulate_scan(
     if not objects:
         raise ValueError("scene is empty")
     check_pixelation(projector, schedule)
-    labels = [o.label for o in objects]
     F = fundamental_from_models(camera, projector)
-    emitter = _Emitter(schedule, labels)
+    emitter = _Emitter(schedule, [o.label for o in objects])
     warnings: list[str] = []
     counts: dict = {"direct_pairs": 0, "two_bounce_pairs": 0, "higher_bounce_pairs": 0}
 
-    sweeps = [SWEEP_VERTICAL] if mode == "single" else [SWEEP_VERTICAL, SWEEP_HORIZONTAL]
-
-    def emit_pairs(count, cam_px, pp, bounce, points, label, on_epi):
-        counts[count] += len(pp) * len(sweeps)
-        path = emitter.add_paths(bounce, points, label, pp, on_epi)
-        for sweep in sweeps:
-            pos = pp[:, 0] if sweep == SWEEP_VERTICAL else pp[:, 1]
-            emitter.emit(sweep, cam_px, pos, path)
-
-    scatters, mirrors = _material_masks(objects)
-    if mode in ("dual", "single"):
-        pixels, dirs, t_hit, normals, obj_idx = _grid_hits(camera, objects)
-
-        # Direct channel: diffuse/shiny points lit by the laser.
-        direct = scatters[obj_idx]
-        if np.any(direct):
-            P = camera.center + t_hit[direct, None] * dirs[direct]
-            pp, lit = _line_of_sight(projector, P, objects, snap=False)
-            sel = np.where(direct)[0][lit]
-            P, pp = P[lit], pp[lit]
-            emit_pairs("direct_pairs", pixels[sel], pp, 1, P, obj_idx[sel], np.zeros(len(sel), dtype=bool))
-
-        # Indirect channel: follow mirror reflections from specular pixels
-        # back to the diffuse point that acts as the screen.
-        start = np.where(mirrors[obj_idx])[0]
-        chains = _mirror_chains(
-            objects,
-            camera.center + t_hit[start, None] * dirs[start],
-            dirs[start],
-            normals[start],
-            projector,
-            snap=False,
-            steps=MAX_MIRROR_BOUNCES if generate_higher_bounces else 1,
-        )
-        for rows, Q, pp, _, bounce in chains:
-            sel = start[rows]
-            on_epi = epipolar_distances(F, pp, pixels[sel]) <= ON_EPIPOLAR_TAU_PX
-            count = "two_bounce_pairs" if bounce == 2 else "higher_bounce_pairs"
-            emit_pairs(count, pixels[sel], pp, bounce, Q, obj_idx[sel], on_epi)
-
-        # Specular-first paths (the laser's mirror reflection off any surface
-        # that mirrors, shiny ones included); rejection fodder, generated
-        # only on request.
-        if generate_higher_bounces:
-            ppix, pdirs, t1, n1, o1 = _grid_hits(projector, objects)
-            start = np.where(mirrors[o1])[0]
-            chains = _mirror_chains(
-                objects,
-                projector.center + t1[start, None] * pdirs[start],
-                pdirs[start],
-                n1[start],
-                camera,
-                snap=True,
-                steps=MAX_MIRROR_BOUNCES,
-            )
-            for rows, D, cam_px, landed, bounce in chains:
-                pp = ppix[start[rows]]
-                on_epi = epipolar_distances(F, pp, cam_px) <= ON_EPIPOLAR_TAU_PX
-                emit_pairs("higher_bounce_pairs", cam_px, pp, bounce, D, landed, on_epi)
-        scan_span = schedule.total_us(len(sweeps))
-    else:
+    # (from the camera?, bounces) per traced grid: the light the camera sees,
+    # then, on request, specular-first paths (rejection fodder)
+    if mode == "raster":
         # Explicit point raster: one projector pixel at a time, each held for
         # one step, in pixel order (all columns of row 0, then row 1, ...);
         # total scan time steps^2 * step_us versus 2 * steps * step_us.
-        ppix, pdirs, t1, _, o1 = _grid_hits(projector, objects)
-        landed = scatters[o1]
-        D = projector.center + t1[landed, None] * pdirs[landed]
-        cam_pix, seen = _line_of_sight(camera, D, objects, snap=True)
-        sel = np.where(landed)[0][seen]
-        if len(sel):
-            counts["direct_pairs"] += len(sel)
-            path = emitter.add_paths(1, D[seen], o1[sel], ppix[sel], np.zeros(len(sel), dtype=bool))
-            emitter.emit(SWEEP_RASTER, cam_pix[seen], ppix[sel][:, 0], path, raster_step=sel)
+        sweeps, sides = [SWEEP_RASTER], [(False, range(1, 2))]
         scan_span = int(round(schedule.steps_per_sweep**2 * schedule.step_us))
+    else:
+        sweeps = [SWEEP_VERTICAL] if mode == "single" else [SWEEP_VERTICAL, SWEEP_HORIZONTAL]
+        last = 1 + (MAX_MIRROR_BOUNCES if generate_higher_bounces else 1)
+        sides = [(True, range(1, last + 1))]
+        if generate_higher_bounces:
+            sides.append((False, range(2, last + 1)))
+        scan_span = schedule.total_us(len(sweeps))
+
+    for from_camera, bounces in sides:
+        source, device = (camera, projector) if from_camera else (projector, camera)
+        pixels, *hits = _grid_hits(source, objects)
+        for bounce, rows, X, px, landed in _light_paths(objects, source, hits, device, snap=not from_camera, bounces=bounces):
+            # the camera pixel, and the object seen there (hits[3]: each ray's
+            # first object), come from the camera's side
+            if from_camera:
+                cam_px, label, pp = pixels[rows], hits[3][rows], px
+            else:
+                cam_px, label, pp = px, landed, pixels[rows]
+            on_epi = np.zeros(len(rows), dtype=bool) if bounce == 1 else epipolar_distances(F, pp, cam_px) <= ON_EPIPOLAR_TAU_PX
+            count = "direct" if bounce == 1 else "two_bounce" if bounce == 2 and from_camera else "higher_bounce"
+            counts[f"{count}_pairs"] += len(rows) * len(sweeps)
+            path = emitter.add_paths(bounce, X, label, pp, on_epi)
+            for sweep in sweeps:
+                pos = pp[:, 1] if sweep == SWEEP_HORIZONTAL else pp[:, 0]
+                emitter.emit(sweep, cam_px, pos, path, raster_step=rows if sweep == SWEEP_RASTER else None)
+        del pixels, hits  # the grid's rays are not held through the next cast or the final sort
 
     stream, gt = emitter.result()
     if len(stream) == 0:
