@@ -133,13 +133,10 @@ class ScanSchedule:
     def total_us(self, sweeps: int = 2) -> int:
         return sweeps * (self.sweep_duration_us + self.recovery_us)
 
-    def step_time(self, sweep: int, step) -> np.ndarray:
-        """Schedule time of a projector step (the projector-side timestamp)."""
-        t = self.sweep_start(sweep) + np.asarray(step, dtype=np.float64) * self.step_us
-        return np.floor(t + 0.5).astype(np.int64)
-
-    def crossing_time(self, sweep: int, position) -> np.ndarray:
-        """Time at which the sweeping line crosses a continuous position."""
+    def step_time(self, sweep: int, position) -> np.ndarray:
+        """Time at which the sweeping line crosses ``position``, rounded half up
+        to the microsecond: a continuous position's crossing, or at an
+        integer step the projector-side timestamp."""
         t = self.sweep_start(sweep) + np.asarray(position, dtype=np.float64) * self.step_us
         return np.floor(t + 0.5).astype(np.int64)
 

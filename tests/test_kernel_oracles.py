@@ -170,7 +170,7 @@ class EventTruthEmitter:
             t_on, t_off = sched.step_time(0, raster_step), sched.step_time(0, raster_step + 1)
             step, step_time = raster_step, t_on
         else:
-            t_on, t_off = sched.crossing_time(sweep, positions), sched.crossing_time(sweep, positions + 1.0)
+            t_on, t_off = sched.step_time(sweep, positions), sched.step_time(sweep, positions + 1.0)
             step = np.floor((t_on - sched.sweep_start(sweep)) * sched.steps_per_sweep / sched.sweep_duration_us)
             step = np.clip(step, 0, sched.steps_per_sweep - 1)
             step_time = sched.step_time(sweep, step)

@@ -119,8 +119,8 @@ def test_mirror_timestamps_match_screen_crossings(mirror_scan):
     gt = res.ground_truth
     b2 = (gt.bounce[gt.path] == 2) & (res.events.polarity > 0)
     pos = gt.projector_pixel[gt.path[b2]]
-    t_v = sched.crossing_time(SWEEP_VERTICAL, pos[:, 0])
-    t_h = sched.crossing_time(SWEEP_HORIZONTAL, pos[:, 1])
+    t_v = sched.step_time(SWEEP_VERTICAL, pos[:, 0])
+    t_h = sched.step_time(SWEEP_HORIZONTAL, pos[:, 1])
     t = res.events.t[b2]
     matches_v = t == t_v
     matches_h = t == t_h
