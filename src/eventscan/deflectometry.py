@@ -368,20 +368,16 @@ def iterative_shape(
     view_sign = np.sign(np.mean(alpha[mask])) or 1.0
     alpha = alpha * view_sign  # guard: rays always march forward in camera z
 
-    def grid(values, cells):
-        """``values`` of the flat ``cells`` on the (h, w) grid, zero elsewhere."""
-        out = np.zeros((h * w,) + values.shape[1:], dtype=values.dtype)
-        out[cells] = values
-        return out.reshape((h, w) + values.shape[1:])
-
-    def field_cells(t, cells):
-        """Bisector field at depths ``t`` on the flat ``cells``, one entry per cell:
-        (p, q, ok, normals, ok_normals).
+    def bisector_field(t, m, with_normals=False):
+        """Bisector field on the cells ``m`` at their depths ``t`` (one per
+        cell, row-major), as (h, w) grids zero outside ``m``: (p, q, ok),
+        then (normals, ok_normals) if ``with_normals``.
 
         ``normals`` are the mirror normals, valid on ``ok_normals``; ``p``,
         ``q`` are the ln Z gradients they imply, valid on ``ok`` (zero
         elsewhere), and ``ok`` lies within ``ok_normals``.
         """
+        cells = np.flatnonzero(m)
         d = dirs[cells]
         sdir = screen[cells] - (center + t[:, None] * d)
         norm = np.linalg.norm(sdir, axis=1)
@@ -390,18 +386,27 @@ def iterative_shape(
         normals, good = bisector_normals(-d, sdir)
         ok_normals &= good
         p, q, ok = _log_depth_gradients(normals @ R.T, u[cells], v[cells], camera, ok_normals)
-        return p, q, ok, normals, ok_normals
+        out = []
+        for values in (p, q, ok, normals, ok_normals)[: 5 if with_normals else 3]:
+            grid = np.zeros((h * w,) + values.shape[1:], dtype=values.dtype)
+            grid[cells] = values
+            out.append(grid.reshape((h, w) + values.shape[1:]))
+        return tuple(out)
 
-    def bisector_field(t, m):
-        """``field_cells`` at the depth grid ``t`` on the cells ``m``, as grids; zero outside ``m``."""
-        cells = np.flatnonzero(m)
-        return tuple(grid(f, cells) for f in field_cells(t.ravel()[cells], cells))
+    def curl(const):
+        # curl of the raw bisector field at the depths anchored by ``const``
+        # on the current iteration's cells; it vanishes at the true standoff
+        nonlocal evaluations
+        evaluations += 1
+        pc, qc, okc = bisector_field(np.exp(zhat_ok + const) / alpha_ok, ok)
+        sel = interior & okc
+        return _curl_ms(pc, qc, sel) if np.any(sel) else np.inf
 
     t = np.where(mask, float(init_depth), 0.0)
     m = mask.copy()
     if int(m.sum()) < 2:
         est = SurfaceEstimate(t, m, origin, iterations=1, residual_history=[0.0], converged=True)
-        return est, NormalMap(bisector_field(t, m)[3], m, origin)
+        return est, NormalMap(bisector_field(t[m], m, with_normals=True)[3], m, origin)
 
     # the anchoring constant is searched inside a fixed trust window around
     # the initial depth; the window stays put across iterations, which keeps
@@ -418,7 +423,7 @@ def iterative_shape(
     well = None
     evaluations = 0
     for iterations in range(1, MAX_ITER + 1):
-        p, q, ok, _, _ = bisector_field(t, m)
+        p, q, ok = bisector_field(t[m], m)
         zhat = np.where(ok, _integrate_padded(p, q, ok), 0.0)
         zhat[ok] -= np.mean(zhat[ok])
         c = float(np.log(np.mean(t[ok] * alpha[ok])))
@@ -426,18 +431,7 @@ def iterative_shape(
             interior = _interior(ok)
             if not np.any(interior):
                 interior = ok
-            cells = np.flatnonzero(ok)
-            zhat_cells, alpha_cells = zhat.ravel()[cells], alpha.ravel()[cells]
-
-            def curl(const):
-                # curl of the raw bisector field at the anchored depths; it
-                # vanishes at the true standoff
-                nonlocal evaluations
-                evaluations += 1
-                pc, qc, okc, _, _ = field_cells(np.exp(zhat_cells + const) / alpha_cells, cells)
-                sel = interior & grid(okc, cells)
-                return _curl_ms(grid(pc, cells), grid(qc, cells), sel) if np.any(sel) else np.inf
-
+            zhat_ok, alpha_ok = zhat[ok], alpha[ok]
             c_well = _curl_well(curl, anchor_lo, anchor_hi, near=well)
             if c_well is not None:
                 c = well = c_well
@@ -451,7 +445,7 @@ def iterative_shape(
             break
 
     # normal-consistency outlier rejection, applied once
-    p, q, ok, normals, ok_normals = bisector_field(t, m)
+    p, q, ok, normals, ok_normals = bisector_field(t[m], m, with_normals=True)
     interior = _interior(ok)
     rejected_fraction = 0.0
     if np.any(interior):
@@ -463,12 +457,13 @@ def iterative_shape(
         if np.any(outlier):
             # re-integrate once without the outliers; the anchoring constant
             # is already settled, so only preserve the surviving cells' mean
-            p, q, ok, _, _ = bisector_field(t, m & ~outlier)
+            kept = m & ~outlier
+            p, q, ok = bisector_field(t[kept], kept)
             z = _integrate_padded(p, q, ok)
             mean_lnz = float(np.mean(np.log(t[ok] * alpha[ok])))
             z = z + (mean_lnz - np.mean(z[ok]))
             t = np.where(ok, np.exp(z) / alpha, t)
-            p, q, _, normals, ok_normals = bisector_field(t, ok)
+            p, q, _, normals, ok_normals = bisector_field(t[ok], ok, with_normals=True)
 
     # the result keeps the cells with a normal; p and q are valid only on
     # cells inside them, so the field need not be evaluated again on them
