@@ -250,6 +250,52 @@ def test_two_mirror_chain_bounce_three():
     assert (res.ground_truth.bounce >= 3).sum() > 0
 
 
+def test_light_paths_come_in_tracer_order():
+    # ground truth's path ids follow the emission order, which the event
+    # bytes rest on: camera-side bounces 1, 2, 3, 4, then specular-first
+    # bounces 2, 3, 4, each group in its source grid's row-major order. Two
+    # facing mirrors tilted 12 degrees off the view axis give every group.
+    camera, projector = small_rig(steps=201, cam_px=160, cam_f=480.0)
+    phi = np.radians(12.0)
+    n = np.array([np.cos(phi), 0.0, -np.sin(phi)])
+    corridor = [
+        SceneObject(Plane(np.array([0.0, 0.0, 480.0]) + s * 10.0 * n, -s * n, [80.0, 80.0]), Material("specular", 0.0, 1.0), f"m{s}")
+        for s in (-1, 1)
+    ]
+    sched = ScanSchedule(201, 30000, 3000)
+    res = simulate_scan([wall_object(), *corridor], camera, projector, sched, generate_higher_bounces=True)
+    gt = res.ground_truth
+    paths, first_event = np.unique(gt.path, return_index=True)
+    assert np.array_equal(paths, np.arange(len(gt.bounce)))
+    # camera-side paths beyond bounce 1 carry the mirror the camera sees,
+    # specular-first ones the wall the laser lands on
+    specular_first = (gt.bounce > 1) & (gt.object_label == gt.labels.index("wall"))
+    group = gt.bounce + 3 * specular_first
+    assert np.array_equal(np.unique(group), np.arange(1, 8))
+    assert np.all(np.diff(group) >= 0)
+    cam_index = res.events.y[first_event] * camera.width + res.events.x[first_event]
+    pp = gt.projector_pixel
+    grid_index = np.where(specular_first, pp[:, 1] * projector.width + pp[:, 0], cam_index)
+    same_group = group[1:] == group[:-1]
+    assert np.all(np.diff(grid_index)[same_group] > 0)
+    sizes = np.bincount(group, minlength=8)
+    assert res.counts["direct_pairs"] == 2 * sizes[1]
+    assert res.counts["two_bounce_pairs"] == 2 * sizes[2]
+    assert res.counts["higher_bounce_pairs"] == 2 * sizes[3:].sum()
+
+    # a raster holds one projector pixel per step: its paths come in pixel
+    # order, and each event's step is its pixel's grid index
+    raster = simulate_scan([wall_object(), *corridor], camera, projector, sched, mode="raster")
+    gt = raster.ground_truth
+    assert np.all(gt.bounce == 1)
+    pp = gt.projector_pixel
+    grid_index = pp[:, 1] * projector.width + pp[:, 0]
+    assert np.array_equal(grid_index, np.round(grid_index))
+    assert np.all(np.diff(grid_index) > 0)
+    assert np.array_equal(gt.step, grid_index[gt.path])
+    assert raster.counts["direct_pairs"] == len(gt.bounce)
+
+
 def test_noise_model_determinism_and_counts():
     camera, projector = small_rig(steps=201, cam_px=160)
     sched = ScanSchedule(201, 30000, 3000)
