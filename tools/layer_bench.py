@@ -1,12 +1,14 @@
-"""Time the screen build, the screen bind and the shape search on hd_memory's inputs.
+"""Time the ray tracer, the screen build, the screen bind and the shape search on hd_memory's inputs.
 
-Builds ``hd_memory``'s scene through ``perfbench/workloads.hd_scene``, runs
-simulate, decode, separate and triangulate once (untimed), then times
-``triangulate.build_virtual_screen``, ``deflectometry.bind_screen`` and
-``deflectometry.iterative_shape`` on the result, each ``--repeat`` times.
-Prints one JSON line: the median seconds per layer, the counts that tie a
-timing to its input, and ``curl_evaluations`` where ``SurfaceEstimate`` has
-that field.
+Builds ``hd_memory``'s scene through ``perfbench/workloads.hd_scene`` and
+times ``simulate.simulate_scan`` on it ``--repeat`` times, reading the
+process's ``ru_maxrss`` after the first call. It then runs decode, separate
+and triangulate once (untimed) and times ``triangulate.build_virtual_screen``,
+``deflectometry.bind_screen`` and ``deflectometry.iterative_shape`` on the
+result, each ``--repeat`` times. Prints one JSON line: the median seconds
+per layer, simulate's ``ru_maxrss`` in MiB, the counts that tie a timing to
+its input, and ``curl_evaluations`` where ``SurfaceEstimate`` has that
+field.
 
 ``--root DIR`` imports eventscan from ``DIR/src`` and the workload from
 ``DIR/perfbench``, so one script times two checkouts:
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import sys
 import time
@@ -29,6 +32,7 @@ def _timed(fn, repeat: int):
     """(median seconds over ``repeat`` calls of ``fn``, the last call's result)."""
     times = []
     for _ in range(repeat):
+        out = None  # the previous result is let go before the next call
         t0 = time.perf_counter()
         out = fn()
         times.append(time.perf_counter() - t0)
@@ -51,7 +55,16 @@ def main(argv=None) -> int:
 
     base, camera, objects, noise = hd_scene(root, args.seed)
     projector, schedule = base.projector, base.schedule
-    result = simulate.simulate_scan(objects, camera, projector, schedule, noise)
+    maxrss_mib = []
+
+    def simulate_once():
+        out = simulate.simulate_scan(objects, camera, projector, schedule, noise)
+        if not maxrss_mib:
+            maxrss_mib.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+        return out
+
+    simulate_s, result = _timed(simulate_once, args.repeat)
+    n_events = len(result.events)
     corr = decode.intersect_sweeps(decode.assign_sweeps(result.events, schedule, schedule.scan_start_us, 2))
     del result
     F = geometry.fundamental_from_models(camera, projector)
@@ -63,6 +76,7 @@ def main(argv=None) -> int:
     shape_s, (estimate, _) = _timed(lambda: deflectometry.iterative_shape(binding, camera, cloud=cloud), args.repeat)
     out = {
         "root": root.name, "seed": args.seed, "repeat": args.repeat,
+        "simulate_scan_s": round(simulate_s, 4), "simulate_maxrss_mib": round(maxrss_mib[0], 1), "events": n_events,
         "build_virtual_screen_s": round(screen_s, 4), "bind_screen_s": round(bind_s, 4),
         "iterative_shape_s": round(shape_s, 4),
         "cloud_points": len(cloud), "screen_entries": len(screen), "bound": len(binding),
