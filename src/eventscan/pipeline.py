@@ -10,7 +10,8 @@ its save/load pair. Each ``stage_*`` takes its inputs in memory, writes what
 it makes through the store and returns it. ``_drive`` runs stages in chain
 order and owns the mode logic. ``run_pipeline`` drives all six and hands
 results on in memory; ``run_stage`` drives one on inputs read back through
-the store. Both paths therefore run the same code on the same inputs.
+the store. Both paths run the same code on the same inputs. Each artifact has
+one maker, the stage its ``Artifact`` names; ``_drive`` makes none.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ STORE = {
     "provenance": Artifact("decode", ("provenance_ids.npy", "provenance_offsets.npy"), _save_provenance, lambda p: tuple(map(np.load, p))),
     "classified": Artifact("separate", ("classified.txt",), lambda p, c: c.save_text(p[0]), lambda p: ClassifiedSet.load_text(p[0])),
     "cloud": Artifact("triangulate", ("diffuse.ply",), lambda p, c: c.save_ply(p[0]), lambda p: DiffuseCloud.load_ply(p[0])),
-    "screen": Artifact("triangulate", ("screen.txt",), lambda p, s: s.save_text(p[0]), None),
+    "screen": Artifact("deflect", ("screen.txt",), lambda p, s: s.save_text(p[0]), None),
     # (points, deflectometry summary)
     "specular": Artifact("deflect", ("specular.ply", "deflect.txt"), _save_specular, _load_specular),
     "normals": Artifact("deflect", ("normals.pfm", "normal_mask.pfm"), lambda p, nm: nm.save_pfm(*p), None),
@@ -323,16 +324,14 @@ def stage_separate(out: Path, corr: decode.CorrespondenceSet, rig) -> dict:
     return _keep(out, {"classified": resolve_mixed_pixels(epipolar_classify(corr, fundamental_from_models(*rig)))})
 
 
-def stage_triangulate(out: Path, classified: ClassifiedSet, rig, with_screen: bool = True) -> dict:
-    cloud = triangulate_direct(classified, *rig)
-    made = {"cloud": cloud}
-    if with_screen:
-        made["screen"] = build_virtual_screen(cloud)
-    return _keep(out, made)
+def stage_triangulate(out: Path, classified: ClassifiedSet, rig) -> dict:
+    return _keep(out, {"cloud": triangulate_direct(classified, *rig)})
 
 
-def stage_deflect(cfg: PipelineConfig, out: Path, classified: ClassifiedSet, screen, cloud: DiffuseCloud, rig) -> dict:
+def stage_deflect(cfg: PipelineConfig, out: Path, classified: ClassifiedSet, cloud: DiffuseCloud, rig) -> dict:
+    """Build and keep the screen ``cloud`` shows, so a failed bind leaves it; then bind and shape."""
     camera = rig[0]
+    screen = _keep(out, {"screen": build_virtual_screen(cloud)})["screen"]
     binding = bind_screen(classified, screen)
     init_depth = None if cfg.init_depth == "auto" else float(cfg.init_depth)
     estimate, normal_map = iterative_shape(binding, camera, init_depth=init_depth, cloud=cloud)
@@ -349,32 +348,24 @@ def stage_deflect(cfg: PipelineConfig, out: Path, classified: ClassifiedSet, scr
     return _keep(out, {"specular": (estimate.points(camera), meta), "normals": normal_map, "residuals": estimate})
 
 
-def stage_metrics(cfg: PipelineConfig, out: Path, cloud: DiffuseCloud, classified, truth: GroundTruth | None, specular=None) -> dict:
-    report: dict = {}
-    report["diffuse_points"] = len(cloud)
-    if cfg.fit_diffuse != "none" and len(cloud) >= 4:
-        fit = metrics.fit_plane(cloud.position) if cfg.fit_diffuse == "plane" else metrics.fit_sphere(cloud.position)
-        report["diffuse_fit"] = cfg.fit_diffuse
-        report["diffuse_rmse_mm"] = fit.rmse
-        report["diffuse_precision_mm"] = metrics.precision(cloud.position, fit)
-        if fit.radius is not None:
-            report["diffuse_radius_mm"] = fit.radius
-    if specular is not None and cfg.fit_specular != "none" and len(specular[0]) >= 4:
-        pts, meta = specular
-        fit = metrics.fit_plane(pts) if cfg.fit_specular == "plane" else metrics.fit_sphere(pts)
-        report["specular_fit"] = cfg.fit_specular
-        report["specular_rmse_mm"] = fit.rmse
-        report["specular_precision_mm"] = metrics.precision(pts, fit)
-        if fit.radius is not None:
-            report["specular_radius_mm"] = fit.radius
-        report["specular_rejected_fraction"] = meta["rejected_fraction"]
-        report["specular_iterations"] = meta["iterations"]
+def _fit_report(name: str, kind: str, points: np.ndarray) -> dict:
+    """``name``'s keys for a ``kind`` fit to ``points``; none for "none" or fewer than 4 points."""
+    if kind == "none" or len(points) < 4:
+        return {}
+    fit = metrics.fit_plane(points) if kind == "plane" else metrics.fit_sphere(points)
+    report = {f"{name}_fit": kind, f"{name}_rmse_mm": fit.rmse, f"{name}_precision_mm": metrics.precision(points, fit)}
+    if fit.radius is not None:
+        report[f"{name}_radius_mm"] = fit.radius
+    return report
+
+
+def stage_metrics(cfg: PipelineConfig, out: Path, cloud: DiffuseCloud, classified, truth: GroundTruth | None, specular) -> dict:
+    report = {"diffuse_points": len(cloud), **_fit_report("diffuse", cfg.fit_diffuse, cloud.position)}
+    if specular is not None and (fit := _fit_report("specular", cfg.fit_specular, specular[0])):
+        report.update(fit, specular_rejected_fraction=specular[1]["rejected_fraction"], specular_iterations=specular[1]["iterations"])
     if truth is not None and classified is not None and len(classified):
         score = metrics.classification_score(classified, truth)
-        report["class_precision_direct"] = score.precision_direct
-        report["class_recall_direct"] = score.recall_direct
-        report["class_precision_indirect"] = score.precision_indirect
-        report["class_recall_indirect"] = score.recall_indirect
+        report.update({f"class_{f.name}": getattr(score, f.name) for f in fields(score)})
     return _keep(out, {"metrics": report})
 
 
@@ -447,12 +438,10 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
                 if not mixed:
                     (corr,) = need("correspondences")
                     have["classified"] = ClassifiedSet(corr, np.zeros(len(corr), dtype=np.int8), np.zeros(len(corr)))
-                have.update(stage_triangulate(out, *need("classified", "rig"), with_screen=mixed))
+                have.update(stage_triangulate(out, *need("classified", "rig")))
                 summary = f"{len(have['cloud'])} points"
             elif stage == "deflect" and mixed and (need("classified")[0].label == INDIRECT).any():
-                if "screen" not in have:
-                    have["screen"] = build_virtual_screen(*need("cloud"))
-                have.update(stage_deflect(cfg, out, *need("classified", "screen", "cloud", "rig")))
+                have.update(stage_deflect(cfg, out, *need("classified", "cloud", "rig")))
                 meta = have["specular"][1]
                 state = "converged" if meta["converged"] else "not converged"
                 summary = f"{meta['bound']} bound, {meta['iterations']} iterations, {state}"
