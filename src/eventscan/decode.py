@@ -118,7 +118,19 @@ class CorrespondenceSet:
 
     @staticmethod
     def load_text(path) -> "CorrespondenceSet":
-        return CorrespondenceSet(*formats.read_table(path, CORRESPONDENCE_COLUMNS)[1])
+        return CorrespondenceSet(*formats.read_table(path, CORRESPONDENCE_COLUMNS)[1]).checked(path)
+
+    def checked(self, path) -> "CorrespondenceSet":
+        """``self``, as read from ``path``; FormatError naming the first row
+        whose x_P or y_P is not finite or whose quality is outside [0, 1]."""
+        q = self.quality
+        bad = np.flatnonzero(~np.isfinite(self.projector_pixel).all(axis=1) | ~((q >= 0) & (q <= 1)))
+        if len(bad):
+            (x, y), i = self.projector_pixel[bad[0]], bad[0]
+            raise formats.FormatError(
+                f"{path}: row {i + 1} has x_P {x}, y_P {y}, quality {q[i]}; x_P and y_P must be finite, quality in [0, 1]"
+            )
+        return self
 
 
 def _concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ class ClassifiedSet:
     @staticmethod
     def load_text(path) -> "ClassifiedSet":
         _, (*base, label, epipolar_distance) = formats.read_table(path, CLASSIFIED_COLUMNS)
-        return ClassifiedSet(CorrespondenceSet(*base), label, epipolar_distance)
+        return ClassifiedSet(CorrespondenceSet(*base).checked(path), label, epipolar_distance)
 
 
 def epipolar_classify(correspondences: CorrespondenceSet, F: np.ndarray, tau: float = 2.0) -> ClassifiedSet:

@@ -621,15 +621,25 @@ def _valid_truth(arrays):
     return GroundTruth(bounce, surface, label, proj, on_epi, path, sweep, step)
 
 
+def _valid_corr(arrays):
+    """A CorrespondenceSet of ``arrays`` made loadable, which are fixed in
+    place: x_P and y_P finite (NaN to 0, an infinity to the largest float of
+    its sign) and quality clipped to [0, 1]."""
+    camera_pixel, projector_pixel, support, quality = arrays
+    np.nan_to_num(projector_pixel, copy=False)
+    np.clip(np.nan_to_num(quality, copy=False), 0.0, 1.0, out=quality)
+    return CorrespondenceSet(camera_pixel, projector_pixel, support, quality)
+
+
 # artifact -> (one declaration per file, object made of the files' arrays, save, load); None where no class reads it
 ARTIFACTS = {
     "events.txt": ((EVENT_COLUMNS,), lambda a: EventStream(*a), EventStream.save_text, EventStream.load_text),
     "ground_truth.txt": ((PATH_COLUMNS, EVENT_TRUTH_COLUMNS), _valid_truth, GroundTruth.save_text, GroundTruth.load_text),
     "correspondences.txt": (
-        (CORRESPONDENCE_COLUMNS,), lambda a: CorrespondenceSet(*a), CorrespondenceSet.save_text, CorrespondenceSet.load_text
+        (CORRESPONDENCE_COLUMNS,), _valid_corr, CorrespondenceSet.save_text, CorrespondenceSet.load_text
     ),
     "classified.txt": (
-        (CLASSIFIED_COLUMNS,), lambda a: ClassifiedSet(CorrespondenceSet(*a[:4]), *a[4:]), ClassifiedSet.save_text,
+        (CLASSIFIED_COLUMNS,), lambda a: ClassifiedSet(_valid_corr(a[:4]), *a[4:]), ClassifiedSet.save_text,
         ClassifiedSet.load_text,
     ),
     "diffuse.ply": (
