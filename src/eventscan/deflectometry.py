@@ -365,8 +365,6 @@ def iterative_shape(
     center = camera.center
     R = camera.rotation
     alpha = (dirs @ R[2]).reshape(h, w)  # z component of each ray direction in the camera frame
-    view_sign = np.sign(np.mean(alpha[mask])) or 1.0
-    alpha = alpha * view_sign  # guard: rays always march forward in camera z
 
     def bisector_field(t, m, with_normals=False):
         """Bisector field on the cells ``m`` at their depths ``t`` (one per

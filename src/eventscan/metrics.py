@@ -14,7 +14,7 @@ import numpy as np
 
 from .decode import CorrespondenceSet
 from .events import GroundTruth
-from .separate import DIRECT, INDIRECT, ClassifiedSet
+from .separate import DIRECT, INDIRECT, REJECTED, ClassifiedSet
 
 # Gauss-Newton refinement steps of the sphere fit
 GN_STEPS = 10
@@ -154,7 +154,7 @@ def classification_score(classified: ClassifiedSet, truth: GroundTruth) -> Class
         raise ValueError("no correspondences to score")
     truth_cls = truth_class_of(classified.base, truth)
     pred = classified.label.copy()
-    pred[pred == 2] = INDIRECT  # rejected entries were off-epipolar detections
+    pred[pred == REJECTED] = INDIRECT  # rejected entries were off-epipolar detections
     keep = truth_cls >= 0
     if not np.any(keep):
         raise ValueError("no annotated events support these correspondences")

@@ -222,10 +222,7 @@ def _line_of_sight(model: PinholeModel, points: np.ndarray, objects: list[SceneO
         dist = np.linalg.norm(diff, axis=1)
         dirs = diff / dist[:, None]
         t, _, _ = intersect_ray_batch(np.broadcast_to(center, dirs.shape), dirs, objects)
-        visible = np.abs(t - dist) <= 1e-6 * dist + 1e-9
-        sub = np.zeros(ok.sum(), dtype=bool)
-        sub[visible] = True
-        ok[np.where(ok)[0]] = sub
+        ok[ok] = np.abs(t - dist) <= 1e-6 * dist + 1e-9
     return px, ok
 
 
