@@ -245,6 +245,56 @@ def test_staged_skips_what_run_skips(stored_run, config, chain, tmp_path):
     assert_same_files(run_dir, run_staged(CONFIGS / config, tmp_path, chain))
 
 
+CLASS_KEYS = {"class_precision_direct", "class_precision_indirect", "class_recall_direct", "class_recall_indirect"}
+DIFFUSE_FIT_KEYS = {"diffuse_fit", "diffuse_precision_mm", "diffuse_rmse_mm"}
+SPECULAR_FIT_KEYS = {"specular_fit", "specular_iterations", "specular_precision_mm", "specular_rejected_fraction", "specular_rmse_mm"}
+
+# each shipped config's metrics report, key for key
+METRICS_KEYS = {
+    "plane.cfg": {"diffuse_points"} | DIFFUSE_FIT_KEYS | CLASS_KEYS,
+    "plane_fast.cfg": {"diffuse_points"} | DIFFUSE_FIT_KEYS,
+    "plane_mirror.cfg": {"diffuse_points"} | DIFFUSE_FIT_KEYS | SPECULAR_FIT_KEYS | CLASS_KEYS,
+    "specular_sphere.cfg": {"diffuse_points", "specular_radius_mm"} | SPECULAR_FIT_KEYS | CLASS_KEYS,
+    "sphere_diffuse.cfg": {"diffuse_points", "diffuse_radius_mm"} | DIFFUSE_FIT_KEYS | CLASS_KEYS,
+}
+
+
+@pytest.mark.parametrize("config", sorted(METRICS_KEYS))
+def test_metrics_keys_of_each_shipped_config(stored_run, config):
+    _, out = stored_run(load_config(CONFIGS / config))
+    lines = (out / "metrics.txt").read_text().splitlines()
+    assert lines[0] == "# eventscan metrics report"
+    keys = [line.split(" = ")[0] for line in lines[1:]]
+    assert set(keys) == METRICS_KEYS[config] and len(keys) == len(set(keys))
+    _, (names, _) = formats.read_table(out / "metrics.tsv", pipeline.METRICS_COLUMNS)
+    assert names.tolist() == keys
+
+
+def count_screen_builds(monkeypatch) -> list:
+    """Patch the pipeline's screen builder to record each call; returns the record."""
+    calls = []
+    build = pipeline.build_virtual_screen
+
+    def counted(cloud):
+        calls.append(len(cloud))
+        return build(cloud)
+
+    monkeypatch.setattr(pipeline, "build_virtual_screen", counted)
+    return calls
+
+
+def test_virtual_screen_is_built_once_by_deflect(monkeypatch, tmp_path, stored_run):
+    calls = count_screen_builds(monkeypatch)
+    staged = run_staged(CONFIGS / "plane_mirror.cfg", tmp_path)
+    assert len(calls) == 1
+    assert (staged / "screen.txt").is_file()
+    run_pipeline(load_config(CONFIGS / "plane_mirror.cfg"), tmp_path / "run")
+    assert len(calls) == 2
+    # a mixed run that skips deflect makes no screen
+    _, plane = stored_run(load_config(CONFIGS / "plane.cfg"))
+    assert not (plane / "screen.txt").exists() and not (plane / "screen.txt.cols").exists()
+
+
 @pytest.fixture(scope="module")
 def mirror_stream(mirror_run):
     _, _, out = mirror_run
@@ -311,6 +361,8 @@ def test_degenerate_stream_through_subcommands(mirror_stream, tmp_path, case):
     if case in DEGENERATE_FAILURES:
         assert rc == 3
         assert (out / "FAILED").read_text() == DEGENERATE_FAILURES[case]
+        # deflect keeps the screen it built before the bind failed
+        assert (out / "screen.txt").is_file()
     else:
         assert rc == 0 and not (out / "FAILED").exists()
 
@@ -323,6 +375,26 @@ def test_stage_subcommand_failure_writes_marker(tmp_path):
     events.write_bytes(events.read_bytes()[: events.stat().st_size // 2])
     assert cli_main(["decode"] + args) == 3
     assert "stage = decode" in (out / "FAILED").read_text()
+
+
+@pytest.mark.parametrize("column, value", [("x_P", "nan"), ("quality", "inf"), ("quality", "1.5"), ("y_P", "-inf")])
+@pytest.mark.parametrize("stage, table", [("separate", "correspondences.txt"), ("triangulate", "classified.txt")])
+def test_stage_refuses_a_correspondence_it_cannot_use(mirror_run, tmp_path, stage, table, column, value):
+    # one row of the table the stage reads gets a non-finite projector pixel
+    # or a quality outside [0, 1]: exit 3, FAILED names the stage, file and row
+    _, _, src = mirror_run
+    out = tmp_path / "o"
+    out.mkdir()
+    shutil.copyfile(src / "rig.calib", out / "rig.calib")
+    lines = (src / table).read_text().splitlines()
+    fields = lines[3].split()  # the header line, then row 3
+    fields[lines[0][2:].split().index(column)] = value
+    lines[3] = " ".join(fields)
+    (out / table).write_text("\n".join(lines) + "\n")
+    assert cli_main([stage, "--config", str(CONFIGS / "plane_mirror.cfg"), "--out", str(out)]) == 3
+    failed = (out / "FAILED").read_text()
+    assert failed.startswith(f"stage = {stage}\nerror = {out / table}: row 3 has ")
+    assert f"{column} {float(value)}" in failed
 
 
 def test_decode_on_empty_stream_warns(tmp_path):
