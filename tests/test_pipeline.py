@@ -228,9 +228,24 @@ def assert_same_files(run_dir, staged_dir):
     assert_same_run_dirs(run_dir, staged_dir, skip=(MANIFEST,))
 
 
-def test_stage_composition_equals_monolith(mirror_run, tmp_path):
+def count_screen_builds(monkeypatch) -> list:
+    """Patch the pipeline's screen builder to record each call; returns the record."""
+    calls = []
+    build = pipeline.build_virtual_screen
+
+    def counted(cloud):
+        calls.append(len(cloud))
+        return build(cloud)
+
+    monkeypatch.setattr(pipeline, "build_virtual_screen", counted)
+    return calls
+
+
+def test_stage_composition_equals_monolith(mirror_run, tmp_path, monkeypatch):
     _, _, out = mirror_run
+    calls = count_screen_builds(monkeypatch)
     assert_same_files(out, run_staged(CONFIGS / "plane_mirror.cfg", tmp_path))
+    assert len(calls) == 1  # deflect builds the screen it writes; triangulate builds none
 
 
 @pytest.mark.parametrize(
@@ -270,26 +285,10 @@ def test_metrics_keys_of_each_shipped_config(stored_run, config):
     assert names.tolist() == keys
 
 
-def count_screen_builds(monkeypatch) -> list:
-    """Patch the pipeline's screen builder to record each call; returns the record."""
-    calls = []
-    build = pipeline.build_virtual_screen
-
-    def counted(cloud):
-        calls.append(len(cloud))
-        return build(cloud)
-
-    monkeypatch.setattr(pipeline, "build_virtual_screen", counted)
-    return calls
-
-
-def test_virtual_screen_is_built_once_by_deflect(monkeypatch, tmp_path, stored_run):
+def test_run_builds_the_screen_once_and_only_where_it_deflects(monkeypatch, tmp_path, stored_run):
     calls = count_screen_builds(monkeypatch)
-    staged = run_staged(CONFIGS / "plane_mirror.cfg", tmp_path)
-    assert len(calls) == 1
-    assert (staged / "screen.txt").is_file()
     run_pipeline(load_config(CONFIGS / "plane_mirror.cfg"), tmp_path / "run")
-    assert len(calls) == 2
+    assert len(calls) == 1
     # a mixed run that skips deflect makes no screen
     _, plane = stored_run(load_config(CONFIGS / "plane.cfg"))
     assert not (plane / "screen.txt").exists() and not (plane / "screen.txt.cols").exists()
