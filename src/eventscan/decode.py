@@ -27,6 +27,7 @@ import numpy as np
 
 from . import formats
 from .events import SWEEP_HORIZONTAL, SWEEP_VERTICAL, EventStream
+from .geometry import rows_matmul
 from .scene import ScanSchedule
 
 _KEY_SHIFT = 20
@@ -345,7 +346,7 @@ def intersect_single_sweep(assignments: SweepAssignments, F: np.ndarray, polarit
     """
     cl = _cluster(assignments, polarity_policy, vertical_only=True)
     x_c, y_c = unpack_pixels(cl.pixel_key)
-    lines = np.stack([x_c, y_c, np.ones(len(x_c))], axis=1) @ F  # rows: F^T p_C
+    lines = rows_matmul(np.stack([x_c, y_c, np.ones(len(x_c))], axis=1), F)  # rows: F^T p_C
     ok = np.abs(lines[:, 1]) > 1e-9 * np.hypot(lines[:, 0], lines[:, 1])
     y_p = np.where(ok, -(lines[:, 0] * cl.median + lines[:, 2]) / np.where(ok, lines[:, 1], 1.0), 0.0)
     return _build_set(cl, np.flatnonzero(ok)[:, None], np.stack([cl.median[ok], y_p[ok]], axis=1))

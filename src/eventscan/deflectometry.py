@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formats
-from .geometry import PinholeModel, pixel_directions
+from .geometry import PinholeModel, pixel_directions, rows_matmul
 from .separate import INDIRECT, ClassifiedSet
 from .triangulate import DiffuseCloud, VirtualScreen
 
@@ -364,7 +364,7 @@ def iterative_shape(
     screen = screen.reshape(-1, 3)
     center = camera.center
     R = camera.rotation
-    alpha = (dirs @ R[2]).reshape(h, w)  # z component of each ray direction in the camera frame
+    alpha = rows_matmul(dirs, R[2]).reshape(h, w)  # z component of each ray direction in the camera frame
 
     def bisector_field(t, m, with_normals=False):
         """Bisector field on the cells ``m`` at their depths ``t`` (one per
@@ -383,7 +383,7 @@ def iterative_shape(
         sdir = sdir / np.where(ok_normals, norm, 1.0)[:, None]
         normals, good = bisector_normals(-d, sdir)
         ok_normals &= good
-        p, q, ok = _log_depth_gradients(normals @ R.T, u[cells], v[cells], camera, ok_normals)
+        p, q, ok = _log_depth_gradients(rows_matmul(normals, R.T), u[cells], v[cells], camera, ok_normals)
         out = []
         for values in (p, q, ok, normals, ok_normals)[: 5 if with_normals else 3]:
             grid = np.zeros((h * w,) + values.shape[1:], dtype=values.dtype)

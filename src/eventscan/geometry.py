@@ -15,6 +15,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+# Rows per BLAS call in ``rows_matmul``. OpenBLAS runs a product this small on
+# the calling thread. From about 10^5 rows of three columns it wakes a worker
+# thread, which spins on another core after the call returns and so burns CPU
+# time without shortening the run.
+ROW_BLOCK = 8192
+
+
 class DegenerateGeometryError(ValueError):
     """Rig configuration does not define the requested entity (e.g. zero baseline)."""
 
@@ -44,6 +51,24 @@ def _normalize(v: np.ndarray, axis: int = -1) -> np.ndarray:
         raise ValueError("cannot normalize zero-length vector")
     v /= n
     return v
+
+
+def rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for an (N, k) ``a``, ``ROW_BLOCK`` rows at a time into one array: the same bits.
+
+    A block of one row would change bits: numpy sends a (1, k) @ (k,) product
+    through its dot kernel, not gemv, so a one-row tail joins the block before it.
+    """
+    if a.ndim != 2 or len(a) <= ROW_BLOCK:
+        return a @ b
+    n = len(a)
+    out = np.empty((n,) + b.shape[1:], dtype=np.result_type(a, b))
+    start = 0
+    while start < n:
+        stop = start + ROW_BLOCK if n - start != ROW_BLOCK + 1 else n
+        np.matmul(a[start:stop], b, out=out[start:stop])
+        start = stop
+    return out
 
 
 def cross_matrix(t: np.ndarray) -> np.ndarray:
@@ -115,7 +140,7 @@ class PinholeModel:
 
     def to_device(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
-        return points @ self.rotation.T + self.translation
+        return rows_matmul(points, self.rotation.T) + self.translation
 
 
 def _distort(xn: np.ndarray, yn: np.ndarray, k1: float):
@@ -166,7 +191,7 @@ def pixel_directions(model: PinholeModel, pixels: np.ndarray) -> np.ndarray:
     del xd, yd
     dirs = np.stack([xn, yn, np.ones_like(xn)], axis=-1)
     del xn, yn
-    dirs = dirs @ model.rotation
+    dirs = rows_matmul(dirs, model.rotation)
     return _normalize(dirs)
 
 
@@ -194,7 +219,7 @@ def epipolar_lines(F: np.ndarray, projector_pixels: np.ndarray) -> np.ndarray:
     """Camera epipolar lines (a, b, c), normalized so a^2 + b^2 = 1."""
     px = np.atleast_2d(np.asarray(projector_pixels, dtype=np.float64))
     h = np.concatenate([px, np.ones((px.shape[0], 1))], axis=1)
-    lines = h @ F.T
+    lines = rows_matmul(h, F.T)
     norm = np.hypot(lines[:, 0], lines[:, 1])
     norm = np.where(norm < 1e-300, 1.0, norm)
     return lines / norm[:, None]

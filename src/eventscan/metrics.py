@@ -14,6 +14,7 @@ import numpy as np
 
 from .decode import CorrespondenceSet
 from .events import GroundTruth
+from .geometry import rows_matmul
 from .separate import DIRECT, INDIRECT, REJECTED, ClassifiedSet
 
 # Gauss-Newton refinement steps of the sphere fit
@@ -37,7 +38,7 @@ class FitReport:
         """Signed geometric residuals of points against the fitted shape."""
         points = np.atleast_2d(points)
         if self.model == "plane":
-            return (points - self.point) @ self.normal
+            return rows_matmul(points - self.point, self.normal)
         return np.linalg.norm(points - self.center, axis=1) - self.radius
 
 
@@ -54,7 +55,7 @@ def fit_plane(points: np.ndarray) -> FitReport:
     normal = vt[2]
     if normal[2] < 0:  # deterministic orientation
         normal = -normal
-    res = centered @ normal
+    res = rows_matmul(centered, normal)
     return FitReport(
         model="plane",
         point=centroid,

@@ -36,6 +36,7 @@ from .geometry import (
     pixel_directions,
     project_points,
     reflect_direction,
+    rows_matmul,
 )
 from .scene import NoiseModel, Plane, ScanSchedule, SceneObject, Sphere
 
@@ -45,17 +46,18 @@ MAX_MIRROR_BOUNCES = 3
 
 
 def _intersect_plane(origins, dirs, plane: Plane):
-    denom = dirs @ plane.normal
+    denom = rows_matmul(dirs, plane.normal)
     safe = np.where(np.abs(denom) < 1e-12, 1.0, denom)
     # one (N, 3) buffer: plane.point - origins, then the hit relative to plane.point
     local = np.subtract(plane.point, origins)
-    t = (local @ plane.normal) / safe
+    t = rows_matmul(local, plane.normal) / safe
     hit = (np.abs(denom) >= 1e-12) & (t > HIT_EPS_MM)
     np.multiply(t[:, None], dirs, out=local)
     local += origins
     local -= plane.point
     u_axis, v_axis = plane.basis
-    inside = (np.abs(local @ u_axis) <= plane.extent[0]) & (np.abs(local @ v_axis) <= plane.extent[1])
+    inside = np.abs(rows_matmul(local, u_axis)) <= plane.extent[0]
+    inside &= np.abs(rows_matmul(local, v_axis)) <= plane.extent[1]
     hit &= inside
     t = np.where(hit, t, np.inf)
     normals = np.broadcast_to(plane.normal, dirs.shape)
@@ -82,7 +84,17 @@ def _intersect_sphere(origins, dirs, sphere: Sphere):
 def intersect_ray_batch(origins: np.ndarray, dirs: np.ndarray, objects: list[SceneObject]):
     """Nearest hit per ray. Returns (t, normals, obj_index) with inf / -1 on miss.
 
-    Normals are unit length and oriented against the incoming ray.
+    Normals are unit length and oriented against the incoming ray. Every ray
+    is tested against every object.
+    """
+    return _cast(origins, dirs, objects, [slice(None)] * len(objects))
+
+
+def _cast(origins, dirs, objects: list[SceneObject], candidates: list):
+    """``intersect_ray_batch`` testing ``objects[i]`` only against the rays ``candidates[i]`` selects.
+
+    Each entry of ``candidates`` is ``slice(None)`` (every ray) or sorted row
+    indices; a ray outside an object's candidates is taken to miss it.
     """
     origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
@@ -90,20 +102,65 @@ def intersect_ray_batch(origins: np.ndarray, dirs: np.ndarray, objects: list[Sce
     best_t = np.full(n, np.inf)
     best_normal = np.zeros((n, 3))
     best_obj = np.full(n, -1, dtype=np.int32)
-    for i, obj in enumerate(objects):
+    for i, (obj, rows) in enumerate(zip(objects, candidates)):
         if isinstance(obj.shape, Plane):
-            t, normals = _intersect_plane(origins, dirs, obj.shape)
+            t, normals = _intersect_plane(origins[rows], dirs[rows], obj.shape)
         elif isinstance(obj.shape, Sphere):
-            t, normals = _intersect_sphere(origins, dirs, obj.shape)
+            t, normals = _intersect_sphere(origins[rows], dirs[rows], obj.shape)
         else:
             raise TypeError(f"unknown shape {type(obj.shape).__name__}")
-        closer = t < best_t
-        np.copyto(best_t, t, where=closer)
-        np.copyto(best_normal, normals, where=closer[:, None])
-        best_obj[closer] = i
+        closer = t < best_t[rows]
+        for best, new, where in ((best_t, t, closer), (best_normal, normals, closer[:, None]), (best_obj, i, closer)):
+            # a view of ``best`` for a slice, a copy for row indices: written back either way
+            part = best[rows]
+            np.copyto(part, new, where=where)
+            best[rows] = part
     flip = np.sum(best_normal * dirs, axis=1) > 0
     np.negative(best_normal, out=best_normal, where=flip[:, None])
     return best_t, best_normal, best_obj
+
+
+def _box_corners(shape) -> np.ndarray:
+    """Corners of a convex box that holds ``shape``: a plane's rectangle, a sphere's axis-aligned cube."""
+    signs = (-1.0, 1.0)
+    if isinstance(shape, Plane):
+        (eu, ev), (u_axis, v_axis) = shape.extent, shape.basis
+        return np.array([shape.point + a * eu * u_axis + b * ev * v_axis for a in signs for b in signs])
+    return np.array([shape.center + shape.radius * np.array([a, b, c]) for a in signs for b in signs for c in signs])
+
+
+def _candidates(model: PinholeModel, pixels: np.ndarray, objects: list[SceneObject]) -> list:
+    """Per object, the rows of ``pixels`` whose ray from ``model``'s centre can meet it (``_cast``'s candidates).
+
+    A ray meets an object only at a point that projects to the ray's pixel,
+    so it can meet the object only inside the pixel rectangle that bounds
+    the object's box corners. One pixel of margin covers the camera side's
+    rounding to the pixel centre in ``_line_of_sight`` (half a pixel). Every
+    ray stays a candidate where the corners do not bound the projection: a
+    corner not in front of the device, or radial distortion (``k1 != 0``).
+    A lone candidate row gets a neighbour, because numpy multiplies a single
+    row with another kernel than a block of rows (``geometry.rows_matmul``).
+    """
+    if model.k1 != 0:
+        return [slice(None)] * len(objects)
+    margin = 1.0  # px
+    x, y = pixels[:, 0], pixels[:, 1]
+    out = []
+    for obj in objects:
+        corner_px, in_front = project_points(model, _box_corners(obj.shape))
+        if not np.all(in_front):
+            out.append(slice(None))
+            continue
+        (x0, y0), (x1, y1) = corner_px.min(axis=0) - margin, corner_px.max(axis=0) + margin
+        rows = np.flatnonzero((x >= x0) & (x <= x1) & (y >= y0) & (y <= y1))
+        if len(rows) == len(pixels):
+            out.append(slice(None))
+        elif len(rows) == 1 and len(pixels) > 1:
+            first = min(rows[0], len(pixels) - 2)
+            out.append(np.array([first, first + 1]))
+        else:
+            out.append(rows)
+    return out
 
 
 @dataclass
@@ -187,13 +244,16 @@ def _pixel_grid(model: PinholeModel):
 
 
 def _grid_hits(model: PinholeModel, objects: list[SceneObject]):
-    """Cast one ray per pixel of ``model``: (pixels, unit rays) + ``intersect_ray_batch``'s hits.
+    """Cast one ray per pixel of ``model``: (pixels, unit rays) + their nearest hits (t, normals, objects).
 
-    ``_pixel_grid`` is its own function so its temporaries are gone before the cast.
+    Each object is tested only against the rays that can meet it
+    (``_candidates``). ``_pixel_grid`` is its own function so its temporaries
+    are gone before the cast.
     """
     pixels = _pixel_grid(model)
     dirs = pixel_directions(model, pixels)
-    return (pixels, dirs) + intersect_ray_batch(np.broadcast_to(model.center, dirs.shape), dirs, objects)
+    candidates = _candidates(model, pixels, objects)
+    return (pixels, dirs) + _cast(np.broadcast_to(model.center, dirs.shape), dirs, objects, candidates)
 
 
 def _material_masks(objects: list[SceneObject]):
@@ -217,46 +277,54 @@ def _line_of_sight(model: PinholeModel, points: np.ndarray, objects: list[SceneO
         px = np.floor(px + 0.5).astype(np.int64)
     ok = in_front & (px[:, 0] >= 0) & (px[:, 0] <= model.width - 1) & (px[:, 1] >= 0) & (px[:, 1] <= model.height - 1)
     if np.any(ok):
+        candidates = _candidates(model, px[ok], objects)
         center = model.center
         diff = points[ok] - center
         dist = np.linalg.norm(diff, axis=1)
         dirs = diff / dist[:, None]
-        t, _, _ = intersect_ray_batch(np.broadcast_to(center, dirs.shape), dirs, objects)
+        t, _, _ = _cast(np.broadcast_to(center, dirs.shape), dirs, objects, candidates)
         ok[ok] = np.abs(t - dist) <= 1e-6 * dist + 1e-9
     return px, ok
 
 
-def _light_paths(objects, source: PinholeModel, hits, device: PinholeModel, *, snap: bool, bounces: range):
-    """Follow the rays of ``source``'s grid cast bounce by bounce.
+def _light_paths(objects, source: PinholeModel, device: PinholeModel, *, snap: bool, bounces: range):
+    """Cast ``source``'s pixel grid (``_grid_hits``) and follow its rays bounce by bounce.
 
-    ``hits`` is ``_grid_hits(source, objects)`` without its pixels. Bounce 1
-    is the first hit. Each later bounce reflects the rays off the surface
-    they last met: after bounce 1 any surface that mirrors (shiny ones
-    included), after that only a pure mirror. For each bounce in
-    ``bounces`` it yields (bounce, rows, landing points, device pixels,
-    landed objects) for the rays that land on a scattering surface which
-    ``device`` sees (see ``_line_of_sight``); ``rows`` index the grid, in
-    its order.
+    Bounce 1 is each ray's first hit. Each later bounce reflects the rays off
+    the surface they last met: after bounce 1 any surface that mirrors (shiny
+    ones included), after that only a pure mirror. For each bounce in
+    ``bounces`` it yields (bounce, rows, grid pixels, first objects, landing
+    points, device pixels, landed objects) for the rays that land on a
+    scattering surface which ``device`` sees (see ``_line_of_sight``);
+    ``rows`` index the grid, in its order, and the grid pixels and first
+    objects (each ray's bounce-1 object) are those of ``rows``.
+
+    A bounce's reflected rays are built before its sight test, so the whole
+    grid's rays are let go before bounce 1's occlusion cast; only the pixels
+    and first objects, which label the paths, are kept.
     """
     scatters, mirrors = _material_masks(objects)
-    dirs, t, normals, obj = hits
-    origins = np.broadcast_to(source.center, dirs.shape)
-    rows = np.arange(len(dirs))
+    pixels, dirs, t, normals, first = _grid_hits(source, objects)
+    origins, rows, obj = np.broadcast_to(source.center, dirs.shape), np.arange(len(dirs)), first
     for bounce in range(1, bounces.stop):
         if bounce > 1:
-            go_on = mirrors[obj] if bounce == 2 else mirrors[obj] & ~scatters[obj]
-            if not np.any(go_on):
+            if not len(rows):
                 return
-            points = origins[go_on] + t[go_on, None] * dirs[go_on]
-            dirs = reflect_direction(dirs[go_on], normals[go_on])
-            origins = points + dirs * HIT_EPS_MM
             t, normals, obj = intersect_ray_batch(origins, dirs, objects)
-            rows = rows[go_on]
         land = scatters[obj]
+        landing = None
         if bounce in bounces and np.any(land):
-            X = origins[land] + t[land, None] * dirs[land]
+            landing = rows[land], origins[land] + t[land, None] * dirs[land], obj[land]
+        go_on = mirrors[obj] if bounce == 1 else mirrors[obj] & ~scatters[obj]
+        points = origins[go_on] + t[go_on, None] * dirs[go_on]
+        dirs = reflect_direction(dirs[go_on], normals[go_on])
+        origins, rows = points + dirs * HIT_EPS_MM, rows[go_on]
+        del t, normals, points  # bounce 1's: the grid's, let go before its occlusion cast
+        if landing is not None:
+            landed_rows, X, landed = landing
             px, seen = _line_of_sight(device, X, objects, snap=snap)
-            yield bounce, rows[land][seen], X[seen], px[seen], obj[land][seen]
+            landed_rows = landed_rows[seen]
+            yield bounce, landed_rows, pixels[landed_rows], first[landed_rows], X[seen], px[seen], landed[seen]
 
 
 def _apply_noise(stream: EventStream, gt: GroundTruth, noise: NoiseModel, camera: PinholeModel, span):
@@ -360,14 +428,13 @@ def simulate_scan(
 
     for from_camera, bounces in sides:
         source, device = (camera, projector) if from_camera else (projector, camera)
-        pixels, *hits = _grid_hits(source, objects)
-        for bounce, rows, X, px, landed in _light_paths(objects, source, hits, device, snap=not from_camera, bounces=bounces):
-            # the camera pixel, and the object seen there (hits[3]: each ray's
-            # first object), come from the camera's side
+        traced = _light_paths(objects, source, device, snap=not from_camera, bounces=bounces)
+        for bounce, rows, grid_px, first, X, px, landed in traced:
+            # the camera pixel, and the object seen there, come from the camera's side
             if from_camera:
-                cam_px, label, pp = pixels[rows], hits[3][rows], px
+                cam_px, label, pp = grid_px, first, px
             else:
-                cam_px, label, pp = px, landed, pixels[rows]
+                cam_px, label, pp = px, landed, grid_px
             on_epi = np.zeros(len(rows), dtype=bool) if bounce == 1 else epipolar_distances(F, pp, cam_px) <= ON_EPIPOLAR_TAU_PX
             count = "direct" if bounce == 1 else "two_bounce" if bounce == 2 and from_camera else "higher_bounce"
             counts[f"{count}_pairs"] += len(rows) * len(sweeps)
@@ -375,7 +442,6 @@ def simulate_scan(
             for sweep in sweeps:
                 pos = pp[:, 1] if sweep == SWEEP_HORIZONTAL else pp[:, 0]
                 emitter.emit(sweep, cam_px, pos, path, raster_step=rows if sweep == SWEEP_RASTER else None)
-        del pixels, hits  # the grid's rays are not held through the next cast or the final sort
 
     stream, gt = emitter.result()
     if len(stream) == 0:

@@ -751,6 +751,35 @@ def test_concat_ranges_matches_loop(ranges, wide):
     assert_same(decode._concat_ranges(starts, lens), concat_ranges_loop(starts, lens))
 
 
+# --- rows_matmul ----------------------------------------------------------------
+
+B = geometry.ROW_BLOCK
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, B - 1, B, B + 1, 2 * B + 1, 3 * B + 5])
+@pytest.mark.parametrize("right", ["vector", "matrix", "transposed"])
+def test_rows_matmul_matches_whole_product(n, right):
+    rng = np.random.default_rng(n)
+    a = rng.normal(scale=300.0, size=(n, 3))
+    b = {"vector": rng.normal(size=3), "matrix": rng.normal(size=(3, 3)), "transposed": rng.normal(size=(3, 3)).T}[right]
+    blocks = []
+    real_matmul = np.matmul
+
+    def spy(x, y, **kwargs):
+        blocks.append(len(x))
+        return real_matmul(x, y, **kwargs)
+
+    with mock.patch.object(geometry.np, "matmul", spy):
+        got = geometry.rows_matmul(a, b)
+    assert_same(got.view(np.uint64), (a @ b).view(np.uint64))
+    # numpy multiplies a lone (1, 3) row by a (3,) vector with its dot kernel,
+    # not gemv, and about one row in six then differs from the same row inside
+    # a larger product in the last bit: no block may be one row where the
+    # whole product has more (B + 1 and 2B + 1 would end in one)
+    assert sum(blocks) == (n if n > B else 0)
+    assert all(2 <= k <= B + 1 for k in blocks)
+
+
 # --- pixel_directions and triangulate_ray_arrays ------------------------------
 
 

@@ -1,11 +1,24 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import small_rig, tilted_mirror, wall_object
+from conftest import SCENES, small_rig, tilted_mirror, wall_object
 
+from eventscan import simulate
 from eventscan.events import SWEEP_HORIZONTAL, SWEEP_VERTICAL
-from eventscan.geometry import epipolar_distances, fundamental_from_models, pixel_directions, reflect_direction, unit
-from eventscan.scene import Material, NoiseModel, Plane, ScanSchedule, SceneObject, Sphere
+from eventscan.geometry import (
+    PinholeModel,
+    epipolar_distances,
+    fundamental_from_models,
+    pixel_directions,
+    project_points,
+    reflect_direction,
+    unit,
+)
+from eventscan.scene import Material, NoiseModel, Plane, ScanSchedule, SceneObject, Sphere, load_scene
 from eventscan.simulate import intersect_ray_batch, simulate_scan
 
 
@@ -60,6 +73,110 @@ def test_intersect_nearest_of_two_objects():
     ]
     _, _, obj = intersect_ray_batch(np.zeros((1, 3)), np.array([[0.0, 0, 1]]), scene)
     assert scene[obj[0]].label == "near"
+
+
+# --- per-object culling ------------------------------------------------------
+
+MATTE = Material("diffuse", 0.9)
+
+
+def random_device(rng, k1):
+    axis = unit(rng.normal(size=3))
+    angle = rng.uniform(0.0, 0.4)
+    K = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    R = np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * K @ K
+    return PinholeModel(fx=60.0, fy=55.0, cx=23.5, cy=19.5, width=48, height=40, skew=0.5, k1=k1,
+                        rotation=R, translation=rng.uniform(-20.0, 20.0, 3))
+
+
+def random_object(rng, model, straddle):
+    """A plane or sphere at a random pose in front of ``model``, or across its image plane."""
+    depth = rng.uniform(-60.0, 60.0) if straddle else rng.uniform(80.0, 900.0)
+    ray = pixel_directions(model, rng.uniform([-20.0, -20.0], [68.0, 60.0])[None])[0]
+    center = model.center + depth * ray
+    if rng.random() < 0.5:
+        return SceneObject(Plane(center, rng.normal(size=3), rng.uniform(1.0, 150.0, 2)), MATTE, "plane")
+    return SceneObject(Sphere(center, rng.uniform(0.5, 90.0)), MATTE, "sphere")
+
+
+def pixel_sphere(model, pixel, depth=300.0, px_radius=0.2):
+    """A sphere on the ray through ``pixel``, ``px_radius`` pixels wide as seen from ``model``."""
+    ray = pixel_directions(model, np.array([pixel], dtype=float))[0]
+    return SceneObject(Sphere(model.center + depth * ray, px_radius * depth / model.fx), MATTE, "speck")
+
+
+def assert_same_cast(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k1=st.sampled_from([0.0, 0.0, -0.3]), n_objects=st.integers(1, 4),
+       straddle=st.booleans(), lone=st.booleans(), n_points=st.integers(1, 40))
+def test_culled_cast_matches_every_ray_against_every_object(seed, k1, n_objects, straddle, lone, n_points):
+    # the grid cast and the sight test give the same t, normals and object,
+    # bit for bit, with and without culling
+    rng = np.random.default_rng(seed)
+    model = random_device(rng, k1)
+    objects = [random_object(rng, model, straddle and i == 0) for i in range(n_objects)]
+    if lone:
+        # one sphere only the ray of pixel (17, 9) meets, and one whose box
+        # leaves only pixel (0, 0) a candidate, a lone row widened to two
+        objects += [pixel_sphere(model, (17, 9)), pixel_sphere(model, (-0.8, -0.8))]
+    pixels = simulate._pixel_grid(model)
+    dirs = pixel_directions(model, pixels)
+    origins = np.broadcast_to(model.center, dirs.shape)
+    candidates = simulate._candidates(model, pixels, objects)
+    assert_same_cast(simulate._cast(origins, dirs, objects, candidates), intersect_ray_batch(origins, dirs, objects))
+    if lone and k1 == 0:
+        assert candidates[-1].tolist() == [0, 1]
+        assert (intersect_ray_batch(origins, dirs, objects[-2:-1])[2] == 0).sum() == 1
+
+    # the sight test's rays run to points; the camera side snaps their pixels
+    points = model.center + rng.uniform(1.0, 900.0, (n_points, 1)) * pixel_directions(
+        model, rng.uniform([-2.0, -2.0], [50.0, 42.0], (n_points, 2)))
+    px, _ = project_points(model, points)
+    px = np.floor(px + 0.5).astype(np.int64) if rng.random() < 0.5 else px
+    diff = points - model.center
+    dirs = diff / np.linalg.norm(diff, axis=1)[:, None]
+    origins = np.broadcast_to(model.center, dirs.shape)
+    got = simulate._cast(origins, dirs, objects, simulate._candidates(model, px, objects))
+    assert_same_cast(got, intersect_ray_batch(origins, dirs, objects))
+
+
+def test_cull_tests_every_ray_against_an_object_across_the_image_plane():
+    # a sliver from (0.5, 0, 1) mm to (-0.2, 0, -0.001) mm crosses the
+    # camera's plane: its corners behind the camera bound nothing, and the
+    # rays of pixels left of x = 11 still meet it
+    model = PinholeModel(fx=60.0, fy=60.0, cx=23.5, cy=19.5, width=48, height=40)
+    front, behind = np.array([0.5, 0.0, 1.0]), np.array([-0.2, 0.0, -0.001])
+    along = behind - front
+    plane = Plane((front + behind) / 2, [-along[2], 0.0, along[0]], [np.linalg.norm(along) / 2, 0.05])
+    sliver = SceneObject(plane, MATTE, "sliver")
+    pixels = simulate._pixel_grid(model)
+    dirs = pixel_directions(model, pixels)
+    origins = np.broadcast_to(model.center, dirs.shape)
+    want = intersect_ray_batch(origins, dirs, [sliver])
+    assert np.any((want[2] == 0) & (pixels[:, 0] < 11))
+    assert_same_cast(simulate._cast(origins, dirs, [sliver], simulate._candidates(model, pixels, [sliver])), want)
+
+
+def test_camera_grid_cast_tests_the_mirror_with_few_rays():
+    # on plane_mirror.scene the 16 mm mirror projects to a small part of the
+    # camera image: the grid cast intersects it with under 10 % of the rays
+    scene = load_scene(SCENES / "plane_mirror.scene")
+    mirror = next(o.shape for o in scene.objects if o.label == "mirror")
+    rows = {}
+    real = simulate._intersect_plane
+
+    def spy(origins, dirs, plane):
+        rows[id(plane)] = len(dirs)
+        return real(origins, dirs, plane)
+
+    with mock.patch.object(simulate, "_intersect_plane", spy):
+        pixels, _, _, _, obj = simulate._grid_hits(scene.camera, scene.objects)
+    assert rows[id(mirror)] < 0.1 * len(pixels)
+    assert (obj == [o.shape for o in scene.objects].index(mirror)).sum() > 0
 
 
 # --- simulate_scan ---------------------------------------------------------
