@@ -21,6 +21,7 @@ int32 below 2**31 events.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +86,14 @@ def assign_sweeps(events: EventStream, schedule: ScanSchedule, scan_start_us: in
     return SweepAssignments(events, sweep, position, steps, recovery, outside)
 
 
-CORRESPONDENCE_COLUMNS = ((("x_C", "y_C"), np.int32), (("x_P", "y_P"), np.float64), ("support", np.int32), ("quality", np.float64))
+# decode writes camera pixels of the image, finite projector pixels, at
+# least one supporting event and quality 1 - spread/steps, at least 0
+CORRESPONDENCE_COLUMNS = (
+    (("x_C", "y_C"), np.int32, (0, np.inf)),
+    (("x_P", "y_P"), np.float64, (-sys.float_info.max, sys.float_info.max)),
+    ("support", np.int32, (1, np.inf)),
+    ("quality", np.float64, (0, 1)),
+)
 
 
 @dataclass
@@ -119,19 +127,18 @@ class CorrespondenceSet:
 
     @staticmethod
     def load_text(path) -> "CorrespondenceSet":
-        return CorrespondenceSet(*formats.read_table(path, CORRESPONDENCE_COLUMNS)[1]).checked(path)
+        return CorrespondenceSet(*formats.read_table(path, CORRESPONDENCE_COLUMNS)[1])
 
-    def checked(self, path) -> "CorrespondenceSet":
-        """``self``, as read from ``path``; FormatError naming the first row
-        whose x_P or y_P is not finite or whose quality is outside [0, 1]."""
-        q = self.quality
-        bad = np.flatnonzero(~np.isfinite(self.projector_pixel).all(axis=1) | ~((q >= 0) & (q <= 1)))
-        if len(bad):
-            (x, y), i = self.projector_pixel[bad[0]], bad[0]
-            raise formats.FormatError(
-                f"{path}: row {i + 1} has x_P {x}, y_P {y}, quality {q[i]}; x_P and y_P must be finite, quality in [0, 1]"
-            )
-        return self
+
+def refuse_outside_image(path, correspondences: CorrespondenceSet, camera) -> None:
+    """FormatError naming the first row of ``path``, which ``correspondences``
+    were read from, whose camera pixel lies beyond ``camera``'s image.
+
+    The bound is the rig's, so no declaration can carry it; a negative pixel
+    is already refused on load (``CORRESPONDENCE_COLUMNS``).
+    """
+    for name, col, size in (("x_C", 0, camera.width), ("y_C", 1, camera.height)):
+        formats._refuse_outside(path, (name,), (0, size - 1), correspondences.camera_pixel[:, col])
 
 
 def _concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

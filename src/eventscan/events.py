@@ -91,7 +91,7 @@ UNANNOTATED = {"bounce": 0, "surface_point": np.nan, "object_label": -1, "projec
 # ground_truth.txt: one row per light path, the columns of UNANNOTATED in its
 # order; the row number is the path index
 PATH_COLUMNS = (
-    ("bounce", np.int16), (("sx", "sy", "sz"), np.float64), ("label", np.int32),
+    ("bounce", np.int16, (1, np.inf)), (("sx", "sy", "sz"), np.float64), ("label", np.int32),
     (("px", "py"), np.float64), ("on_epipolar", ("false", "true")),
 )
 # ground_truth_events.txt: one row per event; path -1 marks a spurious event
@@ -177,30 +177,28 @@ class GroundTruth:
         return replace(self, path=self.path[order], sweep=self.sweep[order], step=self.step[order])
 
     def refusal(self) -> tuple | None:
-        """``(file, row, what it has)`` of the first row that ``load_text``
-        refuses, ``file`` 0 for the light paths and 1 for the events; None
-        when every row is kept.
+        """``(row, what it has)`` of the first event that ``load_text``
+        refuses; None when every event is kept. ``PATH_COLUMNS`` declares
+        what a light path's own columns may hold.
 
-        Refused are a path with bounce < 1, and an event whose path is
-        outside [-1, number of paths), whose sweep is outside {-1, 0, 1, 2},
-        or whose path, sweep and step are neither all -1 nor all >= 0.
+        Refused is an event whose path is outside [-1, number of paths),
+        whose sweep is outside {-1, 0, 1, 2}, or whose path, sweep and step
+        are neither all -1 nor all >= 0.
         """
         bounce, path, sweep, step = self.bounce, self.path, self.sweep, self.step
         # each mask is made when its turn comes, so one is held at a time:
         # save_text runs this just before the write that peaks in memory
-        for file, bad, says in (
-            (0, lambda: bounce < 1, lambda i: f"bounce {bounce[i]}; a light path has bounce >= 1"),
-            (1, lambda: (path < -1) | (path >= len(bounce)), lambda i: f"path {path[i]}, outside [-1, {len(bounce)})"),
-            (1, lambda: (sweep < -1) | (sweep > SWEEP_RASTER), lambda i: f"sweep {sweep[i]}, outside {{-1, 0, 1, 2}}"),
+        for bad, says in (
+            (lambda: (path < -1) | (path >= len(bounce)), lambda i: f"path {path[i]}, outside [-1, {len(bounce)})"),
+            (lambda: (sweep < -1) | (sweep > SWEEP_RASTER), lambda i: f"sweep {sweep[i]}, outside {{-1, 0, 1, 2}}"),
             (
-                1,
                 lambda: np.where(path == -1, (sweep != -1) | (step != -1), (sweep < 0) | (step < 0)),
                 lambda i: f"path {path[i]}, sweep {sweep[i]}, step {step[i]}; they are all -1 or all >= 0",
             ),
         ):
             bad = np.flatnonzero(bad())
             if len(bad):
-                return file, int(bad[0]), says(bad[0])
+                return int(bad[0]), says(bad[0])
         return None
 
     def save_text(self, path, events_path) -> None:
@@ -208,14 +206,15 @@ class GroundTruth:
 
         ValueError, before either file is opened, for a label that the
         ``# labels:`` line cannot carry (see ``check_label``) or a row that
-        ``load_text`` would refuse (see ``refusal``).
+        ``load_text`` would refuse (see ``refusal``; the path rows are
+        checked against ``PATH_COLUMNS`` as ``path`` is written first).
         """
         for label in self.labels:
             check_label(label)
         refused = self.refusal()
         if refused:
-            file, row, says = refused
-            raise ValueError(f"{(path, events_path)[file]}: row {row + 1} would have {says}")
+            row, says = refused
+            raise ValueError(f"{events_path}: row {row + 1} would have {says}")
         header = "labels: " + (" ".join(self.labels) if self.labels else "-")
         formats.write_table(path, PATH_COLUMNS, [getattr(self, name) for name in UNANNOTATED], header=header)
         formats.write_table(events_path, EVENT_TRUTH_COLUMNS, [self.path, self.sweep, self.step])
@@ -223,7 +222,7 @@ class GroundTruth:
     @staticmethod
     def load_text(path, events_path) -> "GroundTruth":
         """The ``GroundTruth`` that ``save_text`` wrote; FormatError for a row
-        that ``refusal`` names."""
+        outside ``PATH_COLUMNS`` or one that ``refusal`` names."""
         labels: tuple = ()
         with formats.open_text(path) as f:
             first = f.readline().strip()
@@ -235,6 +234,6 @@ class GroundTruth:
         truth = GroundTruth(*paths, *events, labels)
         refused = truth.refusal()
         if refused:
-            file, row, says = refused
-            raise formats.FormatError(f"{(path, events_path)[file]}: row {row + 1} has {says}")
+            row, says = refused
+            raise formats.FormatError(f"{events_path}: row {row + 1} has {says}")
         return truth

@@ -9,7 +9,12 @@ A table or PLY artifact declares its columns once, as a sequence of entries:
 ``"name"`` is a column of strings; ``(name, dtype)`` a numeric column, ``%d``
 for an integer dtype and ``%.17g`` for a float one; ``(name, names)`` a column
 of names from the tuple ``names``, held as int8 indices into it; and
-``((name1, ..., namek), kind)`` an (N, k) field of k such columns.
+``((name1, ..., namek), kind)`` an (N, k) field of k such columns. A numeric
+entry may add its domain, a closed interval ``(lo, hi)`` such as ``(0, inf)`` or
+the float range (finite); NaN lies in none. An integer entry's domain is cut to
+its dtype's range, and a names entry's is its codes. One check, a min and a max
+per column, applies it on write ("row N would have ...", before any file is
+opened) and on read, after the text path and the twin path alike ("row N has").
 ``write_table``/``write_ply`` take the declaration and one array per entry;
 ``read_table``/``read_ply`` return one array per entry, parsed in one typed
 ``np.loadtxt`` pass: integers never go through float.
@@ -187,20 +192,24 @@ def write_sections(path, sections: list[Section], header: str | None = None) -> 
 
 
 def _entries(columns):
-    """Each declaration entry as (column names, kind, numpy type it parses as)."""
+    """Each declaration entry as (column names, kind, numpy type it parses as, domain or None)."""
     for entry in columns:
-        names, kind = (entry, str) if isinstance(entry, str) else entry
+        names, kind, *domain = (entry, str) if isinstance(entry, str) else entry
+        domain = domain[0] if domain else None
         if isinstance(kind, tuple):
             # one character wider than the longest name, so a longer token
             # cannot be truncated into a valid one
-            parsed = f"U{max(map(len, kind)) + 1}"
+            parsed, domain = f"U{max(map(len, kind)) + 1}", (0, len(kind) - 1)
         else:
             parsed = object if np.dtype(kind).kind == "U" else kind  # an unsized 'U' field reads every token as ''
-        yield ((names,) if isinstance(names, str) else tuple(names)), kind, parsed
+            if np.dtype(kind).kind in "iu":
+                lo, hi = domain or (-math.inf, math.inf)
+                domain = (max(lo, np.iinfo(kind).min), min(hi, np.iinfo(kind).max))
+        yield ((names,) if isinstance(names, str) else tuple(names)), kind, parsed, domain
 
 
 def _column_names(columns) -> list[str]:
-    return [name for names, _, _ in _entries(columns) for name in names]
+    return [name for names, *_ in _entries(columns) for name in names]
 
 
 # rows per write of a text body: the body's text is only ever built one block at a time
@@ -221,7 +230,21 @@ def _utf8(text: str) -> bool:
     return True
 
 
-def _record(path, names, kind, parsed, field: np.ndarray) -> np.ndarray:
+def _refuse_outside(path, names, domain, field: np.ndarray, writing: bool = False) -> None:
+    """ValueError when ``writing``, else FormatError, naming the first row of the entry
+    ``names``'s ``field`` with a value outside ``domain`` (a closed interval, or None for
+    all); NaN fails every comparison. A min and a max per column when every value is in."""
+    if domain is None or not len(field):
+        return
+    lo, hi = domain
+    for name, col in zip(names, _columns_of(names, field)):
+        if not (lo <= col.min().item() and col.max().item() <= hi):
+            row = int(np.flatnonzero(~((col >= lo) & (col <= hi)))[0])
+            says = f"{'would have' if writing else 'has'} {name} {col[row].item()}; column '{name}' takes [{lo}, {hi}]"
+            raise (ValueError if writing else FormatError)(f"{path}: row {row + 1} {says}")
+
+
+def _record(path, names, kind, parsed, domain, field: np.ndarray) -> np.ndarray:
     """The array the reader returns for one declaration entry, from the values written.
 
     ValueError, naming the column, for a value the reader would not give
@@ -232,8 +255,8 @@ def _record(path, names, kind, parsed, field: np.ndarray) -> np.ndarray:
     for name, col in zip(names, _columns_of(names, field)):
         where = f"{path}: column '{name}'"
         if isinstance(kind, tuple):
-            if col.dtype.kind not in "biu" or (col.size and not 0 <= col.min() <= col.max() < len(kind)):
-                raise ValueError(f"{where} must hold integer codes in [0, {len(kind)})")
+            if col.dtype.kind not in "biu":
+                raise ValueError(f"{where} must hold integer codes")
         elif np.dtype(kind).kind == "U":
             texts.append(list(map(str, col.tolist())))
             # the reader splits a row at whitespace, cuts it at '#' and drops a trailing NUL
@@ -242,10 +265,7 @@ def _record(path, names, kind, parsed, field: np.ndarray) -> np.ndarray:
                 raise ValueError(f"{where} holds {bad!r}: a bare string must be non-empty UTF-8, without whitespace, '#' or NUL")
         elif col.dtype.kind not in ("biuf" if np.dtype(kind).kind == "f" else "biu"):
             raise ValueError(f"{where} is declared {np.dtype(kind)} but got {col.dtype} values")
-        elif np.dtype(kind).kind != "f" and col.size:
-            info, low, high = np.iinfo(kind), int(col.min()), int(col.max())
-            if low < info.min or high > info.max:
-                raise ValueError(f"{where} holds {low if low < info.min else high}, outside {np.dtype(kind)} [{info.min}, {info.max}]")
+    _refuse_outside(path, names, domain, field, writing=True)
     if isinstance(kind, tuple):
         # a bool field's bytes already are its codes
         return np.ascontiguousarray(field.view(np.int8) if field.dtype == bool else field, dtype=np.int8)
@@ -296,7 +316,7 @@ def _write_body(path, head, columns, records: list) -> str:
         for start in range(0, n, _BLOCK_ROWS):
             block = (record[start : start + _BLOCK_ROWS] for record in records)
             # a generator, so one block's texts are freed before the next block's are made
-            texts = (_texts(kind, col) for (names, kind, _), rows in zip(_entries(columns), block) for col in _columns_of(names, rows))
+            texts = (_texts(kind, col) for (names, kind, *_), rows in zip(_entries(columns), block) for col in _columns_of(names, rows))
             put(map(" ".join, zip(*texts)))
     return digest.hexdigest()
 
@@ -311,14 +331,14 @@ def _write_text(path, head, columns, arrays) -> None:
     if any(c in line for line in head(0) for c in "\r\n") or not _utf8("".join(head(0))):
         raise ValueError(f"{path}: a header or comment must be one line of UTF-8 text")
     records, first = [], None  # first: (name, row count) of the first field
-    for (names, kind, parsed), field in zip(_entries(columns), arrays, strict=True):
+    for (names, kind, parsed, domain), field in zip(_entries(columns), arrays, strict=True):
         field = np.asarray(field)
         if field.shape[1:] != ((len(names),) if len(names) > 1 else ()):
             raise ValueError(f"{path}: columns {' '.join(names)} got an array of shape {field.shape}")
         first = first or (names[0], len(field))
         if len(field) != first[1]:
             raise ValueError(f"{path}: column '{names[0]}' has {len(field)} rows, column '{first[0]}' {first[1]}")
-        records.append(_record(path, names, kind, parsed, field))
+        records.append(_record(path, names, kind, parsed, domain, field))
     _write_twin(path, columns, records, _write_body(path, head, columns, records))
 
 
@@ -336,7 +356,7 @@ def _signature(columns) -> list:
     """The declaration as JSON data: each entry's names, kind and parsed dtype."""
     return [
         [list(names), list(kind) if isinstance(kind, tuple) else np.dtype(kind).str, np.dtype(parsed).str]
-        for names, kind, parsed in _entries(columns)
+        for names, kind, parsed, _ in _entries(columns)
     ]
 
 
@@ -377,7 +397,7 @@ def _write_twin(path, columns, records: list, text_sha256: str) -> None:
 def _read_twin(path, columns):
     """The arrays of ``path``'s twin, or None unless the twin reads cleanly and
     untouched, was written under ``columns`` and records the sha256 of
-    ``path``'s current bytes."""
+    ``path``'s current bytes; FormatError for a value outside its entry's domain."""
     import hashlib
     import json
 
@@ -405,7 +425,7 @@ def _read_twin(path, columns):
             if text_digest.hexdigest() != head["text_sha256"]:
                 return None
             out = []
-            for (names, kind, parsed), descr in zip(_entries(columns), head["dtypes"], strict=True):
+            for (names, kind, parsed, _), descr in zip(_entries(columns), head["dtypes"], strict=True):
                 dtype, want = np.dtype(descr), np.dtype(np.int8 if isinstance(kind, tuple) else parsed)
                 # a bare string entry parses as object and reads back as str of any width
                 if not (dtype.kind == "U" and dtype.itemsize > 0 if want.kind == "O" else dtype == want):
@@ -422,6 +442,8 @@ def _read_twin(path, columns):
                 return None
     except (OSError, ValueError, TypeError, KeyError):
         return None
+    for (names, *_, domain), record in zip(_entries(columns), out):
+        _refuse_outside(path, names, domain, record)
     return out
 
 
@@ -438,7 +460,7 @@ def write_table(path, columns, arrays, header: str | None = None) -> None:
 
 def _reader_fields(columns) -> list:
     """(column name, numpy type) for the one typed parsing pass."""
-    return [(name, parsed) for names, _, parsed in _entries(columns) for name in names]
+    return [(name, parsed) for names, _, parsed, _ in _entries(columns) for name in names]
 
 
 def _read_body(path, f, fields: list, rows: int | None, **kwargs) -> np.ndarray:
@@ -455,13 +477,14 @@ def _read_body(path, f, fields: list, rows: int | None, **kwargs) -> np.ndarray:
 def _declared(path, columns, data: np.ndarray) -> list:
     """One array per declaration entry: (N,) for a name, (N, k) for k names."""
     out = []
-    for names, kind, _ in _entries(columns):
+    for names, kind, _, domain in _entries(columns):
         cols = [data[name] for name in names]
         if isinstance(kind, tuple):
             cols = [_name_codes(path, name, col, kind) for name, col in zip(names, cols)]
         elif np.dtype(kind).kind == "U":
             cols = [col.astype(str) for col in cols]
         out.append(np.stack(cols, axis=1) if len(names) > 1 else np.ascontiguousarray(cols[0]))
+        _refuse_outside(path, names, domain, out[-1])
     return out
 
 
@@ -609,11 +632,10 @@ def write_event_binary(path, t: np.ndarray, x: np.ndarray, y: np.ndarray, polari
     """
     records = np.zeros(len(t), dtype=_EVENT_RECORD)
     for name, values in (("t", t), ("x", x), ("y", y), ("polarity", polarity)):
-        values = np.asarray(values)
-        if values.size:
-            limits = np.iinfo(_EVENT_RECORD[name])
-            if values.dtype.kind not in "biu" or not limits.min <= int(values.min()) <= int(values.max()) <= limits.max:
-                raise ValueError(f"{path}: event {name} must be integers in [{limits.min}, {limits.max}]")
+        values, limits = np.asarray(values), np.iinfo(_EVENT_RECORD[name])
+        if values.size and values.dtype.kind not in "biu":
+            raise ValueError(f"{path}: event {name} must be integers")
+        _refuse_outside(path, (name,), (limits.min, limits.max), values, writing=True)
         records[name] = values
     Path(path).write_bytes(records.tobytes())
 
@@ -623,8 +645,7 @@ def read_event_binary(path):
     if len(raw) % _EVENT_RECORD.itemsize:
         raise FormatError(f"{path}: truncated event record")
     records = np.frombuffer(raw, dtype=_EVENT_RECORD)
-    if records.size and int(records["t"].max()) > np.iinfo(np.int64).max:
-        raise FormatError(f"{path}: event time does not fit int64")
+    _refuse_outside(path, ("t",), (0, np.iinfo(np.int64).max), records["t"])  # t must fit int64
     return (
         records["t"].astype(np.int64),
         records["x"].astype(np.int32),

@@ -403,6 +403,13 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
         for key in keys:
             if key not in have:
                 have[key] = STORE[key].load(_paths(out, key))
+                if key in ("correspondences", "classified"):  # no declaration knows the image size
+                    # not need("rig"): a closure that calls itself is a reference
+                    # cycle, and would hold ``have`` after the stage returns
+                    if "rig" not in have:
+                        have["rig"] = STORE["rig"].load(_paths(out, "rig"))
+                    corr = have[key] if key == "correspondences" else have[key].base
+                    decode.refuse_outside_image(_paths(out, key)[0], corr, have["rig"][0])
         return [have[key] for key in keys]
 
     mixed = cfg.mode == "mixed"

@@ -9,6 +9,7 @@ direct one wins and the specular component is rejected there.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ REJECTED = 2
 
 CLASS_NAMES = ("direct", "indirect", "rejected")
 
-CLASSIFIED_COLUMNS = CORRESPONDENCE_COLUMNS + (("class", CLASS_NAMES), ("epi_dist", np.float64))
+CLASSIFIED_COLUMNS = CORRESPONDENCE_COLUMNS + (("class", CLASS_NAMES), ("epi_dist", np.float64, (0, sys.float_info.max)))
 
 
 @dataclass
@@ -46,7 +47,7 @@ class ClassifiedSet:
     @staticmethod
     def load_text(path) -> "ClassifiedSet":
         _, (*base, label, epipolar_distance) = formats.read_table(path, CLASSIFIED_COLUMNS)
-        return ClassifiedSet(CorrespondenceSet(*base).checked(path), label, epipolar_distance)
+        return ClassifiedSet(CorrespondenceSet(*base), label, epipolar_distance)
 
 
 def epipolar_classify(correspondences: CorrespondenceSet, F: np.ndarray, tau: float = 2.0) -> ClassifiedSet:

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formats
-from .decode import _runs
+from .decode import CORRESPONDENCE_COLUMNS, _runs
 from .geometry import PinholeModel, pixel_directions, triangulate_ray_arrays
 from .separate import DIRECT, ClassifiedSet
 
 
-# diffuse.ply; PLY calls every property double, and x_C/y_C hold integers
-CLOUD_COLUMNS = (formats.XYZ, ("quality", np.float64), ("gap", np.float64), (("x_C", "y_C"), np.int32), (("x_P", "y_P"), np.float64))
+# diffuse.ply; PLY calls every property double, and x_C/y_C hold integers;
+# quality, x_C/y_C and x_P/y_P are the correspondence entries, domains included
+CLOUD_COLUMNS = (formats.XYZ, CORRESPONDENCE_COLUMNS[3], ("gap", np.float64, (0, np.inf)), *CORRESPONDENCE_COLUMNS[:2])
 
 
 @dataclass
@@ -191,7 +192,8 @@ def build_virtual_screen(cloud: DiffuseCloud) -> VirtualScreen:
     One stable sort of the packed keys groups the rows of each pixel in cloud
     order. Per group a max-reduce picks the best quality and, among the rows
     that reach it, a min-reduce the smallest gap; a full tie keeps the first
-    such row, i.e. the earliest in the cloud.
+    such row, i.e. the earliest in the cloud. A NaN quality or gap would
+    leave its pixel without a winner; ``CLOUD_COLUMNS`` refuses one on load.
     """
     screen = VirtualScreen(
         position=cloud.position, proj_pixel=cloud.projector_pixel, quality=cloud.quality, gap=cloud.gap
@@ -200,8 +202,6 @@ def build_virtual_screen(cloud: DiffuseCloud) -> VirtualScreen:
         return screen
     if not np.all(np.abs(cloud.projector_pixel) < _SCREEN_LIMIT - 1):
         raise ValueError(f"projector pixels must be finite and within +-{_SCREEN_LIMIT - 1} to key the screen")
-    if np.isnan(cloud.quality).any() or np.isnan(cloud.gap).any():
-        raise ValueError("cloud quality and gap must not be NaN to rank the screen")
     keys = _screen_keys(_screen_pixels(cloud.projector_pixel))
     order = np.argsort(keys, kind="stable")
     first, stop, screen.keys = _runs(keys[order])

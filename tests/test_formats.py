@@ -1,10 +1,12 @@
 import dataclasses
 import functools
+import math
 import re
 import struct
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -229,16 +231,17 @@ def test_ground_truth_rejects_rows_it_cannot_keep(tmp_path, file, old, new, matc
 @pytest.mark.parametrize(
     "change, match",
     [
-        ({"path": [0, -1], "sweep": [0, 0], "step": [3, 0]}, "row 2 would have path -1, sweep 0, step 0; they are all -1"),
-        ({"path": [0, 1], "sweep": [0, 1], "step": [3, -1]}, "row 2 would have path 1, sweep 1, step -1; they are all -1"),
-        ({"path": [0, 2]}, r"row 2 would have path 2, outside \[-1, 2\)"),
-        ({"sweep": [0, 3]}, r"row 2 would have sweep 3, outside \{-1, 0, 1, 2\}"),
+        ({"path": [0, -1], "sweep": [0, 0], "step": [3, 0]}, "gt_events.txt: row 2 would have path -1, sweep 0, step 0; they are all -1"),
+        ({"path": [0, 1], "sweep": [0, 1], "step": [3, -1]}, "gt_events.txt: row 2 would have path 1, sweep 1, step -1; they are all -1"),
+        ({"path": [0, 2]}, r"gt_events.txt: row 2 would have path 2, outside \[-1, 2\)"),
+        ({"sweep": [0, 3]}, r"gt_events.txt: row 2 would have sweep 3, outside \{-1, 0, 1, 2\}"),
+        ({"bounce": [1, 0]}, "gt.txt: row 2 would have bounce 0"),
     ],
-    ids=["spurious-with-sweep", "annotated-without-step", "path-past-end", "sweep-past-raster"],
+    ids=["spurious-with-sweep", "annotated-without-step", "path-past-end", "sweep-past-raster", "bounce-0"],
 )
 def test_ground_truth_refuses_to_save_rows_it_cannot_load(tmp_path, change, match):
     paths = tmp_path / "gt.txt", tmp_path / "gt_events.txt"
-    with pytest.raises(ValueError, match=re.escape(paths[1].name) + ": " + match):
+    with pytest.raises(ValueError, match=re.escape(str(tmp_path)) + "/" + match):
         dataclasses.replace(two_path_truth(), **change).save_text(*paths)
     assert not any(path.exists() or formats.twin_path(path).exists() for path in paths)
 
@@ -585,19 +588,20 @@ EDGE_FLOATS = [np.nan, -0.0, 0.0, 5e-324, -5e-324, 1.8e308, -1.8e308, np.inf, -n
 TOKENS = ["direct", "true", "0.5", "-1e-17", "nan", "a_b", "x" * 12]
 
 
-def _field(rng, kind, n: int, width: int) -> np.ndarray:
-    """n random rows of one declared kind; every edge value appears once n allows."""
+def _field(rng, kind, domain, n: int, width: int) -> np.ndarray:
+    """n random rows of one declared kind inside its domain (as ``formats._entries``
+    reads it from the declaration); every edge value in it appears once n allows."""
     size = n * width
-    if isinstance(kind, tuple):
-        edge, values = np.arange(len(kind)), rng.integers(0, len(kind), size)
-        dtype = np.int8
+    if isinstance(kind, tuple) or np.dtype(kind).kind == "i":
+        lo, hi = domain
+        edge, values = [v for v in (lo, hi, 0, -1, 1) if lo <= v <= hi], rng.integers(lo, hi, size, endpoint=True)
+        dtype = np.int8 if isinstance(kind, tuple) else kind
     elif np.dtype(kind).kind == "f":
         edge, values = EDGE_FLOATS, rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+        if domain is not None:
+            lo, hi = domain
+            edge, values = [v for v in EDGE_FLOATS + [lo, hi] if lo <= v <= hi], np.clip(values, lo, hi)
         dtype = np.float64
-    elif np.dtype(kind).kind == "i":
-        info = np.iinfo(kind)
-        edge, values = [info.min, info.max, 0, -1, 1], rng.integers(info.min, info.max, size, endpoint=True)
-        dtype = kind
     else:
         edge, values = TOKENS, rng.choice(TOKENS, size)
         dtype = str
@@ -608,11 +612,9 @@ def _field(rng, kind, n: int, width: int) -> np.ndarray:
 
 def _valid_truth(arrays):
     """A GroundTruth of ``arrays`` made loadable, which are fixed in place:
-    every path bounces at least once, every event's path is in [-1, paths),
-    and an event's sweep and step are -1 where its path is, else a sweep in
-    {0, 1, 2} and a step >= 0."""
+    every event's path is in [-1, paths), and an event's sweep and step are
+    -1 where its path is, else a sweep in {0, 1, 2} and a step >= 0."""
     bounce, surface, label, proj, on_epi, path, sweep, step = arrays
-    np.maximum(bounce, 1, out=bounce)
     path %= len(bounce) + 1
     path -= 1
     sweep %= 3
@@ -621,25 +623,15 @@ def _valid_truth(arrays):
     return GroundTruth(bounce, surface, label, proj, on_epi, path, sweep, step)
 
 
-def _valid_corr(arrays):
-    """A CorrespondenceSet of ``arrays`` made loadable, which are fixed in
-    place: x_P and y_P finite (NaN to 0, an infinity to the largest float of
-    its sign) and quality clipped to [0, 1]."""
-    camera_pixel, projector_pixel, support, quality = arrays
-    np.nan_to_num(projector_pixel, copy=False)
-    np.clip(np.nan_to_num(quality, copy=False), 0.0, 1.0, out=quality)
-    return CorrespondenceSet(camera_pixel, projector_pixel, support, quality)
-
-
 # artifact -> (one declaration per file, object made of the files' arrays, save, load); None where no class reads it
 ARTIFACTS = {
     "events.txt": ((EVENT_COLUMNS,), lambda a: EventStream(*a), EventStream.save_text, EventStream.load_text),
     "ground_truth.txt": ((PATH_COLUMNS, EVENT_TRUTH_COLUMNS), _valid_truth, GroundTruth.save_text, GroundTruth.load_text),
     "correspondences.txt": (
-        (CORRESPONDENCE_COLUMNS,), _valid_corr, CorrespondenceSet.save_text, CorrespondenceSet.load_text
+        (CORRESPONDENCE_COLUMNS,), lambda a: CorrespondenceSet(*a), CorrespondenceSet.save_text, CorrespondenceSet.load_text
     ),
     "classified.txt": (
-        (CLASSIFIED_COLUMNS,), lambda a: ClassifiedSet(_valid_corr(a[:4]), *a[4:]), ClassifiedSet.save_text,
+        (CLASSIFIED_COLUMNS,), lambda a: ClassifiedSet(CorrespondenceSet(*a[:4]), *a[4:]), ClassifiedSet.save_text,
         ClassifiedSet.load_text,
     ),
     "diffuse.ply": (
@@ -674,9 +666,8 @@ def test_every_artifact_round_trips(name, n, seed):
     arrays = []
     for columns in declarations:
         arrays.append([])
-        for entry in columns:
-            names, kind = (entry, str) if isinstance(entry, str) else entry
-            arrays[-1].append(_field(rng, kind, n, 1 if isinstance(names, str) else len(names)))
+        for names, kind, _, domain in formats._entries(columns):
+            arrays[-1].append(_field(rng, kind, domain, n, len(names)))
     ply = name.endswith(".ply")
     write = formats.write_ply if ply else formats.write_table
     read = (lambda p, c: formats.read_ply(p, c)) if ply else (lambda p, c: formats.read_table(p, c)[1])
@@ -699,6 +690,74 @@ def test_every_artifact_round_trips(name, n, seed):
             save(back, *second)
         for a, b in zip(first, second):
             assert a.read_bytes() == b.read_bytes()
+
+
+# --- every declared domain refuses a value outside it ----------------------------
+
+
+def _outside(kind, domain) -> dict:
+    """The values just outside ``domain`` that an entry of ``kind`` can hold, by side."""
+    lo, hi = domain
+    if np.dtype(kind).kind == "f":
+        below = math.nextafter(lo, -math.inf) if lo > -math.inf else None
+        return {"below": below, "above": math.nextafter(hi, math.inf) if hi < math.inf else None, "nan": math.nan}
+    info = np.iinfo(kind)
+    return {"below": lo - 1 if lo > info.min else None, "above": hi + 1 if hi < info.max else None}
+
+
+# (artifact, declaration, entry index, side) for each entry that declares a domain in a shipped artifact
+DOMAIN_FAULTS = [
+    pytest.param(name, columns, at, side, id=f"{name}-{entry[0] if isinstance(entry[0], str) else entry[0][0]}-{side}")
+    for name, (declarations, *_) in ARTIFACTS.items()
+    for columns in declarations
+    for at, (entry, (_, kind, _, domain)) in enumerate(zip(columns, formats._entries(columns)))
+    if len(entry) == 3
+    for side, value in _outside(kind, domain).items()
+    if value is not None
+]
+
+
+def _head(ply: bool, columns):
+    """The writer's head lines of ``columns``' table or PLY file, by row count."""
+    names = formats._column_names(columns)
+    if ply:
+        return lambda n: ["ply", "format ascii 1.0", f"element vertex {n}"] + [f"property double {c}" for c in names] + ["end_header"]
+    return lambda n: ["# " + " ".join(names)]
+
+
+@pytest.mark.parametrize("name, columns, at, side", DOMAIN_FAULTS)
+@settings(max_examples=4, deadline=None)
+@given(n=st.integers(1, 5), data=st.data())
+def test_a_value_outside_its_domain_is_refused_on_write_and_on_either_read(name, columns, at, side, n, data):
+    # the writer refuses it before any file is opened; a text file holding
+    # it (hand-edited) and a twin holding it are refused on read alike
+    entries = list(formats._entries(columns))
+    names, kind, _, domain = entries[at]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    arrays = [_field(rng, entry_kind, entry_domain, n, len(entry_names)) for entry_names, entry_kind, _, entry_domain in entries]
+    row, col = data.draw(st.integers(0, n - 1), label="row"), data.draw(st.integers(0, len(names) - 1), label="column")
+    field = arrays[at].reshape(n, len(names))  # a view, so the value lands in arrays[at]
+    field[row, col] = _outside(kind, domain)[side]
+    ply = name.endswith(".ply")
+    read = (lambda p: formats.read_ply(p, columns)) if ply else (lambda p: formats.read_table(p, columns))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        says = f"{re.escape(str(path))}: row {row + 1} %s {names[col]} {re.escape(str(field[row, col].item()))};"
+        with pytest.raises(ValueError, match=says % "would have"):
+            (formats.write_ply if ply else formats.write_table)(path, columns, arrays)
+        assert not path.exists() and not formats.twin_path(path).exists()
+        # the records the writer would build, unchecked
+        records = [
+            np.ascontiguousarray(array, dtype=np.int8 if isinstance(entry_kind, tuple) else parsed)
+            for array, (_, entry_kind, parsed, _) in zip(arrays, entries)
+        ]
+        digest = formats._write_body(path, _head(ply, columns), columns, records)
+        with pytest.raises(formats.FormatError, match=says % "has"):
+            read(path)
+        formats._write_twin(path, columns, records, digest)
+        with mock.patch.object(formats, "_declared", side_effect=AssertionError("the text was parsed")):
+            with pytest.raises(formats.FormatError, match=says % "has"):
+                read(path)
 
 
 # --- binary twins ----------------------------------------------------------------

@@ -946,7 +946,7 @@ def test_resolve_mixed_matches_loop(rows):
 def text_columns_loop(columns, arrays):
     """(percent format, python list) per column, one field converted at a time."""
     specs = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
-    for (names, kind, _), field in zip(formats._entries(columns), arrays, strict=True):
+    for (names, kind, *_), field in zip(formats._entries(columns), arrays, strict=True):
         field = np.asarray(field)
         if field.shape[1:] != ((len(names),) if len(names) > 1 else ()):
             raise ValueError(f"columns {' '.join(names)} got an array of shape {field.shape}")

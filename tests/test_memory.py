@@ -130,7 +130,7 @@ def test_twin_write_allocates_a_constant_beyond_its_arrays():
         for name, (columns, arrays) in tables.items():
             path = Path(tmp) / name
             entries = zip(formats._entries(columns), arrays, strict=True)
-            records = [formats._record(path, names, kind, parsed, np.asarray(field)) for (names, kind, parsed), field in entries]
+            records = [formats._record(path, *entry, np.asarray(field)) for entry, field in entries]
             _, peak = peak_bytes(formats._write_twin, path, columns, records, "0" * 64)
             assert peak <= TWIN_WRITE_BYTES, name
 

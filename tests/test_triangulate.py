@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,19 +120,26 @@ def test_screen_collision_tie_breaks_on_gap():
 
 
 @pytest.mark.parametrize("column", ["quality", "gap"])
-def test_screen_refuses_nan_quality_or_gap(column):
-    # a NaN would leave its pixel without a winner; a cloud read back from
-    # diffuse.ply can carry one
-    values = {"quality": np.array([0.9, 0.5]), "gap": np.array([0.1, 0.0])}
-    values[column][1] = np.nan
+def test_cloud_load_refuses_nan_quality_or_gap(tmp_path, column):
+    # a NaN would leave its screen pixel without a winner, so the diffuse.ply
+    # the deflect stage builds its screen from refuses one, naming file and row
     cloud = DiffuseCloud(
         position=np.array([[0.0, 0, 600], [1.0, 0, 600]]),
         camera_pixel=np.array([[10, 10], [11, 10]], np.int32),
         projector_pixel=np.array([[400.2, 400.1], [399.8, 400.4]]),
-        **values,
+        gap=np.array([0.1, 0.0]),
+        quality=np.array([0.9, 0.5]),
     )
-    with pytest.raises(ValueError, match="NaN"):
-        build_virtual_screen(cloud)
+    path = tmp_path / "diffuse.ply"
+    cloud.save_ply(path)
+    lines = path.read_text().splitlines()
+    props = [line.split()[-1] for line in lines if line.startswith("property")]
+    fields = lines[-1].split()  # the second row
+    fields[props.index(column)] = "nan"
+    lines[-1] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(formats.FormatError, match=f"{re.escape(str(path))}: row 2 has {column} nan"):
+        DiffuseCloud.load_ply(path)
 
 
 def test_screen_covers_ground_truth_bounce2(mirror_scan):
