@@ -28,6 +28,12 @@ def _load(args) -> PipelineConfig:
     return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
+def _show(prefix: str, notes: list, counts: dict) -> None:
+    """The one console report: each note, then each count as ``key = value``, every line after ``prefix``."""
+    for line in notes + [f"{key} = {counts[key]}" for key in sorted(counts)]:
+        print(prefix + line)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="eventscan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -43,13 +49,10 @@ def main(argv=None) -> int:
         cfg = _load(args)
         if args.command == "run":
             report = run_pipeline(cfg, args.out)
-            for stage in report.stages:
-                print(f"stage {stage}: ok")
-            for key in sorted(report.numbers):
-                print(f"{key} = {report.numbers[key]}")
+            _show("", [f"stage {stage}: ok" for stage in report.stages], report.numbers)
         else:
-            for line in run_stage(cfg, args.command, args.out, args.input).splitlines():
-                print(f"{args.command}: {line}")
+            r = run_stage(cfg, args.command, args.out, args.input)
+            _show(f"{r.stage}: ", [f"skipped: {r.skipped}"] if r.skipped else [f"warning: {w}" for w in r.warnings], r.counts)
         return EXIT_OK
     except (ConfigError, FormatError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,11 +7,12 @@ config and seed produce byte-identical outputs.
 
 ``STORE`` is the run directory: one entry per artifact with its files and
 its save/load pair. Each ``stage_*`` takes its inputs in memory, writes what
-it makes through the store and returns it. ``_drive`` runs stages in chain
-order and owns the mode logic. ``run_pipeline`` drives all six and hands
-results on in memory; ``run_stage`` drives one on inputs read back through
-the store. Both paths run the same code on the same inputs. Each artifact has
-one maker, the stage its ``Artifact`` names; ``_drive`` makes none.
+it makes through the store and returns it with a ``StageRecord`` of what it
+did. ``_drive`` runs stages in chain order, owns the mode logic and returns
+the records. ``run_pipeline`` drives all six and hands results on in memory;
+``run_stage`` drives one on inputs read back through the store. Both paths
+run the same code on the same inputs. Each artifact has one maker, the stage
+its ``Artifact`` names; ``_drive`` makes none.
 """
 
 from __future__ import annotations
@@ -297,38 +298,52 @@ def _keep(out: Path, made: dict) -> dict:
 # --- stages --------------------------------------------------------------------
 
 
-def stage_simulate(cfg: PipelineConfig, out: Path, scene: SceneFile) -> dict:
+class StageRecord(NamedTuple):
+    """What one stage did: why it was skipped ("" when it ran), its numbers in
+    the manifest and its warnings; only ints, floats and strings, so it keeps no artifact alive."""
+
+    stage: str
+    skipped: str
+    counts: dict
+    warnings: tuple
+
+
+def stage_simulate(cfg: PipelineConfig, out: Path, scene: SceneFile) -> tuple[dict, StageRecord]:
     """Simulate the scan of ``scene``, as ``load_run_scene`` returns it."""
     rig = (scene.camera, scene.projector)
     mode = "single" if cfg.mode == "diffuse-only" else "dual"
     result = simulate_scan(scene.objects, *rig, scene.schedule, scene.noise, mode=mode, generate_higher_bounces=cfg.higher_bounces)
     n_sweeps = 1 if mode == "single" else 2
-    return _keep(out, {
+    made = _keep(out, {
         "events": result.events,
         "truth": result.ground_truth,
         "rig": rig,
         "scan": ScanMeta(scene.schedule, cfg.mode, n_sweeps, result.scan_span_us, result.counts, result.warnings),
     })
+    return made, StageRecord("simulate", "", {"events": len(result.events), "scan_span_us": result.scan_span_us}, tuple(result.warnings))
 
 
-def stage_decode(out: Path, events: EventStream, scan: ScanMeta, rig) -> dict:
+def stage_decode(out: Path, events: EventStream, scan: ScanMeta, rig) -> tuple[dict, StageRecord]:
     assignments = decode.assign_sweeps(events, scan.schedule, scan.schedule.scan_start_us, n_sweeps=scan.n_sweeps)
     if scan.n_sweeps == 1:
         corr = decode.intersect_single_sweep(assignments, fundamental_from_models(*rig))
     else:
         corr = decode.intersect_sweeps(assignments)
-    return _keep(out, {"correspondences": corr, "provenance": (corr.event_ids, corr.event_offsets)})
+    made = _keep(out, {"correspondences": corr, "provenance": (corr.event_ids, corr.event_offsets)})
+    return made, StageRecord("decode", "", {"correspondences": len(corr)}, () if len(corr) else ("empty correspondence table",))
 
 
-def stage_separate(out: Path, corr: decode.CorrespondenceSet, rig) -> dict:
-    return _keep(out, {"classified": resolve_mixed_pixels(epipolar_classify(corr, fundamental_from_models(*rig)))})
+def stage_separate(out: Path, corr: decode.CorrespondenceSet, rig) -> tuple[dict, StageRecord]:
+    made = _keep(out, {"classified": resolve_mixed_pixels(epipolar_classify(corr, fundamental_from_models(*rig)))})
+    return made, StageRecord("separate", "", {"direct": int((made["classified"].label == DIRECT).sum())}, ())
 
 
-def stage_triangulate(out: Path, classified: ClassifiedSet, rig) -> dict:
-    return _keep(out, {"cloud": triangulate_direct(classified, *rig)})
+def stage_triangulate(out: Path, classified: ClassifiedSet, rig) -> tuple[dict, StageRecord]:
+    made = _keep(out, {"cloud": triangulate_direct(classified, *rig)})
+    return made, StageRecord("triangulate", "", {"diffuse_points": len(made["cloud"])}, ())
 
 
-def stage_deflect(cfg: PipelineConfig, out: Path, classified: ClassifiedSet, cloud: DiffuseCloud, rig) -> dict:
+def stage_deflect(cfg: PipelineConfig, out: Path, classified: ClassifiedSet, cloud: DiffuseCloud, rig) -> tuple[dict, StageRecord]:
     """Build and keep the screen ``cloud`` shows, so a failed bind leaves it; then bind and shape."""
     camera = rig[0]
     screen = _keep(out, {"screen": build_virtual_screen(cloud)})["screen"]
@@ -345,7 +360,9 @@ def stage_deflect(cfg: PipelineConfig, out: Path, classified: ClassifiedSet, clo
         "bound": len(binding),
         "uncovered": binding.uncovered,
     }
-    return _keep(out, {"specular": (estimate.points(camera), meta), "normals": normal_map, "residuals": estimate})
+    made = _keep(out, {"specular": (estimate.points(camera), meta), "normals": normal_map, "residuals": estimate})
+    warnings = () if estimate.converged else (f"not converged after {estimate.iterations} iterations",)
+    return made, StageRecord("deflect", "", {"bound": len(binding), "uncovered": binding.uncovered}, warnings)
 
 
 def _fit_report(name: str, kind: str, points: np.ndarray) -> dict:
@@ -359,14 +376,14 @@ def _fit_report(name: str, kind: str, points: np.ndarray) -> dict:
     return report
 
 
-def stage_metrics(cfg: PipelineConfig, out: Path, cloud: DiffuseCloud, classified, truth: GroundTruth | None, specular) -> dict:
+def stage_metrics(cfg: PipelineConfig, out: Path, cloud: DiffuseCloud, classified, truth: GroundTruth | None, specular) -> tuple[dict, StageRecord]:
     report = {"diffuse_points": len(cloud), **_fit_report("diffuse", cfg.fit_diffuse, cloud.position)}
     if specular is not None and (fit := _fit_report("specular", cfg.fit_specular, specular[0])):
         report.update(fit, specular_rejected_fraction=specular[1]["rejected_fraction"], specular_iterations=specular[1]["iterations"])
     if truth is not None and classified is not None and len(classified):
         score = metrics.classification_score(classified, truth)
         report.update({f"class_{f.name}": getattr(score, f.name) for f in fields(score)})
-    return _keep(out, {"metrics": report})
+    return _keep(out, {"metrics": report}), StageRecord("metrics", "", report, ())
 
 
 # --- the driver ----------------------------------------------------------------
@@ -383,13 +400,14 @@ def _malloc_trim():
         return None
 
 
-def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | None = None) -> list:
-    """Run ``stages`` in chain order; returns (stage, summary, ran) per stage.
+def _drive(cfg: PipelineConfig, out: Path, stages, source: Path | None = None) -> list:
+    """Run ``stages`` in chain order; returns one ``StageRecord`` per stage.
 
-    A stage's inputs come from ``have``, which collects what every stage
-    makes, and otherwise are read from ``out`` through the store. With a
-    ``source`` directory, the artifacts of the stages before the first one
-    are first copied byte for byte from there into ``out``.
+    A stage's inputs are what an earlier stage of this call made, and
+    otherwise are read from ``out`` through the store. With a ``source``
+    directory, the artifacts of the stages before the first one are first
+    copied byte for byte from there into ``out``. The files a stage makes are
+    removed before it runs or is skipped, so none outlives the run that made it.
 
     The mode logic lives here alone: diffuse-only skips separate and deflect
     and triangulates every correspondence as direct; deflect runs only when
@@ -398,6 +416,7 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
     When the chain starts with simulate, its scene is read before ``out`` is
     created, so a ConfigError there leaves nothing behind.
     """
+    have: dict = {}
 
     def need(*keys):
         for key in keys:
@@ -414,44 +433,34 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
 
     mixed = cfg.mode == "mixed"
     failed = out / FAILED_MARKER
-    done = []
+    records = []
     stage = stages[0]
     scene = load_run_scene(cfg) if stage == "simulate" else None
     try:
         out.mkdir(parents=True, exist_ok=True)
         failed.unlink(missing_ok=True)
-        if source is not None:
-            earlier = STAGES[: STAGES.index(stage)]
-            for art in STORE.values():
-                for name in art.files if art.stage in earlier else ():
-                    # a table or PLY file comes with its twin
-                    for copied in (name, formats.twin_path(name)):
-                        if (source / copied).is_file():
-                            shutil.copyfile(source / copied, out / copied)
+        earlier = STAGES[: STAGES.index(stage)] if source is not None else ()
+        for art in STORE.values():
+            # a table or PLY file comes with its twin
+            for name in (n for f in art.files for n in (f, formats.twin_path(f).name)):
+                if art.stage in earlier and (source / name).is_file():
+                    shutil.copyfile(source / name, out / name)
+                elif art.stage in stages:
+                    (out / name).unlink(missing_ok=True)
         for stage in stages:
-            ran = True
             if stage == "simulate":
-                have.update(stage_simulate(cfg, out, scene))
-                summary = f"{len(have['events'])} events"
+                made, record = stage_simulate(cfg, out, scene)
             elif stage == "decode":
-                have.update(stage_decode(out, *need("events", "scan", "rig")))
-                summary = f"{len(have['correspondences'])} correspondences"
-                if not len(have["correspondences"]):
-                    summary += "\nwarning: empty correspondence table"
+                made, record = stage_decode(out, *need("events", "scan", "rig"))
             elif stage == "separate" and mixed:
-                have.update(stage_separate(out, *need("correspondences", "rig")))
-                summary = f"{len(have['classified'])} classified"
+                made, record = stage_separate(out, *need("correspondences", "rig"))
             elif stage == "triangulate":
                 if not mixed:
                     (corr,) = need("correspondences")
                     have["classified"] = ClassifiedSet(corr, np.zeros(len(corr), dtype=np.int8), np.zeros(len(corr)))
-                have.update(stage_triangulate(out, *need("classified", "rig")))
-                summary = f"{len(have['cloud'])} points"
+                made, record = stage_triangulate(out, *need("classified", "rig"))
             elif stage == "deflect" and mixed and (need("classified")[0].label == INDIRECT).any():
-                have.update(stage_deflect(cfg, out, *need("classified", "cloud", "rig")))
-                meta = have["specular"][1]
-                state = "converged" if meta["converged"] else "not converged"
-                summary = f"{meta['bound']} bound, {meta['iterations']} iterations, {state}"
+                made, record = stage_deflect(cfg, out, *need("classified", "cloud", "rig"))
             elif stage == "metrics":
                 classified = truth = specular = None
                 if mixed:
@@ -459,12 +468,11 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
                     classified.base.event_ids, classified.base.event_offsets = provenance
                     if (classified.label == INDIRECT).any():
                         (specular,) = need("specular")
-                have.update(stage_metrics(cfg, out, *need("cloud"), classified, truth, specular))
-                summary = "\n".join(f"{k} = {v}" for k, v in sorted(have["metrics"].items()))
+                made, record = stage_metrics(cfg, out, *need("cloud"), classified, truth, specular)
             else:
-                ran = False
-                summary = "skipped: " + ("diffuse-only mode" if not mixed else "no indirect correspondences")
-            done.append((stage, summary, ran))
+                made, record = {}, StageRecord(stage, "diffuse-only mode" if not mixed else "no indirect correspondences", {}, ())
+            have.update(made)
+            records.append(record)
             # glibc keeps the pages a stage freed while any chunk above them is
             # in use, so the next stage's peak would stack on them by an amount
             # that shifts with heap layout; hand them back
@@ -474,7 +482,7 @@ def _drive(cfg: PipelineConfig, out: Path, stages, have: dict, source: Path | No
         out.mkdir(parents=True, exist_ok=True)
         failed.write_text(f"stage = {stage}\nerror = {exc}\n", encoding="utf-8")
         raise StageError(stage, exc) from exc
-    return done
+    return records
 
 
 @dataclass
@@ -488,20 +496,9 @@ class RunReport:
 def run_pipeline(cfg: PipelineConfig, out_dir) -> RunReport:
     """Run all stages in memory; on failure a FAILED marker names the broken stage."""
     out = Path(out_dir)
-    have: dict = {}
-    stages_done = [stage for stage, _, ran in _drive(cfg, out, STAGES, have) if ran]
-    numbers = {
-        "events": len(have["events"]),
-        "scan_span_us": have["scan"].span_us,
-        "correspondences": len(have["correspondences"]),
-        "diffuse_points": len(have["cloud"]),
-    }
-    if cfg.mode == "mixed":
-        numbers["direct"] = int((have["classified"].label == DIRECT).sum())
-    if "specular" in have:
-        numbers["bound"] = have["specular"][1]["bound"]
-        numbers["uncovered"] = have["specular"][1]["uncovered"]
-    numbers.update(have["metrics"])
+    records = _drive(cfg, out, STAGES)
+    stages_done = [r.stage for r in records if not r.skipped]
+    numbers = {key: value for r in records for key, value in r.counts.items()}
     # paths as the config wrote them, so the manifest does not depend on where
     # the checkout lives, and the hash of each input file the run read
     inputs = {key: getattr(cfg, key) for key in ("scene", "calibration") if getattr(cfg, key) != "from-scene"}
@@ -512,15 +509,15 @@ def run_pipeline(cfg: PipelineConfig, out_dir) -> RunReport:
         "config": {**cfg.effective(), **cfg.written},
         "input_sha256": {key: hashlib.sha256(Path(path).read_bytes()).hexdigest() for key, path in inputs.items()},
         "stages": stages_done,
-        "numbers": {k: (float(v) if isinstance(v, (np.floating, float)) else int(v) if isinstance(v, (np.integer, int)) else v) for k, v in numbers.items()},
+        "numbers": numbers,
         "artifacts": sorted(p.name for p in out.iterdir() if p.is_file() and p.name != MANIFEST),
     }
     (out / MANIFEST).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return RunReport(out, stages_done, numbers, manifest)
 
 
-def run_stage(cfg: PipelineConfig, stage: str, out_dir, input_dir=None) -> str:
-    """Run one stage on inputs read through the store from ``out_dir``; returns its summary.
+def run_stage(cfg: PipelineConfig, stage: str, out_dir, input_dir=None) -> StageRecord:
+    """Run one stage on inputs read through the store from ``out_dir``; returns its record.
 
     With an ``input_dir`` other than ``out_dir``, the artifacts of the
     earlier stages are first copied from there, so a chain of stages through
@@ -528,5 +525,4 @@ def run_stage(cfg: PipelineConfig, stage: str, out_dir, input_dir=None) -> str:
     """
     out = Path(out_dir)
     same = input_dir is None or Path(input_dir).resolve() == out.resolve()
-    ((_, summary, _),) = _drive(cfg, out, [stage], {}, None if same else Path(input_dir))
-    return summary
+    return _drive(cfg, out, [stage], None if same else Path(input_dir))[0]

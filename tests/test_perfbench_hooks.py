@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from conftest import REPO
+from conftest import CONFIGS, REPO
 
 PERFBENCH = REPO / "perfbench"
 
@@ -64,3 +64,22 @@ def test_hd_workload_calls_bind_to_the_library():
             bound.append((call.func.value.id, call.func.attr, len(call.args)))
     assert ("decode", "assign_sweeps", 4) in bound
     assert ("deflectometry", "iterative_shape", 2) in bound
+
+
+def test_driver_calls_each_stage_by_its_module_name(stored_run, tmp_path, monkeypatch):
+    # the tracer rebinds pipeline.stage_* to its wrappers; a dispatch table
+    # built at import would call the originals and drop pipeline.self_s
+    from eventscan import pipeline
+
+    cfg = pipeline.load_config(CONFIGS / "plane.cfg")
+    _, src = stored_run(cfg)
+    calls = []
+    separate = pipeline.stage_separate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return separate(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "stage_separate", counted)
+    pipeline.run_stage(cfg, "separate", tmp_path / "o", src)
+    assert len(calls) == 1

@@ -1,5 +1,8 @@
+import contextlib
+import dataclasses
 import gc
 import hashlib
+import io
 import json
 import shutil
 import subprocess
@@ -215,14 +218,35 @@ def test_full_run_artifacts(mirror_run):
 
 def run_staged(config, root, chain=False):
     """Run the six subcommands in one directory, or each in a fresh one fed by
-    the previous one through --input; returns the last directory."""
-    prev = None
+    the previous one through --input; returns the last directory and the
+    lines the subcommands printed."""
+    prev, printed = None, []
     for stage in STAGES:
         out = root / (stage if chain else "staged")
         args = [stage, "--config", str(config), "--out", str(out)]
-        assert cli_main(args + (["--input", str(prev)] if prev else [])) == 0, stage
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            rc = cli_main(args + (["--input", str(prev)] if prev else []))
+        assert rc == 0, stage
+        printed += stdout.getvalue().splitlines()
         prev = out
-    return out
+    return out, printed
+
+
+def printed_counts(printed) -> dict:
+    """The subcommands' ``S: key = value`` lines as {key: value}; two stages
+    that print one key print the same value."""
+    counts = {}
+    for line in printed:
+        _, _, rest = line.partition(": ")
+        if not rest.startswith(("warning: ", "skipped: ")):
+            key, value = rest.split(" = ")
+            assert counts.setdefault(key, value) == value, key
+    return counts
+
+
+def assert_console_equals_manifest(printed, run_dir):
+    numbers = json.loads((run_dir / MANIFEST).read_text())["numbers"]
+    assert printed_counts(printed) == {key: str(value) for key, value in numbers.items()}
 
 
 def assert_same_files(run_dir, staged_dir):
@@ -247,8 +271,10 @@ def count_screen_builds(monkeypatch) -> list:
 def test_stage_composition_equals_monolith(mirror_run, tmp_path, monkeypatch):
     _, _, out = mirror_run
     calls = count_screen_builds(monkeypatch)
-    assert_same_files(out, run_staged(CONFIGS / "plane_mirror.cfg", tmp_path))
+    staged, printed = run_staged(CONFIGS / "plane_mirror.cfg", tmp_path)
+    assert_same_files(out, staged)
     assert len(calls) == 1  # deflect builds the screen it writes; triangulate builds none
+    assert_console_equals_manifest(printed, out)
 
 
 @pytest.mark.parametrize(
@@ -259,8 +285,15 @@ def test_stage_composition_equals_monolith(mirror_run, tmp_path, monkeypatch):
     ],
 )
 def test_staged_skips_what_run_skips(stored_run, config, chain, tmp_path):
-    _, run_dir = stored_run(load_config(CONFIGS / config))
-    assert_same_files(run_dir, run_staged(CONFIGS / config, tmp_path, chain))
+    report, run_dir = stored_run(load_config(CONFIGS / config))
+    staged, printed = run_staged(CONFIGS / config, tmp_path, chain)
+    assert_same_files(run_dir, staged)
+    # a skipped stage prints its one skipped line and nothing else
+    lines = {stage: [line for line in printed if line.startswith(f"{stage}: ")] for stage in STAGES}
+    skipped = [stage for stage in STAGES if any(line.startswith(f"{stage}: skipped: ") for line in lines[stage])]
+    assert skipped and all(len(lines[stage]) == 1 for stage in skipped)
+    assert report.stages == [stage for stage in STAGES if stage not in skipped]
+    assert_console_equals_manifest(printed, run_dir)
 
 
 CLASS_KEYS = {"class_precision_direct", "class_precision_indirect", "class_recall_direct", "class_recall_indirect"}
@@ -279,7 +312,9 @@ METRICS_KEYS = {
 
 @pytest.mark.parametrize("config", sorted(METRICS_KEYS))
 def test_metrics_keys_of_each_shipped_config(stored_run, config):
-    _, out = stored_run(load_config(CONFIGS / config))
+    report, out = stored_run(load_config(CONFIGS / config))
+    # the stage records' counts: plain values, which hold no array alive
+    assert {type(value) for value in report.numbers.values()} <= {int, float, str}
     lines = (out / "metrics.txt").read_text().splitlines()
     assert lines[0] == "# eventscan metrics report"
     keys = [line.split(" = ")[0] for line in lines[1:]]
@@ -439,7 +474,7 @@ def test_stage_refuses_a_correspondence_it_cannot_use(mirror_run, tmp_path, stag
     assert f"{column} {value};" in failed
 
 
-def test_decode_on_empty_stream_warns(tmp_path):
+def test_decode_on_empty_stream_warns(tmp_path, capsys):
     out = tmp_path / "o"
     out.mkdir()
     cfg = load_config(CONFIGS / "plane.cfg")
@@ -448,9 +483,39 @@ def test_decode_on_empty_stream_warns(tmp_path):
 
     stage_simulate(cfg, out, load_run_scene(cfg))
     EventStream.empty().save_text(out / "events.txt")
+    capsys.readouterr()
     rc = cli_main(["decode", "--config", str(CONFIGS / "plane.cfg"), "--out", str(out)])
     assert rc == 0
     assert (out / "correspondences.txt").exists()
+    assert capsys.readouterr().out.splitlines() == ["decode: warning: empty correspondence table", "decode: correspondences = 0"]
+
+
+def test_deflect_warns_when_the_shape_does_not_converge(mirror_run, tmp_path, monkeypatch, capsys):
+    cfg, _, src = mirror_run
+    shape = pipeline.iterative_shape
+
+    def unconverged(*args, **kwargs):
+        estimate, normal_map = shape(*args, **kwargs)
+        return dataclasses.replace(estimate, converged=False), normal_map
+
+    monkeypatch.setattr(pipeline, "iterative_shape", unconverged)
+    out = tmp_path / "o"
+    assert cli_main(["deflect", "--config", str(CONFIGS / "plane_mirror.cfg"), "--out", str(out), "--input", str(src)]) == 0
+    iterations = json.loads((src / MANIFEST).read_text())["numbers"]["specular_iterations"]
+    assert f"deflect: warning: not converged after {iterations} iterations" in capsys.readouterr().out.splitlines()
+
+
+def test_a_stage_removes_what_an_earlier_run_left(stored_run, tmp_path):
+    # plane.cfg skips deflect, so a specular.ply next to its run is another run's
+    cfg = load_config(CONFIGS / "plane.cfg")
+    _, src = stored_run(cfg)
+    out = tmp_path / "o"
+    shutil.copytree(src, out)
+    stale = [out / "specular.ply", formats.twin_path(out / "specular.ply")]
+    for path in stale:
+        path.write_text("left by a mirror run\n")
+    assert pipeline.run_stage(cfg, "deflect", out).skipped == "no indirect correspondences"
+    assert not any(path.exists() for path in stale)
 
 
 def test_diffuse_only_skips_separation_and_deflectometry(stored_run):
