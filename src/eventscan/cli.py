@@ -49,7 +49,8 @@ def main(argv=None) -> int:
         cfg = _load(args)
         if args.command == "run":
             report = run_pipeline(cfg, args.out)
-            _show("", [f"stage {stage}: ok" for stage in report.stages], report.numbers)
+            notes = [f"stage {r.stage}: {note}" for r in report.records if not r.skipped for note in ["ok"] + [f"warning: {w}" for w in r.warnings]]
+            _show("", notes, report.numbers)
         else:
             r = run_stage(cfg, args.command, args.out, args.input)
             _show(f"{r.stage}: ", [f"skipped: {r.skipped}"] if r.skipped else [f"warning: {w}" for w in r.warnings], r.counts)

@@ -3,7 +3,13 @@
 Key-value documents format floats with ``repr`` (shortest round-trip form);
 table and PLY bodies use ``%.17g``. Both round-trip float64 exactly, so a
 given value always serializes to the same bytes and pipeline runs are
-byte-reproducible.
+byte-reproducible. A key-value section with a fixed set of keys declares
+them once, as a dict from each key, in file order, to its kind: ``int``,
+``float``, ``str``, or an int n for n floats; the kind ``| None`` marks a key
+that may be left out. Its writer iterates the declaration, and its reader
+``Section.take`` refuses a key the declaration does not name and a missing
+one it does not let be left out. ``read_known`` refuses, per file, a section
+it does not list, a repeated one and a missing one.
 
 A table or PLY artifact declares its columns once, as a sequence of entries:
 ``"name"`` is a column of strings; ``(name, dtype)`` a numeric column, ``%d``
@@ -59,6 +65,7 @@ import contextlib
 import io
 import math
 import os
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -110,9 +117,6 @@ class Section:
     def set(self, key: str, value) -> None:
         self.pairs[key] = fmt(value)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.pairs
-
     def get_str(self, key: str) -> str:
         if key not in self.pairs:
             raise FormatError(f"section [{self.name}] is missing key '{key}'")
@@ -127,14 +131,26 @@ class Section:
     def get_int(self, key: str) -> int:
         return self._parse(key, int)
 
-    def get_float(self, key: str) -> float:
-        return self._parse(key, float)
-
     def get_floats(self, key: str, n: int | None = None) -> np.ndarray:
         arr = self._parse(key, lambda text: np.array([float(p) for p in text.split()]))
         if n is not None and arr.size != n:
             raise FormatError(f"section [{self.name}] key '{key}': expected {n} numbers, got {arr.size}")
         return arr
+
+    def take(self, keys: dict) -> dict:
+        """The values of the keys that the declaration ``keys`` names, each
+        parsed as its kind; a key left out is absent from the result. A key
+        ``keys`` does not name, or a missing one it does not mark ``| None``,
+        is a FormatError naming this section and the key."""
+        for key in self.pairs:
+            if key not in keys:
+                raise FormatError(f"section [{self.name}] has unknown key '{key}', expected one of {', '.join(keys)}")
+        values = {}
+        for key, kind in keys.items():
+            kind, *optional = typing.get_args(kind) or (kind,)
+            if key in self.pairs or not optional:
+                values[key] = self.get_floats(key, kind) if isinstance(kind, int) else self._parse(key, kind)
+        return values
 
 
 @contextlib.contextmanager
@@ -176,6 +192,25 @@ def read_sections(path) -> list[Section]:
             raise FormatError(f"{path}:{lineno}: duplicate key '{key}' in [{current.name}]")
         current.pairs[key] = value.strip()
     return sections
+
+
+def read_known(path, spec: str) -> dict[str, list[Section]]:
+    """``path``'s sections as lists by name, each in file order. ``spec``
+    lists every section name the file may hold as ``name`` (exactly once),
+    ``name?`` (at most once) or ``name+`` (at least once); a section it does
+    not list, a repeat or a missing section is a FormatError naming the file."""
+    words = spec.split()
+    found: dict[str, list[Section]] = {word.rstrip("?+"): [] for word in words}
+    for sec in read_sections(path):
+        if sec.name not in found:
+            raise FormatError(f"{path}: unknown section [{sec.name}], expected one of {', '.join(found)}")
+        if found[sec.name] and f"{sec.name}+" not in words:
+            raise FormatError(f"{path}: repeated section [{sec.name}]")
+        found[sec.name].append(sec)
+    for name, secs in found.items():
+        if not secs and f"{name}?" not in words:
+            raise FormatError(f"{path}: missing section [{name}]")
+    return found
 
 
 def write_sections(path, sections: list[Section], header: str | None = None) -> None:

@@ -33,7 +33,7 @@ from . import __version__, decode, formats, metrics
 from .deflectometry import bind_screen, iterative_shape
 from .events import EventStream, GroundTruth
 from .geometry import fundamental_from_models
-from .scene import NoiseModel, ScanSchedule, SceneFile, load_calibration_bundle, load_scene, save_calibration_bundle
+from .scene import SCHEDULE_KEYS, NoiseModel, ScanSchedule, SceneFile, load_calibration_bundle, load_scene, save_calibration_bundle
 from .separate import DIRECT, INDIRECT, ClassifiedSet, epipolar_classify, resolve_mixed_pixels
 from .simulate import check_pixelation, simulate_scan
 from .triangulate import DiffuseCloud, build_virtual_screen, triangulate_direct
@@ -168,9 +168,10 @@ def load_run_scene(cfg: PipelineConfig) -> SceneFile:
     """The scene as the run simulates it: the rig from ``calibration`` and the
     config's schedule and noise overrides applied.
 
-    A scene or calibration file that cannot be read, or that holds a value
-    its constructor rejects (a non-finite number, say), is a ConfigError
-    naming it. So is a schedule that ``check_pixelation`` rejects.
+    A scene or calibration file that cannot be read, that holds a key or a
+    section its declarations do not allow, or a value its constructor
+    rejects (a non-finite number, say), is a ConfigError naming it. So is a
+    schedule that ``check_pixelation`` rejects.
     """
     scene = _read_input(load_scene, cfg.scene)
     camera, projector = (scene.camera, scene.projector) if cfg.calibration == "from-scene" else _read_input(load_calibration_bundle, cfg.calibration)
@@ -191,21 +192,20 @@ class ScanMeta(NamedTuple):
     schedule: ScanSchedule
     mode: str
     n_sweeps: int
-    span_us: int
+    scan_span_us: int
     counts: dict
     warnings: list
 
 
-_SCHEDULE_KEYS = ("steps_per_sweep", "sweep_duration_us", "recovery_us", "scan_start_us")
+# scan.txt's [scan] section, read and written through the one declaration;
+# its schedule keys are the scene's
+SCAN_KEYS = {"mode": str, **SCHEDULE_KEYS, "n_sweeps": int, "scan_span_us": int}
 
 
 def _save_scan(paths, scan: ScanMeta) -> None:
     sec = formats.Section("scan")
-    sec.set("mode", scan.mode)
-    for key in _SCHEDULE_KEYS:
-        sec.set(key, getattr(scan.schedule, key))
-    sec.set("n_sweeps", scan.n_sweeps)
-    sec.set("scan_span_us", scan.span_us)
+    for key in SCAN_KEYS:
+        sec.set(key, getattr(scan.schedule if key in SCHEDULE_KEYS else scan, key))
     csec = formats.Section("counts")
     for key in sorted(scan.counts):
         csec.set(key, scan.counts[key])
@@ -216,12 +216,10 @@ def _save_scan(paths, scan: ScanMeta) -> None:
 
 
 def _load_scan(paths) -> ScanMeta:
-    by_name = {s.name: s for s in formats.read_sections(paths[0])}
-    sec = by_name["scan"]
-    schedule = ScanSchedule(*(sec.get_int(key) for key in _SCHEDULE_KEYS))
-    counts = {key: int(value) for key, value in by_name["counts"].pairs.items()}
-    warnings = list(by_name["warnings"].pairs.values())
-    return ScanMeta(schedule, sec.get_str("mode"), sec.get_int("n_sweeps"), sec.get_int("scan_span_us"), counts, warnings)
+    (sec,), (counts,), (warnings,) = formats.read_known(paths[0], "scan counts warnings").values()
+    values = sec.take(SCAN_KEYS)
+    schedule = ScanSchedule(**{key: values.pop(key) for key in SCHEDULE_KEYS if key in values})
+    return ScanMeta(schedule, **values, counts={key: int(value) for key, value in counts.pairs.items()}, warnings=list(warnings.pairs.values()))
 
 
 def _save_provenance(paths, provenance) -> None:
@@ -406,8 +404,9 @@ def _drive(cfg: PipelineConfig, out: Path, stages, source: Path | None = None) -
     A stage's inputs are what an earlier stage of this call made, and
     otherwise are read from ``out`` through the store. With a ``source``
     directory, the artifacts of the stages before the first one are first
-    copied byte for byte from there into ``out``. The files a stage makes are
-    removed before it runs or is skipped, so none outlives the run that made it.
+    copied byte for byte from there into ``out``. The files a stage makes, and
+    the manifest, are removed before it runs or is skipped, so none outlives
+    the run that made it; ``run_pipeline`` writes a fresh manifest at the end.
 
     The mode logic lives here alone: diffuse-only skips separate and deflect
     and triangulates every correspondence as direct; deflect runs only when
@@ -438,7 +437,8 @@ def _drive(cfg: PipelineConfig, out: Path, stages, source: Path | None = None) -
     scene = load_run_scene(cfg) if stage == "simulate" else None
     try:
         out.mkdir(parents=True, exist_ok=True)
-        failed.unlink(missing_ok=True)
+        for marker in (failed, out / MANIFEST):
+            marker.unlink(missing_ok=True)
         earlier = STAGES[: STAGES.index(stage)] if source is not None else ()
         for art in STORE.values():
             # a table or PLY file comes with its twin
@@ -488,32 +488,36 @@ def _drive(cfg: PipelineConfig, out: Path, stages, source: Path | None = None) -
 @dataclass
 class RunReport:
     out_dir: Path
-    stages: list
+    records: list  # one StageRecord per stage, skipped ones included
     numbers: dict
     manifest: dict
+
+    @property
+    def stages(self) -> list:
+        """The stages that ran."""
+        return [r.stage for r in self.records if not r.skipped]
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir) -> RunReport:
     """Run all stages in memory; on failure a FAILED marker names the broken stage."""
     out = Path(out_dir)
     records = _drive(cfg, out, STAGES)
-    stages_done = [r.stage for r in records if not r.skipped]
-    numbers = {key: value for r in records for key, value in r.counts.items()}
+    report = RunReport(out, records, {key: value for r in records for key, value in r.counts.items()}, {})
     # paths as the config wrote them, so the manifest does not depend on where
     # the checkout lives, and the hash of each input file the run read
     inputs = {key: getattr(cfg, key) for key in ("scene", "calibration") if getattr(cfg, key) != "from-scene"}
-    manifest = {
+    report.manifest = {
         "tool": "eventscan",
         "version": __version__,
         "numpy": np.__version__,
         "config": {**cfg.effective(), **cfg.written},
         "input_sha256": {key: hashlib.sha256(Path(path).read_bytes()).hexdigest() for key, path in inputs.items()},
-        "stages": stages_done,
-        "numbers": numbers,
+        "stages": report.stages,
+        "numbers": report.numbers,
         "artifacts": sorted(p.name for p in out.iterdir() if p.is_file() and p.name != MANIFEST),
     }
-    (out / MANIFEST).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    return RunReport(out, stages_done, numbers, manifest)
+    (out / MANIFEST).write_text(json.dumps(report.manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    return report
 
 
 def run_stage(cfg: PipelineConfig, stage: str, out_dir, input_dir=None) -> StageRecord:

@@ -2,13 +2,15 @@
 
 A scene file is a sectioned key-value document (see formats.py). It carries
 everything one simulation run needs: the two device models, the sweep
-schedule, the noise model and the object list. Every float in it must be
-finite; the constructors below reject NaN and infinities.
+schedule, the noise model and the object list. Each section's keys are
+declared once, below the dataclasses; ``load_scene`` refuses a key or a
+section that no declaration names, and a repeated section other than
+``[object]``. Every float in it must be finite; the constructors below
+reject NaN and infinities.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,9 +145,9 @@ class ScanSchedule:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Event corruption applied after tracing; defaults are conservative."""
+    """Event corruption applied after tracing; the defaults add none."""
 
-    timestamp_jitter_sigma_us: float = 50.0
+    timestamp_jitter_sigma_us: float = 0.0
     spurious_rate: float = 0.0  # events per microsecond per megapixel
     drop_probability: float = 0.0
     seed: int = 0
@@ -177,47 +179,37 @@ class SceneFile:
     objects: list[SceneObject] = field(default_factory=list)
 
 
-def _model_section(name: str, m: PinholeModel) -> Section:
-    sec = Section(name)
-    sec.set("width", m.width)
-    sec.set("height", m.height)
-    sec.set("fx", m.fx)
-    sec.set("fy", m.fy)
-    sec.set("cx", m.cx)
-    sec.set("cy", m.cy)
-    sec.set("skew", m.skew)
-    sec.set("k1", m.k1)
-    sec.set("rotation", m.rotation)
-    sec.set("translation", m.translation)
-    return sec
+# The key declarations (see formats.py) of the scene file's sections; a
+# calibration bundle holds [camera] and [projector] as the scene does
+MODEL_KEYS = {
+    "width": int, "height": int, "fx": float, "fy": float, "cx": float, "cy": float,
+    "skew": float | None, "k1": float | None, "rotation": 9, "translation": 3,
+}
+SCHEDULE_KEYS = {"steps_per_sweep": int, "sweep_duration_us": int, "recovery_us": int, "scan_start_us": int | None}
+NOISE_KEYS = {"timestamp_jitter_sigma_us": float, "spurious_rate": float, "drop_probability": float, "seed": int}
+# an [object] holds these keys and those of its shape kind
+OBJECT_KEYS = {"label": str, "material": str, "albedo": float | None, "strength": float | None, "shape": str}
+SHAPES = {"plane": (Plane, {"point": 3, "normal": 3, "extent": 2}), "sphere": (Sphere, {"center": 3, "radius": float})}
 
 
-@contextmanager
-def _naming(sec: Section):
-    """A value that a constructor rejects becomes a FormatError naming ``sec``,
-    as one that does not parse already is."""
-    try:
-        yield
-    except FormatError:
-        raise
-    except ValueError as exc:
-        raise FormatError(f"section [{sec.name}]: {exc}") from None
+def _made(path, sections: list, make) -> list:
+    """``make(sec)`` for each of ``sections``. A FormatError names ``path``,
+    and a value that a constructor rejects becomes one naming ``path`` and
+    the section."""
+    made = []
+    for sec in sections:
+        try:
+            made.append(make(sec))
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        except ValueError as exc:
+            raise FormatError(f"{path}: section [{sec.name}]: {exc}") from None
+    return made
 
 
 def _model_from_section(sec: Section) -> PinholeModel:
-    with _naming(sec):
-        return PinholeModel(
-            fx=sec.get_float("fx"),
-            fy=sec.get_float("fy"),
-            cx=sec.get_float("cx"),
-            cy=sec.get_float("cy"),
-            width=sec.get_int("width"),
-            height=sec.get_int("height"),
-            skew=sec.get_float("skew") if "skew" in sec else 0.0,
-            rotation=sec.get_floats("rotation", 9).reshape(3, 3),
-            translation=sec.get_floats("translation", 3),
-            k1=sec.get_float("k1") if "k1" in sec else 0.0,
-        )
+    values = sec.take(MODEL_KEYS)
+    return PinholeModel(**values | {"rotation": values["rotation"].reshape(3, 3)})
 
 
 def save_calibration_bundle(path, camera: PinholeModel, projector: PinholeModel) -> None:
@@ -227,75 +219,40 @@ def save_calibration_bundle(path, camera: PinholeModel, projector: PinholeModel)
     """
     formats.write_sections(
         path,
-        [_model_section("camera", camera), _model_section("projector", projector)],
+        [Section(name, {key: formats.fmt(getattr(m, key)) for key in MODEL_KEYS}) for name, m in (("camera", camera), ("projector", projector))],
         header="calibration bundle (positions in mm, pose maps world -> device)",
     )
 
 
 def load_calibration_bundle(path) -> tuple[PinholeModel, PinholeModel]:
-    by_name = {s.name: s for s in formats.read_sections(path)}
-    for need in ("camera", "projector"):
-        if need not in by_name:
-            raise FormatError(f"{path}: calibration bundle is missing [{need}]")
-    return _model_from_section(by_name["camera"]), _model_from_section(by_name["projector"])
+    (camera,), (projector,) = (_made(path, secs, _model_from_section) for secs in formats.read_known(path, "camera projector").values())
+    return camera, projector
 
 
 def _object_from_section(sec: Section) -> SceneObject:
-    """The object an ``[object]`` section describes: its material, a label
-    and a shape that is ``plane`` (point, normal, extent) or ``sphere``
-    (center, radius). Any other shape kind is a FormatError naming the
-    section and key."""
-    material = Material(
-        kind=sec.get_str("material"),
-        diffuse_albedo=sec.get_float("albedo") if "albedo" in sec else 0.0,
-        specular_strength=sec.get_float("strength") if "strength" in sec else 0.0,
-    )
+    """The object an ``[object]`` section describes: ``OBJECT_KEYS`` and the
+    keys of its shape kind in ``SHAPES``. Any other shape kind is a
+    FormatError naming the section and key."""
     kind = sec.get_str("shape")
-    if kind == "plane":
-        shape = Plane(sec.get_floats("point", 3), sec.get_floats("normal", 3), sec.get_floats("extent", 2))
-    elif kind == "sphere":
-        shape = Sphere(sec.get_floats("center", 3), sec.get_float("radius"))
-    else:
-        raise FormatError(f"section [{sec.name}] key 'shape': unknown shape kind {kind!r}, expected plane or sphere")
-    label = sec.get_str("label")
+    if kind not in SHAPES:
+        raise FormatError(f"section [{sec.name}] key 'shape': unknown shape kind {kind!r}, expected {' or '.join(SHAPES)}")
+    make, shape_keys = SHAPES[kind]
+    values = sec.take(OBJECT_KEYS | shape_keys)
     try:
-        check_label(label)
+        check_label(values["label"])
     except ValueError as exc:
         raise FormatError(f"section [{sec.name}] key 'label': {exc}") from None
-    return SceneObject(shape, material, label)
+    material = Material(values["material"], values.get("albedo", 0.0), values.get("strength", 0.0))
+    return SceneObject(make(**{key: values[key] for key in shape_keys}), material, values["label"])
 
 
 def load_scene(path) -> SceneFile:
-    camera = projector = None
-    schedule = ScanSchedule()
-    noise = NoiseModel(timestamp_jitter_sigma_us=0.0)
-    objects: list[SceneObject] = []
-    for sec in formats.read_sections(path):
-        with _naming(sec):
-            if sec.name == "camera":
-                camera = _model_from_section(sec)
-            elif sec.name == "projector":
-                projector = _model_from_section(sec)
-            elif sec.name == "schedule":
-                schedule = ScanSchedule(
-                    steps_per_sweep=sec.get_int("steps_per_sweep"),
-                    sweep_duration_us=sec.get_int("sweep_duration_us"),
-                    recovery_us=sec.get_int("recovery_us"),
-                    scan_start_us=sec.get_int("scan_start_us") if "scan_start_us" in sec else 0,
-                )
-            elif sec.name == "noise":
-                noise = NoiseModel(
-                    timestamp_jitter_sigma_us=sec.get_float("timestamp_jitter_sigma_us"),
-                    spurious_rate=sec.get_float("spurious_rate"),
-                    drop_probability=sec.get_float("drop_probability"),
-                    seed=sec.get_int("seed"),
-                )
-            elif sec.name == "object":
-                objects.append(_object_from_section(sec))
-            else:
-                raise FormatError(f"{path}: unknown section [{sec.name}]")
-    if camera is None or projector is None:
-        raise FormatError(f"{path}: scene needs [camera] and [projector] sections")
-    if not objects:
-        raise FormatError(f"{path}: scene has no objects")
-    return SceneFile(camera, projector, schedule, noise, objects)
+    """The scene file ``path``: one [camera] and one [projector], at most one
+    [schedule] and one [noise], each of which reads as its dataclass's
+    defaults when absent, and one [object] per object. Any error is a
+    FormatError naming the file."""
+    found = formats.read_known(path, "camera projector schedule? noise? object+")
+    (camera,), (projector,) = (_made(path, found[name], _model_from_section) for name in ("camera", "projector"))
+    (schedule,) = _made(path, found["schedule"], lambda sec: ScanSchedule(**sec.take(SCHEDULE_KEYS))) or [ScanSchedule()]
+    (noise,) = _made(path, found["noise"], lambda sec: NoiseModel(**sec.take(NOISE_KEYS))) or [NoiseModel()]
+    return SceneFile(camera, projector, schedule, noise, _made(path, found["object"], _object_from_section))

@@ -78,9 +78,6 @@ def resolve_mixed_pixels(classified: ClassifiedSet) -> ClassifiedSet:
     direct entry" searches.
     """
     b = classified.base
-    n = len(classified)
-    if n == 0:
-        return classified
     key = pack_pixels(b.camera_pixel[:, 0], b.camera_pixel[:, 1])
     label = classified.label.copy()
     is_direct = label == DIRECT

@@ -66,6 +66,46 @@ def test_section_errors(tmp_path):
         formats.read_sections(p)
 
 
+def test_take_reads_a_section_through_its_declaration():
+    keys = {"n": int, "x": float | None, "name": str, "v": 3}
+    sec = formats.Section("s", {"n": "7", "name": "a b", "v": "1 2.5 -3"})
+    values = sec.take(keys)
+    assert values.keys() == {"n", "name", "v"} and values["n"] == 7 and values["name"] == "a b"
+    assert np.array_equal(values["v"], [1.0, 2.5, -3.0])
+    assert formats.Section("s", {**sec.pairs, "x": "0.5"}).take(keys)["x"] == 0.5
+    for pairs, message in [
+        ({**sec.pairs, "y": "1"}, r"section \[s\] has unknown key 'y', expected one of n, x, name, v"),
+        ({"n": "7", "name": "a"}, r"section \[s\] is missing key 'v'"),
+        ({**sec.pairs, "v": "1 2"}, r"section \[s\] key 'v': expected 3 numbers, got 2"),
+        ({**sec.pairs, "n": "7.0"}, r"section \[s\] key 'n': invalid literal"),
+    ]:
+        with pytest.raises(formats.FormatError, match=message):
+            formats.Section("s", pairs).take(keys)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[a]\n[c]\n", None),
+        ("[a]\n[b]\n[c]\n[c]\n", None),
+        ("[c]\n", r"missing section \[a\]"),
+        ("[a]\n", r"missing section \[c\]"),
+        ("[a]\n[a]\n[c]\n", r"repeated section \[a\]"),
+        ("[a]\n[b]\n[b]\n[c]\n", r"repeated section \[b\]"),
+        ("[a]\n[c]\n[d]\n", r"unknown section \[d\], expected one of a, b, c"),
+    ],
+)
+def test_read_known_counts_each_section(tmp_path, text, message):
+    path = tmp_path / "doc.txt"
+    path.write_text(text)
+    if message is None:
+        found = formats.read_known(path, "a b? c+")
+        assert {name: len(secs) for name, secs in found.items()} == {"a": 1, "b": text.count("[b]"), "c": text.count("[c]")}
+    else:
+        with pytest.raises(formats.FormatError, match=re.escape(str(path)) + ": " + message):
+            formats.read_known(path, "a b? c+")
+
+
 def test_table_round_trip(tmp_path):
     path = tmp_path / "t.txt"
     a = np.array([1, 2, 3], dtype=np.int64)

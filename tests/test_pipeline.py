@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from eventscan.decode import CORRESPONDENCE_COLUMNS
 from eventscan.deflectometry import RESIDUAL_COLUMNS
 from eventscan.events import EVENT_COLUMNS, EVENT_TRUTH_COLUMNS, PATH_COLUMNS, EventStream, GroundTruth
 from eventscan.pipeline import MANIFEST, STAGES, ConfigError, PipelineConfig, StageError, load_config, run_pipeline
-from eventscan.scene import load_calibration_bundle
+from eventscan.scene import MODEL_KEYS, NOISE_KEYS, OBJECT_KEYS, SCHEDULE_KEYS, SHAPES, load_calibration_bundle, load_scene, save_calibration_bundle
 from eventscan.separate import CLASSIFIED_COLUMNS
 from eventscan.triangulate import CLOUD_COLUMNS, SCREEN_COLUMNS
 
@@ -518,6 +519,34 @@ def test_a_stage_removes_what_an_earlier_run_left(stored_run, tmp_path):
     assert not any(path.exists() for path in stale)
 
 
+def test_a_stage_removes_the_manifest_of_an_earlier_run(stored_run, tmp_path):
+    # the manifest describes a whole run; only run_pipeline writes one
+    cfg = load_config(CONFIGS / "plane_fast.cfg")
+    out = tmp_path / "o"
+    shutil.copytree(stored_run(cfg)[1], out)
+    pipeline.run_stage(cfg, "simulate", out)
+    assert not (out / MANIFEST).exists()
+
+
+def test_run_prints_each_stage_warning(tmp_path, monkeypatch, capsys):
+    triangulate = pipeline.stage_triangulate
+
+    def warning(*args):
+        made, record = triangulate(*args)
+        return made, record._replace(warnings=("first", "second"))
+
+    monkeypatch.setattr(pipeline, "stage_triangulate", warning)
+    assert cli_main(["run", "--config", str(CONFIGS / "plane_fast.cfg"), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.splitlines()[:6] == [
+        "stage simulate: ok",
+        "stage decode: ok",
+        "stage triangulate: ok",
+        "stage triangulate: warning: first",
+        "stage triangulate: warning: second",
+        "stage metrics: ok",
+    ]
+
+
 def test_diffuse_only_skips_separation_and_deflectometry(stored_run):
     cfg = load_config(CONFIGS / "plane.cfg")
     values = cfg.effective()
@@ -637,6 +666,89 @@ def test_scene_label_the_truth_header_cannot_carry_is_rejected(tmp_path, label):
     out = tmp_path / "out"
     assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def edited(text: str, section: str, key: str, edit) -> str:
+    """``text`` with its first ``key`` line after the first ``[section]`` replaced by ``edit(line)``."""
+    lines = text.splitlines()
+    at = next(i for i in range(lines.index(f"[{section}]"), len(lines)) if lines[i].startswith(f"{key} ="))
+    lines[at] = edit(lines[at])
+    return "\n".join(lines) + "\n"
+
+
+def plus(line: str):
+    return lambda old: f"{old}\n{line}"
+
+
+PLANE_SCENE = (REPO / "scenes" / "plane.scene").read_text()
+
+# (plane.scene as edited, an edit of its rig as a calibration bundle or None,
+# what the message names after the file)
+REFUSED_INPUTS = {
+    "camera_k_1": (edited(PLANE_SCENE, "camera", "k1", plus("k_1 = 0.3")), None, r"section \[camera\] has unknown key 'k_1'"),
+    "schedule_recovery_ms": (
+        edited(PLANE_SCENE, "schedule", "recovery_us", plus("recovery_ms = 9")), None, r"section \[schedule\] has unknown key 'recovery_ms'"
+    ),
+    "plane_radius": (edited(PLANE_SCENE, "object", "extent", plus("radius = 7.0")), None, r"section \[object\] has unknown key 'radius'"),
+    "repeated_camera": (
+        PLANE_SCENE + PLANE_SCENE[PLANE_SCENE.index("[camera]") : PLANE_SCENE.index("[projector]")], None, r"repeated section \[camera\]"
+    ),
+    "bundle_lens": (PLANE_SCENE, lambda text: text + "[lens]\nk_2 = 0.1\n", r"unknown section \[lens\]"),
+    "bundle_k_2": (PLANE_SCENE, lambda text: edited(text, "camera", "k1", plus("k_2 = 0.1")), r"section \[camera\] has unknown key 'k_2'"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_INPUTS)
+def test_an_undeclared_or_repeated_scene_entry_is_refused(tmp_path, capsys, case):
+    # the scene, or the calibration bundle, holds a key or a section that no
+    # declaration names, or repeats a section: exit 2 before --out, naming the file
+    scene_text, bundle_edit, message = REFUSED_INPUTS[case]
+    bad = scene = tmp_path / "bad.scene"
+    scene.write_text(scene_text)
+    body = f"scene = {scene}\n"
+    if bundle_edit is not None:
+        bad = tmp_path / "bad.calib"
+        plane = load_scene(scene)
+        save_calibration_bundle(bad, plane.camera, plane.projector)
+        bad.write_text(bundle_edit(bad.read_text()))
+        body += f"calibration = {bad}\n"
+    cfg_path = write_cfg(tmp_path, body)
+    names = re.escape(str(bad)) + ": " + message
+    with pytest.raises(ConfigError, match=names):
+        pipeline.load_run_scene(load_config(cfg_path))
+    out = tmp_path / "out"
+    for command in ("run", "simulate"):
+        capsys.readouterr()
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert re.search(names, capsys.readouterr().err)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "scene, section, key",
+    [("plane.scene", section, key) for section in ("camera", "projector") for key in MODEL_KEYS]
+    + [("plane.scene", "schedule", key) for key in SCHEDULE_KEYS]
+    + [("plane.scene", "noise", key) for key in NOISE_KEYS]
+    + [("plane.scene", "object", key) for key in OBJECT_KEYS | SHAPES["plane"][1]]
+    + [("sphere_diffuse.scene", "object", key) for key in SHAPES["sphere"][1]],
+)
+def test_each_declared_scene_key_renamed_is_refused(tmp_path, scene, section, key):
+    path = tmp_path / scene
+    path.write_text(edited((REPO / "scenes" / scene).read_text(), section, key, lambda line: "renamed_" + line))
+    # an [object]'s shape picks its declaration, so without it the key is missing
+    names = f"is missing key '{key}'" if key == "shape" else f"has unknown key 'renamed_{key}'"
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: section [{section}] {names}")):
+        pipeline.load_run_scene(load_config(write_cfg(tmp_path, f"scene = {path}\n")))
+
+
+def test_a_stage_refuses_a_calibration_bundle_with_an_undeclared_key(stored_run, tmp_path):
+    # rig.calib read back in the run directory is an artifact: exit 3 and FAILED
+    out = tmp_path / "o"
+    shutil.copytree(stored_run(load_config(CONFIGS / "plane_fast.cfg"))[1], out)
+    rig = out / "rig.calib"
+    rig.write_text(rig.read_text().replace("[camera]\n", "[camera]\nk_2 = 0.1\n"))
+    assert cli_main(["decode", "--config", str(CONFIGS / "plane_fast.cfg"), "--out", str(out)]) == 3
+    assert (out / "FAILED").read_text().startswith(f"stage = decode\nerror = {rig}: section [camera] has unknown key 'k_2'")
 
 
 @pytest.mark.parametrize("command, bad_file", [("run", "config"), ("simulate", "config"), ("run", "scene")])

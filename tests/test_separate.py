@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from eventscan import decode
 from eventscan.decode import CorrespondenceSet
 from eventscan.formats import FormatError
-from eventscan.geometry import fundamental_from_models
+from eventscan.geometry import PinholeModel, fundamental_from_models
 from eventscan.metrics import classification_score, truth_class_of
 from eventscan.separate import DIRECT, INDIRECT, REJECTED, ClassifiedSet, epipolar_classify, resolve_mixed_pixels
 
@@ -143,3 +144,51 @@ def test_classification_score_trivial_and_errors(mirror_scan, mirror_classified)
     assert report.precision_direct == 1.0
     with pytest.raises(ValueError):
         classification_score(ClassifiedSet(corr_of(np.zeros((0, 2)), np.zeros((0, 2))), np.zeros(0, np.int8), np.zeros(0)), mirror_scan["result"].ground_truth)
+
+
+# The fundamental matrix of a rectified pair (identical intrinsics, baseline
+# along x): the epipolar line of projector pixel (x_P, y_P) is camera row y_P,
+# with unit normal, so each distance below is exact.
+ROWS_F = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+
+
+def rows_off_by(*offsets):
+    """One correspondence per offset: camera pixel (i, 5), projector pixel on row 5 + offset."""
+    return corr_of([[i, 5] for i in range(len(offsets))], [[10.0, 5.0 + d] for d in offsets])
+
+
+def test_rows_f_is_the_rectified_rigs():
+    camera = PinholeModel(fx=100.0, fy=100.0, cx=8.0, cy=8.0, width=16, height=16)
+    projector = dataclasses.replace(camera, translation=np.array([-50.0, 0.0, 0.0]))
+    assert np.allclose(fundamental_from_models(camera, projector), ROWS_F / np.sqrt(2))
+
+
+def test_tau_zero_is_refused():
+    with pytest.raises(ValueError, match="tau must be positive"):
+        epipolar_classify(rows_off_by(0.0), ROWS_F, tau=0.0)
+
+
+def test_tau_below_one_pixel_classifies():
+    cl = epipolar_classify(rows_off_by(0.0, 0.25, 0.75, 1.0), ROWS_F, tau=0.5)
+    assert cl.epipolar_distance.tolist() == [0.0, 0.25, 0.75, 1.0]
+    assert cl.label.tolist() == [DIRECT, DIRECT, INDIRECT, INDIRECT]
+
+
+@pytest.mark.parametrize("tau", [0.5, 2.0, 3.0])
+def test_a_correspondence_tau_off_its_line_is_direct(tau):
+    cl = epipolar_classify(rows_off_by(tau, -tau, tau + 0.25), ROWS_F, tau=tau)
+    assert cl.label.tolist() == [DIRECT, DIRECT, INDIRECT]
+
+
+def test_default_threshold_is_two_pixels():
+    cl = epipolar_classify(rows_off_by(2.0, 2.5, -2.0, -2.5), ROWS_F)
+    assert cl.label.tolist() == [DIRECT, INDIRECT, DIRECT, INDIRECT]
+
+
+def test_resolving_no_correspondences_keeps_the_bytes(tmp_path):
+    empty = epipolar_classify(rows_off_by(), ROWS_F)
+    resolved = resolve_mixed_pixels(empty)
+    assert resolved.label.dtype == np.int8 and len(resolved) == 0
+    empty.save_text(tmp_path / "a.txt")
+    resolved.save_text(tmp_path / "b.txt")
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()

@@ -6,7 +6,10 @@ Runs, in a work directory (``--out``):
 - the staged chain (one ``eventscan <stage>`` call per stage) on
   ``specular_sphere.cfg``;
 - ``eventscan run`` on ``plane_mirror.cfg`` with timestamp jitter, event
-  drops, spurious events and higher bounces switched on.
+  drops, spurious events and higher bounces switched on;
+- ``eventscan run`` on ``plane_mirror.cfg`` with ``calibration =`` the
+  ``rig.calib`` of the ``plane_mirror`` run above. Its files must equal that
+  run's, apart from ``manifest.json``; the script stops if they do not.
 
 ``configs/`` and ``scenes/`` are copied into the work directory first and
 every run reads the copies, so the output does not depend on where the
@@ -30,7 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from eventscan.cli import main as eventscan  # noqa: E402
-from eventscan.pipeline import STAGES  # noqa: E402
+from eventscan.pipeline import MANIFEST, STAGES  # noqa: E402
 
 NOISY = "jitter_us = 20\ndrop_probability = 0.05\nspurious_rate = 0.001\nhigher_bounces = true\n"
 
@@ -41,6 +44,10 @@ def _call(args: list) -> None:
         rc = eventscan(args)
     if rc:
         raise SystemExit(f"eventscan {' '.join(args)} exited {rc}")
+
+
+def _files(run: Path) -> dict:
+    return {path.name: path.read_bytes() for path in run.iterdir() if path.name != MANIFEST}
 
 
 def main(argv=None) -> int:
@@ -59,6 +66,12 @@ def main(argv=None) -> int:
     for cfg in sorted(configs.glob("*.cfg")):
         runs[cfg.stem] = out / cfg.stem
         _call(["run", "--config", str(cfg), "--out", str(runs[cfg.stem])])
+    rig_file = configs / "plane_mirror_rig_file.cfg"
+    rig_file.write_text((configs / "plane_mirror.cfg").read_text().replace("from-scene", "../../plane_mirror/rig.calib"))
+    runs[rig_file.stem] = out / rig_file.stem
+    _call(["run", "--config", str(rig_file), "--out", str(runs[rig_file.stem])])
+    if _files(runs[rig_file.stem]) != _files(runs["plane_mirror"]):
+        raise SystemExit("the run from plane_mirror's rig.calib differs from plane_mirror")
     runs["specular_sphere_staged"] = out / "specular_sphere_staged"
     for stage in STAGES:
         _call([stage, "--config", str(configs / "specular_sphere.cfg"), "--out", str(runs["specular_sphere_staged"])])
